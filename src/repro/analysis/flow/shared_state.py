@@ -54,8 +54,8 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         cls="repro.sim.clock.VirtualClock",
         aliases=frozenset({"clock", "_clock"}),
         attrs=frozenset({
-            "now", "gate", "cost_charged", "_tickers", "_firing",
-            "_load", "_factors", "_next_event",
+            "now", "gate", "cost_charged", "_tickers", "_ticker_seq",
+            "_firing", "_load", "_factors", "_next_event",
         }),
         description="the virtual clock every query charges time against",
     ),

@@ -1,9 +1,10 @@
 """CLI for the real-time performance suite.
 
-Two subcommands::
+Three subcommands::
 
     python -m repro.bench perf [--write-baseline] [--runs N] [--cases a,b]
     python -m repro.bench perfcheck [--tolerance F] [--runs N] [--cases a,b]
+    python -m repro.bench shapecheck [--statements N]
 
 ``perf`` times the suite (row vs. batch engine) and prints the table;
 with ``--write-baseline`` it also rewrites
@@ -13,6 +14,10 @@ with ``--write-baseline`` it also rewrites
 smoke subset), compares fresh speedups against the committed baseline
 within ``--tolerance``, checks the absolute floors, and exits non-zero
 on any violation.
+
+``shapecheck`` runs N same-shape statements per template and mode and
+fails if any fused program was compiled more than once — the guard
+against a literal or ``id()`` leaking into generated source.
 """
 
 from __future__ import annotations
@@ -94,7 +99,23 @@ def main(argv=None) -> int:
         help=f"baseline JSON (default {perf.BASELINE_PATH})",
     )
 
+    shape_p = subs.add_parser(
+        "shapecheck", help="same-shape statements must compile once"
+    )
+    shape_p.add_argument(
+        "--statements",
+        type=int,
+        default=50,
+        help="statements per (template, mode) (default 50)",
+    )
+
     args = parser.parse_args(argv)
+    if args.command == "shapecheck":
+        problems = perf.check_shape_compiles(args.statements)
+        for problem in problems:
+            print(f"FAIL: {problem}")
+        print(f"shape gate: {'FAIL' if problems else 'PASS'}")
+        return 1 if problems else 0
     try:
         cases = perf.select_cases(args.cases)
     except ValueError as exc:

@@ -50,7 +50,7 @@ DEFAULT_SCALE = 0.01
 
 #: Timed runs per (case, engine); the median is recorded.  One untimed
 #: warm-up run precedes these (buffer-pool warm-up and, for the batch
-#: engine, plan compilation).
+#: engine, the one-off compile of the generated program, cached per shape).
 DEFAULT_RUNS = 5
 
 #: Required suite-wide geometric-mean speedup of batch over row.
@@ -215,6 +215,65 @@ def run_suite(
         for c in cases
     )
     return SuiteResult(scale=scale, runs=runs, cases=results)
+
+
+# ----------------------------------------------------------------------
+# compile-once check
+
+#: Statement templates of :func:`check_shape_compiles`.  Each yields one
+#: plan shape for every ``n`` of the loop (the literals stay in a narrow
+#: range so the optimizer's choice cannot flip); between them they cover
+#: the places a run-time value once leaked into generated source —
+#: predicate and projection literals, LIMIT, and the ``id()``-named
+#: partition files of a multi-batch hash join (work_mem is one page).
+SHAPE_TEMPLATES: dict[str, str] = {
+    "index_lookup": "select custkey, acctbal from customer where custkey = {n}",
+    "scan_filter": (
+        "select custkey, acctbal * {n}.5 from customer "
+        "where acctbal > {n}.25 and mktsegment <> 'SEG{n}' limit {n}"
+    ),
+    "hash_join_spill": (
+        "select c.custkey, o.orderkey from customer c, orders o "
+        "where c.custkey = o.custkey and o.totalprice > {n}.0"
+    ),
+}
+
+
+def check_shape_compiles(statements: int = 50) -> list[str]:
+    """Run ``statements`` same-shape queries per (template, mode); report
+    every pair that compiled its fused program more than once.
+
+    A literal or ``id()`` formatted into generated source is otherwise
+    silent: the query still runs, it just pays Python's ``compile`` on
+    every execution (about half of a short query's real time).
+    """
+    from repro.executor import fused
+
+    config = SystemConfig(work_mem_pages=1)
+    db = tpcr.build_database(
+        scale=0.002, subset_rows=60, config=config, with_indexes=True
+    )
+    session = db.connect()
+    problems = []
+    for name, template in SHAPE_TEMPLATES.items():
+        for monitor in (False, True):
+            before = fused.code_cache_info().misses
+            for n in range(1, statements + 1):
+                session.submit(
+                    template.format(n=n),
+                    name=f"shape-{name}-{monitor}-{n}",
+                    monitor=monitor,
+                    keep_rows=False,
+                ).result()
+            compiles = fused.code_cache_info().misses - before
+            if compiles > 1:
+                mode = "monitored" if monitor else "plain"
+                problems.append(
+                    f"{name} [{mode}]: {compiles} compiles for {statements} "
+                    f"same-shape statements (a run-time value is in the "
+                    f"generated source)"
+                )
+    return problems
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +459,9 @@ point of the batch engine.
 * TPC-R scale {suite.scale} (~60k `lineitem` rows), one database build
   per engine, identical seeds.
 * Per case and engine: one untimed warm-up run (buffer-pool warm-up and
-  batch-engine plan compilation), then {suite.runs} timed runs;
+  Python's one-off compile of the batch engine's generated program — the
+  code object is cached per plan shape, so timed runs pay only source
+  generation and `exec` of the cached code), then {suite.runs} timed runs;
   the **median** real time is recorded.  Medians because single runs on
   shared machines carry multi-10% load noise.
 * `monitored` cases attach the full progress indicator; both engines pay

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from repro.core.report import ProgressReport
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgressLog:
     """The complete report history of one query execution."""
 

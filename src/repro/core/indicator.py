@@ -45,7 +45,7 @@ from typing import Callable, Optional
 from repro.config import SystemConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
-from repro.core.segments import build_segments, initial_total_cost_bytes
+from repro.core.segments import initial_total_cost_bytes, planned_segments
 from repro.core.speed import make_speed_estimator
 from repro.errors import ProgressError
 from repro.estimators import (
@@ -103,7 +103,7 @@ class ProgressIndicator:
         self._trace = trace
         self._label = label
 
-        self.segments = build_segments(planned.root)
+        self.segments = planned_segments(planned)
         # Pre-execution invariant gate (warn by default, strict in tests).
         # Imported lazily: repro.analysis depends on repro.core.segments.
         from repro.analysis.gate import gate_segments

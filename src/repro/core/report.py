@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgressReport:
     """One sample of the indicator's display state.
 

@@ -25,7 +25,7 @@ partitions, PB dominant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ProgressError
 from repro.planner.physical import (
@@ -42,6 +42,9 @@ from repro.planner.physical import (
     SeqScanNode,
     SortNode,
 )
+
+if TYPE_CHECKING:
+    from repro.planner.optimizer import PlannedQuery
 
 
 @dataclass
@@ -93,6 +96,20 @@ def build_segments(root: PhysicalNode) -> list[SegmentSpec]:
     pipeline = builder.visit(root)
     builder.close(pipeline, final=True, label="output")
     return builder.specs
+
+
+def planned_segments(planned: "PlannedQuery") -> list[SegmentSpec]:
+    """``build_segments(planned.root)``, built once per planned query.
+
+    Admission, the indicator and the invariant gate all read the same
+    list; nothing outside this module's builder mutates a spec.  Callers
+    that edit a plan after it was first segmented (tests, mostly) call
+    :func:`build_segments` themselves.
+    """
+    specs = planned.segment_specs
+    if specs is None:
+        specs = planned.segment_specs = build_segments(planned.root)
+    return specs
 
 
 def initial_total_cost_bytes(specs: list[SegmentSpec]) -> float:

@@ -221,12 +221,12 @@ class Database:
         where correctness checking outranks overhead.
         """
         from repro.analysis.gate import gate_segments, resolve_verify_mode
-        from repro.core.segments import build_segments
+        from repro.core.segments import planned_segments
 
         if resolve_verify_mode(self.config) != "strict":
             return
         gate_segments(
-            planned.root, build_segments(planned.root), mode="strict", label=label
+            planned.root, planned_segments(planned), mode="strict", label=label
         )
 
     def execute(

@@ -43,7 +43,9 @@ row source and fuses everything above it.
 
 from __future__ import annotations
 
+import functools
 import heapq
+from types import CodeType
 from typing import Callable, Iterator, List, Optional
 
 from repro.errors import ExecutionError
@@ -89,8 +91,9 @@ _MERGE_PULSE_ROWS = 256
 #: Comparison / arithmetic operator spellings for fused expression source.
 _CMP_SRC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH_SRC = {"+": "+", "-": "-", "*": "*", "/": "/"}
-#: Literal types whose ``repr`` round-trips exactly in generated source.
-_SAFE_LITERALS = (int, float, str, bool, type(None))
+#: Literal types fused expressions bind as hoisted locals (NULL stays
+#: inline); anything else keeps its ``compile_expr`` closure.
+_SAFE_LITERALS = (int, float, str, bool)
 
 
 def _nonnull_literal(expr) -> bool:
@@ -548,8 +551,11 @@ class _Compiler:
                 return None  # closure fallback raises the standard error
             return slot(s)
         if isinstance(expr, LiteralExpr):
+            if expr.value is None:
+                return "None"  # NULL-ness shapes the checks around it
             if type(expr.value) in _SAFE_LITERALS:
-                return _lit(expr.value)
+                # Bound, not formatted: the text must not depend on values.
+                return self.local(expr.value, "k")
             return None
         if isinstance(expr, (ComparisonExpr, ArithmeticExpr)):
             table = _CMP_SRC if isinstance(expr, ComparisonExpr) else _ARITH_SRC
@@ -946,7 +952,7 @@ class _Compiler:
             # The volcano LimitOp never pulls its child; emit nothing.
             return
         rem = self.fresh("rem")
-        self.line(f"{rem} = {node.limit}")
+        self.line(f"{rem} = {self.local(node.limit, 'lim')}")
 
         def stage(rowvar: str) -> None:
             consume(rowvar)
@@ -1089,7 +1095,8 @@ class _Compiler:
             cols = self.local(columns, "cols")
             parts = self.fresh("parts")
             apps = self.fresh("apps")
-            self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {name!r})")
+            namev = self.local(name, "nm")  # id()-derived: bound, not formatted
+            self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {namev})")
             self.line(f"{apps} = [p.append for p in {parts}]")
 
             def sink(rowvar: str) -> None:
@@ -1500,8 +1507,31 @@ class _Compiler:
         stream()
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str) -> CodeType:
+    """The code object of a generated program, compiled once per text.
+
+    Everything a program was specialized on (plan shape, cost constants,
+    ``batch_rows``, tracker, gate) is *in* the text and every per-query
+    object reaches it through ``env``, so equal text is the same program.
+    """
+    return compile(source, "<fused-plan>", "exec")
+
+
+#: ``functools``-style (hits, misses, maxsize, currsize) / reset of that cache.
+code_cache_info = _compiled.cache_info
+code_cache_clear = _compiled.cache_clear
+
+
 class FusedQuery:
-    """A compiled fused program for one plan, plus its cleanup state."""
+    """A fused program for one plan, plus its cleanup state.
+
+    The generated source is a pure function of plan shape, config and
+    monitored/gated mode — literals, temp-file names and every other
+    per-query object are ``env`` bindings — so Python compiles each
+    distinct shape once; only ``exec`` of the cached code object, which
+    binds this query's ``env``, runs per query.
+    """
 
     def __init__(self, root: PhysicalNode, ctx: ExecContext):
         compiler = _Compiler(ctx, ctx.config.progress.batch_rows)
@@ -1512,8 +1542,7 @@ class FusedQuery:
         self._sorts = compiler.sorts
         self._temps = compiler.temps
         env = compiler.env
-        code = compile(source, "<fused-plan>", "exec")
-        exec(code, env)  # noqa: S102 - engine-generated source, no user input
+        exec(_compiled(source), env)  # noqa: S102 - engine-generated source, no user input
         self._gen = env["_fused_run"]()
 
     def run(self) -> Iterator:

@@ -63,6 +63,8 @@ class PlannedQuery:
     #: Uncorrelated IN-subqueries: (expression, inner plan) pairs the
     #: driver pre-executes before the outer plan runs (hashed InitPlans).
     subplans: list = field(default_factory=list)
+    #: Memo of :func:`repro.core.segments.planned_segments` (read-only).
+    segment_specs: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def output_names(self) -> list[str]:

@@ -36,7 +36,7 @@ from typing import Optional, Union
 from repro.config import ServiceConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
-from repro.core.segments import build_segments, initial_total_cost_bytes
+from repro.core.segments import initial_total_cost_bytes, planned_segments
 from repro.database import Database
 from repro.errors import AdmissionRejectedError, ProgressError
 from repro.executor.runtime import QueryResult
@@ -309,8 +309,7 @@ class QueryService:
 
         tenant_obj = self.tenants.get(tenant)
         predicted = (
-            initial_total_cost_bytes(build_segments(planned.root))
-            / self._page_size
+            initial_total_cost_bytes(planned_segments(planned)) / self._page_size
         )
         now = self.db.clock.now
         handle = ServiceHandle(self, name, tenant, predicted, now)

@@ -16,11 +16,15 @@ boundary) it is a couple of float operations.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.sim.load import CPU, IO, LoadProfile
 
 _EPSILON = 1e-12
+_BY_SEQ = itemgetter(1)
 
 
 class Ticker:
@@ -53,7 +57,11 @@ class VirtualClock:
     def __init__(self, load: Optional[LoadProfile] = None):
         self.now = 0.0
         self._load = load or LoadProfile.unloaded()
-        self._tickers: list[Ticker] = []
+        #: Heap of ``(next_fire, seq, ticker)``, ``seq`` the registration
+        #: number (the dispatch order of tickers due at one event).  A ticker
+        #: being dispatched is out of it; cancelled ones drop out at the top.
+        self._tickers: list[tuple[float, int, Ticker]] = []
+        self._ticker_seq = itertools.count()
         #: Cumulative raw cost charged per resource class (load-independent).
         self.cost_charged = {IO: 0.0, CPU: 0.0}
         #: Optional arbiter consulted before every charge (concurrent
@@ -99,7 +107,9 @@ class VirtualClock:
         ``now + interval``.
         """
         ticker = Ticker(interval, callback, self.now + interval if first is None else first)
-        self._tickers.append(ticker)
+        heapq.heappush(
+            self._tickers, (ticker.next_fire, next(self._ticker_seq), ticker)
+        )
         self._refresh_factors()
         return ticker
 
@@ -163,22 +173,34 @@ class VirtualClock:
     def _fire_due(self) -> None:
         """Fire all active tickers whose next_fire time has arrived.
 
-        Iterates a snapshot so callbacks may register new tickers, and
-        refuses to recurse: a callback that advances the clock (directly
-        or through code it calls) defers newly-due tickers to the
-        in-flight dispatch loop rather than nesting a second one.
+        Due tickers fire in *registration* order (not ``next_fire``
+        order: instants within ``_EPSILON`` of each other are one event),
+        each catching up with its own ``while`` loop.  The due set is
+        taken before the first callback runs, so a ticker registered by
+        a callback waits for the next dispatch.  Refuses to recurse: a
+        callback that advances the clock (directly or through code it
+        calls) defers newly-due tickers to the in-flight dispatch loop
+        rather than nesting a second one.
         """
         if self._firing:
             return
         self._firing = True
+        heap = self._tickers
+        due: list[tuple[float, int, Ticker]] = []
         try:
-            for ticker in list(self._tickers):
+            horizon = self.now + _EPSILON
+            while heap and heap[0][0] <= horizon:
+                due.append(heapq.heappop(heap))
+            due.sort(key=_BY_SEQ)
+            for _, _, ticker in due:
                 while ticker.active and ticker.next_fire <= self.now + _EPSILON:
                     fire_at = ticker.next_fire
                     ticker.next_fire += ticker.interval
                     ticker.callback(fire_at)
-            self._tickers = [t for t in self._tickers if t.active]
         finally:
+            for _, seq, ticker in due:
+                if ticker.active:
+                    heapq.heappush(heap, (ticker.next_fire, seq, ticker))
             self._firing = False
 
     def _refresh_factors(self) -> None:
@@ -188,9 +210,11 @@ class VirtualClock:
             CPU: self._load.factor(self.now, CPU),
         }
         next_event = self._load.next_change_after(self.now)
-        for ticker in self._tickers:
-            if ticker.active and ticker.next_fire < next_event:
-                next_event = ticker.next_fire
+        heap = self._tickers
+        while heap and not heap[0][2].active:
+            heapq.heappop(heap)
+        if heap and heap[0][0] < next_event:
+            next_event = heap[0][0]
         self._next_event = next_event
 
     def __repr__(self) -> str:

@@ -16,6 +16,12 @@ scores the estimator on.  Each engine keeps its own database (identical
 build: same scale, skew and seed), restarted before every variant so
 each comparison starts from a cold buffer pool and the engines' clock
 histories stay pairwise identical.
+
+Every variant is compared twice in a row: the first batch run may compile
+its generated program, the second must take it from
+the code-object cache (same source text, no compile) and still be
+bit-identical — a cached code object is only ever re-bound to the new
+query's own ``env``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.executor import fused
 from repro.workloads import grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -80,7 +87,14 @@ def _assert_identical(variant: grid.Variant) -> None:
 
 @pytest.mark.parametrize("name", grid.TIER1_NAMES)
 def test_tier1_variant_bit_identical(name):
-    _assert_identical(grid.variants_by_name()[name])
+    variant = grid.variants_by_name()[name]
+    _assert_identical(variant)
+    before = fused.code_cache_info()
+    _assert_identical(variant)
+    after = fused.code_cache_info()
+    # The repeat compiled nothing new: every fused program was a hit.
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def _run_fresh(variant: grid.Variant, tag: str, **progress):

@@ -29,6 +29,29 @@ def _suite(cases):
     return perf.SuiteResult(scale=0.01, runs=3, cases=tuple(cases))
 
 
+class TestShapeCheck:
+    def test_clean_tree_compiles_each_shape_once(self):
+        assert perf.check_shape_compiles(statements=4) == []
+
+    def test_leaked_runtime_value_is_reported(self, monkeypatch):
+        """Sabotage: a per-query value in the generated text, the way the
+        hash-join partition names used to carry an ``id()``."""
+        import itertools
+
+        from repro.executor import fused
+
+        compile_plan = fused._Compiler.compile
+        serial = itertools.count()
+
+        def leaky(self, root):
+            return compile_plan(self, root) + f"# plan {next(serial)}\n"
+
+        monkeypatch.setattr(fused._Compiler, "compile", leaky)
+        problems = perf.check_shape_compiles(statements=4)
+        assert len(problems) == 2 * len(perf.SHAPE_TEMPLATES)
+        assert all("4 compiles for 4" in p for p in problems)
+
+
 class TestRegistry:
     def test_names_unique_and_stable(self):
         names = [c.name for c in perf.PERF_CASES]
