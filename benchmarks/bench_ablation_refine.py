@@ -27,7 +27,8 @@ from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
 from repro.workloads import queries, tpcr
 
-MODES = ("paper", "optimizer", "extrapolate")
+#: Printed mode label -> registered estimator implementing that rule.
+MODES = {"paper": "paper", "optimizer": "tgn", "extrapolate": "dne"}
 
 #: Skewed workload: rows stored in increasing v order; the filter matches
 #: only the top ~8%, i.e. nothing until the scan's tail.  The ORDER BY
@@ -38,7 +39,7 @@ SKEW_SQL = f"select v, pad from skew where v >= {int(SKEW_ROWS * 0.92)} order by
 
 
 def _skew_db(mode: str) -> Database:
-    config = experiment_config().with_progress(refine_mode=mode)
+    config = experiment_config().with_progress(estimator=MODES[mode])
     db = Database(config=config)
     db.create_table(
         "skew",
@@ -53,7 +54,7 @@ def _run_all():
     uniform = {}
     skewed = {}
     for mode in MODES:
-        config = experiment_config().with_progress(refine_mode=mode)
+        config = experiment_config().with_progress(estimator=MODES[mode])
         db = tpcr.build_database(scale=SCALE, config=config)
         uniform[mode] = run_experiment(f"Q2-{mode}", db, queries.Q2)
         skewed[mode] = run_experiment(f"skew-{mode}", _skew_db(mode), SKEW_SQL)

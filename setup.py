@@ -4,7 +4,6 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     description=(
         "Reproduction of 'Toward a Progress Indicator for Database Queries' "
         "(SIGMOD 2004)"

@@ -39,7 +39,7 @@ from repro.database import Database, MonitoredResult
 from repro.errors import ReproError
 from repro.sim.load import CPU, IO, InterferenceWindow, LoadProfile
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Database",

@@ -10,8 +10,8 @@ registered shared object from outside its owner class.  Even when such a
 store is safe today, it bypasses the owner's invariants (restore
 pairing, monotonic timestamps, counter consistency) and the analyzer
 cannot see the pairing discipline; route it through a mediating owner
-method (``set_owner`` / ``set_trace`` / ``set_faults`` / ``set_gate``)
-or carry a justified baseline entry.
+method (``set_owner`` / ``set_trace`` / ``set_faults``) or carry a
+justified baseline entry.
 
 ``REPRO101`` **rmw-across-yield** — inside one generator frame, a read
 of a registered shared attribute, then a yield, then a write to the same

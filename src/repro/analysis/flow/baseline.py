@@ -4,10 +4,8 @@
 that are *justified* — every entry must carry a written justification,
 and the loader rejects entries without one.  Matching is by
 ``(rule, path, function)`` with ``"*"`` as a function wildcard (a whole
-module is vouched for, e.g. the thread-based concurrent workload whose
-nondeterminism is wall-clock-only by design).  ``count`` caps how many
-findings one entry may absorb (``null`` = unlimited, wildcard entries
-only).
+module is vouched for).  ``count`` caps how many findings one entry may
+absorb (``null`` = unlimited, wildcard entries only).
 
 Strict mode fails on *stale* entries too: a suppression that no longer
 matches anything is debt — the hazard was fixed, so the entry must go.

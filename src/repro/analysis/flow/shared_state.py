@@ -7,8 +7,7 @@ scheduler's task table.  Each entry names
 
 * the owning class — the only code allowed to store to the object's
   registered attributes (everyone else must go through the owner's
-  mediating API: ``set_owner``, ``set_trace``, ``set_faults``,
-  ``set_gate``, ...);
+  mediating API: ``set_owner``, ``set_trace``, ``set_faults``, ...);
 * its **receiver aliases** — the local/attribute names the codebase
   conventionally binds instances to (``ctx.buffer_pool``, ``disk``,
   ``self._clock``), which is how a purely syntactic analysis recognises
@@ -54,8 +53,8 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         cls="repro.sim.clock.VirtualClock",
         aliases=frozenset({"clock", "_clock"}),
         attrs=frozenset({
-            "now", "gate", "cost_charged", "_tickers", "_ticker_seq",
-            "_firing", "_load", "_factors", "_next_event",
+            "now", "cost_charged", "_tickers", "_ticker_seq", "_firing",
+            "_load", "_factors", "_next_event",
         }),
         description="the virtual clock every query charges time against",
     ),

@@ -8,6 +8,8 @@ ruff (configured in ``pyproject.toml``).
 Rules
 -----
 
+(Gaps in the numbering are retired IDs; they are not reused.)
+
 ``REPRO001`` **no-wall-clock** — modules under ``core/`` or ``executor/``
 must never read the host's wall clock (``time.time()``,
 ``time.monotonic()``, ``datetime.now()``, ...).  All timing flows through
@@ -37,14 +39,6 @@ Diagnostics from the engine flow through the typed trace events of
 hot path silent, the output machine-readable, and the timestamps on the
 virtual clock.
 
-``REPRO006`` **no-deprecated-facade** — no new callers of the deprecated
-``Database`` query facade (``execute_with_progress`` /
-``run_planned_with_progress``, or ``execute`` on a receiver named
-``db``/``database``).  The stable surface is ``Database.connect()`` →
-:class:`repro.api.Session` → :class:`repro.api.QueryHandle`; the old
-methods are shims that warn and forward.  The shim module itself and
-test files are exempt.
-
 ``REPRO007`` **no-blanket-except** — modules under ``core/`` or
 ``executor/`` must not catch blindly: no bare ``except:``, and no
 ``except Exception`` / ``except BaseException`` (alone or inside a
@@ -54,8 +48,7 @@ fatal ones — a blanket handler deep in the engine can swallow an
 injected :class:`~repro.errors.TransientIOError` that the disk's retry
 machinery, the scheduler's containment boundary, or a test harness
 needed to see.  The few *deliberate* boundaries (the indicator's
-degrade-don't-die wrappers, the scheduler-adjacent worker-thread edge)
-carry an explanatory ``# noqa: REPRO007``.
+degrade-don't-die wrappers) carry an explanatory ``# noqa: REPRO007``.
 
 ``REPRO008`` **no-unseeded-random** — outside ``sim/``, ``fault/`` and
 test code, no unseeded randomness: zero-argument ``random.Random()``
@@ -69,22 +62,14 @@ engine core.  ``random.Random(seed)`` with an argument is fine anywhere.
 
 ``REPRO009`` **no-per-row-dispatch** — inside the *known-hot* driver
 loops (an explicit allowlist of functions that run once per output row:
-the single-query driver, the scheduler's slice loop, the concurrent
-worker loop), no ``isinstance(...)`` dispatch and no deep
-(three-or-more-component) attribute-chain calls inside a loop body.
+the single-query driver, the scheduler's slice loop), no
+``isinstance(...)`` dispatch and no deep (three-or-more-component)
+attribute-chain calls inside a loop body.
 Item-kind dispatch in these loops is by identity (``item is PULSE``,
 ``type(item) is Batch``), and loop-invariant bound methods are hoisted
 to locals before the loop — the idiom that keeps the batch engine's
 real-time win from leaking back out through the drivers.  Deliberate
 exceptions carry ``# noqa: REPRO009``.
-
-``REPRO010`` **no-legacy-refine-import** — no new imports of
-``repro.core.refine``: the refinement layer moved behind the pluggable
-estimator interface of :mod:`repro.estimators`, and ``core.refine`` is a
-deprecation shim only (``ProgressEstimator`` warns on instantiation).
-Import the snapshot types from ``repro.estimators`` and construct
-estimators via ``make_estimator``.  The shim module itself and test
-files are exempt.
 
 ``REPRO011`` **no-raw-scheduler** — no direct
 ``CooperativeScheduler(...)`` construction outside ``service/`` and
@@ -441,67 +426,6 @@ def _check_adhoc_logging(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
 
 
 # ----------------------------------------------------------------------
-# REPRO006 — no new callers of the deprecated Database query facade
-
-#: Methods that are unambiguously the deprecated facade.
-_DEPRECATED_FACADE_METHODS = frozenset(
-    {"execute_with_progress", "run_planned_with_progress"}
-)
-#: Receiver names that mark a bare ``.execute(...)`` as the facade (a
-#: ``session.execute(...)`` is the supported Session convenience).
-_DATABASE_RECEIVER_NAMES = frozenset({"db", "database"})
-
-
-def _facade_exempt(ctx: LintContext) -> bool:
-    """The shim module itself and test files may reference the facade."""
-    path = ctx.path.replace("\\", "/")
-    if path.endswith("/database.py") or path == "database.py":
-        return True
-    parts = path.split("/")
-    return any(p in ("tests", "test") for p in parts) or parts[-1].startswith(
-        "test_"
-    )
-
-
-@_rule("REPRO006", "no-deprecated-facade")
-def _check_deprecated_facade(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
-    if _facade_exempt(ctx):
-        return []
-    out = []
-
-    def flag(node: ast.AST, what: str) -> None:
-        out.append(
-            LintFinding(
-                rule="REPRO006",
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=f"deprecated Database facade call {what!r}; use "
-                f"Database.connect() and Session.submit (repro.api)",
-            )
-        )
-
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        attr = node.func.attr
-        if attr in _DEPRECATED_FACADE_METHODS:
-            flag(node, f".{attr}()")
-        elif attr == "execute":
-            receiver = node.func.value
-            name = (
-                receiver.id
-                if isinstance(receiver, ast.Name)
-                else receiver.attr
-                if isinstance(receiver, ast.Attribute)
-                else None
-            )
-            if name is not None and name.lower() in _DATABASE_RECEIVER_NAMES:
-                flag(node, f"{name}.execute()")
-    return out
-
-
-# ----------------------------------------------------------------------
 # REPRO007 — no bare / blanket except in core/ and executor/
 
 #: Packages REPRO007 applies to (same engine core as REPRO001/REPRO005).
@@ -645,8 +569,6 @@ HOT_LOOP_FUNCTIONS: frozenset[tuple[str, str]] = frozenset(
         ("executor/runtime.py", "execute"),
         # cooperative scheduler: the per-slice item loop
         ("sched/scheduler.py", "_run_slice"),
-        # concurrent workload: the per-worker drain loop
-        ("core/concurrent.py", "work"),
     }
 )
 
@@ -718,61 +640,6 @@ def _check_hot_loop_dispatch(
                         f"loop of {fn.name}(); hoist the bound method to "
                         f"a local before the loop",
                     )
-    return out
-
-
-# ----------------------------------------------------------------------
-# REPRO010 — no new imports of the deprecated core.refine shim
-
-#: The legacy module the estimator redesign left behind as a shim.
-_LEGACY_REFINE_MODULE = "repro.core.refine"
-
-
-def _refine_exempt(ctx: LintContext) -> bool:
-    """The shim module itself and test files may import it."""
-    path = ctx.path.replace("\\", "/")
-    if path.endswith("core/refine.py"):
-        return True
-    parts = path.split("/")
-    return any(p in ("tests", "test") for p in parts) or parts[-1].startswith(
-        "test_"
-    )
-
-
-@_rule("REPRO010", "no-legacy-refine-import")
-def _check_legacy_refine_import(
-    tree: ast.AST, ctx: LintContext
-) -> list[LintFinding]:
-    if _refine_exempt(ctx):
-        return []
-    out = []
-
-    def flag(node: ast.AST, what: str) -> None:
-        out.append(
-            LintFinding(
-                rule="REPRO010",
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=f"import of the deprecated refine shim {what!r}; "
-                f"use repro.estimators (make_estimator, EstimateSnapshot)",
-            )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == _LEGACY_REFINE_MODULE or alias.name.startswith(
-                    _LEGACY_REFINE_MODULE + "."
-                ):
-                    flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module == _LEGACY_REFINE_MODULE:
-                flag(node, node.module)
-            elif node.module == "repro.core":
-                for alias in node.names:
-                    if alias.name == "refine":
-                        flag(node, f"repro.core.refine (via {alias.name})")
     return out
 
 

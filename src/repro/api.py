@@ -13,14 +13,10 @@ One contract for single-query and concurrent execution::
 Several ``submit`` calls before the first ``result()`` run *interleaved*
 on the shared virtual clock and buffer pool — waiting on any one handle
 pumps the whole workload through the session's cooperative scheduler
-(:mod:`repro.sched`).  A :class:`QueryHandle` subsumes the three legacy
-return shapes: the plain :class:`~repro.executor.runtime.QueryResult`
+(:mod:`repro.sched`).  A :class:`QueryHandle` offers three return
+shapes: the plain :class:`~repro.executor.runtime.QueryResult`
 (``.result()``), the :class:`~repro.database.MonitoredResult` bundle
 (``.monitored()``), and the trace stream (``.trace()``, sealed).
-
-The old ``Database.execute`` / ``execute_with_progress`` /
-``run_planned_with_progress`` facade remains as deprecated shims over
-this surface (lint rule REPRO006 keeps new callers out).
 """
 
 from __future__ import annotations
@@ -120,7 +116,8 @@ class QueryHandle:
         return self._task.log
 
     def monitored(self) -> "MonitoredResult":
-        """Bridge to the legacy :class:`MonitoredResult` bundle.
+        """Result, log, indicator and sealed trace as one
+        :class:`MonitoredResult` bundle.
 
         Drives the query to completion first (like ``.result()``); only
         valid for monitored queries.

@@ -101,17 +101,11 @@ class ProgressConfig:
     speed_estimator: str = "window"
     #: Decay factor per sample for the "decay" estimator.
     decay_alpha: float = 0.3
-    #: Output-cardinality refinement mode: "paper" (E = p*E2 + (1-p)*E1),
-    #: "optimizer" (never extrapolate from observed outputs), or
-    #: "extrapolate" (raw y/p, no smoothing).  Ablation knob.
-    refine_mode: str = "paper"
     #: Which registered progress estimator runs each query: "paper" (the
     #: default §4.5 blend), "dne", "tgn", "history", any name added via
     #: :func:`repro.estimators.register_estimator`, or "ensemble" (race
     #: every registered candidate and let the online selector pick).
-    #: ``Session.submit(estimator=...)`` overrides per query.  When this
-    #: is left at "paper", a non-default ``refine_mode`` still maps onto
-    #: the matching estimator for backward compatibility.
+    #: ``Session.submit(estimator=...)`` overrides per query.
     estimator: str = "paper"
     #: How scans report bytes to the tracker: "tuple" (as each tuple is
     #: processed — the paper's semantics, required for smooth progress on

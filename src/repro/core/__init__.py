@@ -28,7 +28,6 @@ from repro.core.breakdown import (
     segment_progress,
     time_breakdown,
 )
-from repro.core.concurrent import ConcurrentWorkload, QueryRun
 from repro.core.history import ProgressLog
 from repro.core.indicator import ProgressIndicator
 from repro.core.report import ProgressReport
@@ -48,8 +47,6 @@ from repro.core.speed import (
 from repro.core.triggers import ProgressTrigger, slow_progress_condition
 
 __all__ = [
-    "ConcurrentWorkload",
-    "QueryRun",
     "SegmentProgress",
     "segment_progress",
     "render_breakdown",

@@ -51,7 +51,6 @@ from repro.errors import ProgressError
 from repro.estimators import (
     EstimateSnapshot,
     EstimatorContext,
-    estimator_for_refine_mode,
     make_estimator,
 )
 from repro.estimators.history import HistoryStore
@@ -116,15 +115,8 @@ class ProgressIndicator:
         )
         self.tracker.trace = trace
         # Which estimation strategy runs this query: the explicit submit
-        # argument wins, else ProgressConfig.estimator.  The legacy
-        # refine_mode ablation knob keeps working by mapping its
-        # non-default values onto the matching registered estimator
-        # ("optimizer" -> tgn, "extrapolate" -> dne) — a bad mode must
-        # still raise here even when an explicit estimator overrides it.
-        mode_estimator = estimator_for_refine_mode(self._progress_cfg.refine_mode)
+        # argument wins, else ProgressConfig.estimator.
         name = estimator if estimator is not None else self._progress_cfg.estimator
-        if estimator is None and name == "paper" and mode_estimator != "paper":
-            name = mode_estimator
         self.estimator_name = name
         self.estimator = make_estimator(
             name, self.segments, self.tracker,

@@ -9,7 +9,6 @@ Section 5 evaluates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -43,16 +42,14 @@ from repro.storage.schema import Schema
 class MonitoredResult:
     """Result of a query executed with a progress indicator attached.
 
-    Superseded by :class:`repro.api.QueryHandle`; kept as the bundle the
-    deprecated facade (and ``QueryHandle.monitored()``) returns.
+    The bundle ``QueryHandle.monitored()`` returns.
     """
 
     result: QueryResult
     log: ProgressLog
     indicator: ProgressIndicator
     #: Sealed, read-only view of the recorded trace when tracing was on
-    #: for this run, else None.  (Earlier versions leaked the live
-    #: TraceBus here; callers who passed their own bus still hold it.)
+    #: for this run, else None.
     trace: Optional["SealedTrace"] = None
 
 
@@ -229,35 +226,6 @@ class Database:
             planned.root, planned_segments(planned), mode="strict", label=label
         )
 
-    def execute(
-        self, sql: str, keep_rows: bool = True, max_rows: Optional[int] = None
-    ) -> QueryResult:
-        """Run a query without progress monitoring.
-
-        .. deprecated::
-            Use ``db.connect()`` and
-            ``session.submit(sql, monitor=False).result()`` (or the
-            ``session.execute`` convenience).  This shim stays for
-            source compatibility only.
-        """
-        warnings.warn(
-            "Database.execute() is deprecated; use Database.connect() and "
-            "Session.submit(sql, monitor=False).result()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (
-            self.connect()
-            .submit(
-                sql,
-                name=sql.strip() or "query",
-                monitor=False,
-                keep_rows=keep_rows,
-                max_rows=max_rows,
-            )
-            .result()
-        )
-
     def explain(self, sql: str) -> str:
         """EXPLAIN: the annotated plan without executing it."""
         from repro.planner.explain import explain as render
@@ -290,87 +258,3 @@ class Database:
             + f"\nExecution: {result.row_count} rows in "
             + f"{result.elapsed:.2f} simulated seconds"
         )
-
-    def execute_with_progress(
-        self,
-        sql: str,
-        keep_rows: bool = False,
-        max_rows: Optional[int] = None,
-        on_report=None,
-        trace: "Optional[TraceBus]" = None,
-    ) -> MonitoredResult:
-        """Run a query with a progress indicator attached.
-
-        .. deprecated::
-            Use ``db.connect()`` and ``session.submit(sql)`` — the
-            returned :class:`repro.api.QueryHandle` carries progress,
-            result and (sealed) trace.  This shim stays for source
-            compatibility only.
-        """
-        warnings.warn(
-            "Database.execute_with_progress() is deprecated; use "
-            "Database.connect() and Session.submit(sql) — see repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_monitored_shim(
-            self.prepare(sql),
-            keep_rows=keep_rows,
-            max_rows=max_rows,
-            on_report=on_report,
-            trace=trace,
-            label=sql.strip(),
-        )
-
-    def run_planned_with_progress(
-        self,
-        planned: PlannedQuery,
-        keep_rows: bool = False,
-        max_rows: Optional[int] = None,
-        on_report=None,
-        trace: "Optional[TraceBus]" = None,
-        label: str = "query",
-    ) -> MonitoredResult:
-        """Run an already-prepared plan with a progress indicator attached.
-
-        .. deprecated::
-            Use ``db.connect()`` and ``session.submit(planned)`` — the
-            session surface accepts prepared plans directly.  This shim
-            stays for source compatibility only.
-        """
-        warnings.warn(
-            "Database.run_planned_with_progress() is deprecated; use "
-            "Database.connect() and Session.submit(planned) — see repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_monitored_shim(
-            planned,
-            keep_rows=keep_rows,
-            max_rows=max_rows,
-            on_report=on_report,
-            trace=trace,
-            label=label,
-        )
-
-    def _run_monitored_shim(
-        self,
-        planned: PlannedQuery,
-        keep_rows: bool,
-        max_rows: Optional[int],
-        on_report,
-        trace: "Union[None, TraceBus]",
-        label: str,
-    ) -> MonitoredResult:
-        """Shared body of the deprecated monitored facade: one-query
-        session, legacy bundle out (``trace`` sealed, not live)."""
-        handle = self.connect().submit(
-            planned,
-            name=label or "query",
-            monitor=True,
-            trace=trace,
-            keep_rows=keep_rows,
-            max_rows=max_rows,
-            on_report=on_report,
-        )
-        return handle.monitored()

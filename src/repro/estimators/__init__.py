@@ -11,8 +11,7 @@ Built-in estimators (see ``docs/estimators.md``):
 ===========  ==========================================================
 name         strategy
 ===========  ==========================================================
-``paper``    the paper's §4.5 blend ``E = p*E2 + (1-p)*E1`` (default;
-             bit-identical to the pre-redesign ``core.refine`` path)
+``paper``    the paper's §4.5 blend ``E = p*E2 + (1-p)*E1`` (default)
 ``dne``      driver-node extrapolation ``E = y/p`` (König et al. spirit)
 ``tgn``      optimizer-anchored ``E = max(E1, y)`` (never extrapolate)
 ``history``  paper blend with per-plan-signature correction factors
@@ -55,12 +54,10 @@ from repro.estimators.base import (
 from repro.estimators.ensemble import EnsembleEstimator
 from repro.estimators.history import HistoryEstimator, HistoryStore
 from repro.estimators.refinement import (
-    REFINE_MODES,
     DriverNodeEstimator,
     PaperEstimator,
     RefinementEstimator,
     TotalGetNextEstimator,
-    estimator_for_refine_mode,
 )
 from repro.executor.work import WorkTracker
 
@@ -138,7 +135,6 @@ register_estimator("history", _make_history)
 
 __all__ = [
     "INPUT_SOURCES",
-    "REFINE_MODES",
     "DEFAULT_ESTIMATOR",
     "ENSEMBLE",
     "CandidateEstimate",
@@ -158,5 +154,4 @@ __all__ = [
     "register_estimator",
     "estimator_names",
     "make_estimator",
-    "estimator_for_refine_mode",
 ]

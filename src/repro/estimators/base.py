@@ -10,11 +10,6 @@ change what it measures (the paper's Section 3 "minimal overhead" goal,
 and the precondition for the bit-identity contracts the property tests
 pin: swapping estimators never changes results, U totals, or timing).
 
-The snapshot dataclasses (:class:`InputEstimate`,
-:class:`SegmentEstimate`, :class:`EstimateSnapshot`) moved here from
-``repro.core.refine``; that module remains as a deprecated re-exporting
-shim (lint rule REPRO010 bans new imports of it).
-
 Concrete estimators live next door:
 
 * :mod:`repro.estimators.refinement` — the shared §4.3/§4.5 refinement

@@ -33,9 +33,9 @@ For every segment the refinement pass combines:
 
 Everything is recomputed from the tracker's counters on demand — the
 estimator itself is stateless between snapshots, which keeps it trivially
-consistent with whatever the executor has done so far.  The ``paper``
-subclass is bit-identical to the pre-redesign ``core.refine`` path (the
-property suite pins this across the tier-1 grid on both engines).
+consistent with whatever the executor has done so far.  The property
+suite pins the ``paper`` subclass's reports float-for-float across the
+tier-1 grid on both engines.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ from repro.estimators.base import (
     SegmentEstimate,
 )
 from repro.executor.work import SegmentCounters
-
-#: Output-cardinality refinement modes (the A2 ablation knob of
-#: ``ProgressConfig.refine_mode``), mapped onto estimators by
-#: :data:`_REFINE_MODE_ESTIMATORS` below: "paper" is the blended rule,
-#: "optimizer" never extrapolates (the "tgn" estimator), "extrapolate"
-#: uses raw y/p (the "dne" estimator).
-REFINE_MODES = ("paper", "optimizer", "extrapolate")
 
 
 class RefinementEstimator(Estimator):
@@ -239,21 +232,3 @@ class TotalGetNextEstimator(RefinementEstimator):
 
     def _blend(self, y: float, p: float, e1: float) -> float:
         return max(e1, y)
-
-
-#: ``ProgressConfig.refine_mode`` ablation value -> estimator name.  The
-#: legacy modes are exactly the non-paper blend rules, so the old knob
-#: keeps working bit-identically on top of the new interface.
-_REFINE_MODE_ESTIMATORS = {
-    "paper": "paper",
-    "optimizer": "tgn",
-    "extrapolate": "dne",
-}
-
-
-def estimator_for_refine_mode(refine_mode: str) -> str:
-    """Map the legacy ``refine_mode`` ablation knob to an estimator name."""
-    try:
-        return _REFINE_MODE_ESTIMATORS[refine_mode]
-    except KeyError:
-        raise ValueError(f"unknown refine mode {refine_mode!r}") from None

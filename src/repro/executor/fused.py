@@ -383,13 +383,12 @@ class _Compiler:
 
         ``cost`` is either a float (compile-time constant) or a source
         expression.  The emitted sequence is ``VirtualClock.advance``
-        minus the function call: same gate check, same ``cost_charged``
-        update, same fast-path float arithmetic, and the bound
-        ``_advance_slow`` for the event-crossing path (which fires
-        tickers exactly as the real method does).  ``advance(0)`` is a
-        no-op before the gate check, so zero constants emit nothing and
-        runtime expressions guard with ``if cost:`` unless the caller
-        proves them nonzero.
+        minus the function call: same ``cost_charged`` update, same
+        fast-path float arithmetic, and the bound ``_advance_slow`` for
+        the event-crossing path (which fires tickers exactly as the real
+        method does).  ``advance(0)`` is a no-op, so zero constants emit
+        nothing and runtime expressions guard with ``if cost:`` unless
+        the caller proves them nonzero.
         """
         if isinstance(cost, (int, float)):
             if cost == 0:
@@ -413,14 +412,6 @@ class _Compiler:
         rloc = "_rcpu" if res == "_CPU" else "_rio"
 
         def emit_body() -> None:
-            # The gate check is specialized away when no gate is installed
-            # at compile time: gates are installed by ConcurrentWorkload
-            # before its workers compile their queries, and before_charge
-            # is a no-op for every thread the gate has not registered, so
-            # a query compiled gate-less can never owe a gate a charge.
-            if self.ctx.clock.gate is not None:
-                with self.block(f"if {clk}.gate is not None:"):
-                    self.line(f"{clk}.gate.before_charge({c})")
             self.line(f"{cch}[{rloc}] += {c}")
             self.line(f"_end = {clk}.now + {c} * {clk}._factors[{rloc}]")
             with self.block(f"if _end < {clk}._next_event:"):
@@ -1512,7 +1503,7 @@ def _compiled(source: str) -> CodeType:
     """The code object of a generated program, compiled once per text.
 
     Everything a program was specialized on (plan shape, cost constants,
-    ``batch_rows``, tracker, gate) is *in* the text and every per-query
+    ``batch_rows``, tracker) is *in* the text and every per-query
     object reaches it through ``env``, so equal text is the same program.
     """
     return compile(source, "<fused-plan>", "exec")
@@ -1527,7 +1518,7 @@ class FusedQuery:
     """A fused program for one plan, plus its cleanup state.
 
     The generated source is a pure function of plan shape, config and
-    monitored/gated mode — literals, temp-file names and every other
+    monitored mode — literals, temp-file names and every other
     per-query object are ``env`` bindings — so Python compiles each
     distinct shape once; only ``exec`` of the cached code object, which
     binds this query's ``env``, runs per query.

@@ -126,46 +126,28 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
         and ctx.pulse_probe is None
         and not ctx.count_rows
     )
-    produced = 0
-    completed = False
     if use_fused:
         from repro.executor.fused import FusedQuery
 
         fq = FusedQuery(planned.root, ctx)
-        try:
-            if ctx.trace is None:
-                yield from fq.run()
-            else:
-                for item in fq.run():
-                    if item is not PULSE:
-                        produced += len(item)
-                    yield item
-            completed = True
-        finally:
-            fq.close()
-            if completed:
-                if ctx.tracker is not None:
-                    ctx.tracker.finish_all()
-                if ctx.trace is not None:
-                    from repro.obs.events import ExecutionFinished
-
-                    ctx.trace.emit(
-                        ExecutionFinished(t=ctx.clock.now, rows=produced)
-                    )
-        return
-
-    op = build_operator(planned.root, ctx)
+        stream, close = fq.run(), fq.close
+    else:
+        op = build_operator(planned.root, ctx)
+        stream, close = op.rows(), op.close
+    produced = 0
+    completed = False
     try:
         if ctx.trace is None:
-            yield from op.rows()
+            yield from stream
         else:
-            for row in op.rows():
-                if row is not PULSE:
-                    produced += 1
-                yield row
+            for item in stream:
+                if item is not PULSE:
+                    # Batch items carry len(item) rows; row items are one.
+                    produced += len(item) if use_fused else 1
+                yield item
         completed = True
     finally:
-        op.close()
+        close()
         if completed:
             if ctx.tracker is not None:
                 ctx.tracker.finish_all()

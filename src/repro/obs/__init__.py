@@ -13,11 +13,11 @@ The subsystem explains every estimate the progress indicator emits:
   per-tick remaining-time estimate against ground truth.
 * A CLI — ``python -m repro.obs {trace,audit,metrics}``.
 
-Tracing is **opt-in**: pass a ``TraceBus`` to
-``Database.execute_with_progress(trace=...)``, set
-``ProgressConfig.trace_enabled``, or export ``REPRO_TRACE``.  Disabled
-(the default), every instrumented call site costs one ``is not None``
-test — ``benchmarks/bench_overhead.py`` keeps that claim measured.
+Tracing is **opt-in**: pass ``trace=True`` (or a ``TraceBus``) to
+``Session.submit``, set ``ProgressConfig.trace_enabled``, or export
+``REPRO_TRACE``.  Disabled (the default), every instrumented call site
+costs one ``is not None`` test — ``benchmarks/bench_overhead.py`` keeps
+that claim measured.
 """
 
 from __future__ import annotations

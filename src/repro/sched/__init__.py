@@ -14,10 +14,8 @@ Entry points:
   fair-share policies.
 * ``python -m repro.sched.demo`` — a runnable smoke demo.
 
-The thread-based :class:`repro.core.concurrent.ConcurrentWorkload`
-predates this package and remains for the clock-gate experiments; new
-code should use the scheduler (or the :class:`repro.api.Session` facade
-on top of it).
+Production code reaches the scheduler through the
+:class:`repro.api.Session` facade (or ``db.service()``) on top of it.
 """
 
 from repro.sched.policy import (

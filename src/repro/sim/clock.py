@@ -64,9 +64,6 @@ class VirtualClock:
         self._ticker_seq = itertools.count()
         #: Cumulative raw cost charged per resource class (load-independent).
         self.cost_charged = {IO: 0.0, CPU: 0.0}
-        #: Optional arbiter consulted before every charge (concurrent
-        #: workloads install one; see repro.core.concurrent).
-        self.gate = None
         #: Re-entrancy guard: a ticker callback that observes the clock
         #: (sampling another query's indicator, emitting trace events)
         #: must not recursively re-fire tickers mid-dispatch.
@@ -84,16 +81,6 @@ class VirtualClock:
         """Replace the load profile (takes effect immediately)."""
         self._load = load
         self._refresh_factors()
-
-    def set_gate(self, gate):
-        """Install (or clear) the charge arbiter; returns the prior gate.
-
-        The mediating API for the ``gate`` attribute (concurrent
-        workloads install a :class:`repro.core.concurrent._ClockGate`).
-        """
-        previous = self.gate
-        self.gate = gate
-        return previous
 
     def add_ticker(
         self,
@@ -126,8 +113,6 @@ class VirtualClock:
             raise ValueError("cannot charge negative cost")
         if cost == 0:
             return
-        if self.gate is not None:
-            self.gate.before_charge(cost)
         self.cost_charged[resource] += cost
         # Fast path: the whole step fits before the next event.
         factor = self._factors[resource]

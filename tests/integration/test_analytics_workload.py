@@ -35,7 +35,7 @@ class TestAnalyticsReport:
         having count(*) > 5
         order by c.nationkey
         """
-        monitored = db.execute_with_progress(sql, keep_rows=True)
+        monitored = db.connect().submit(sql, keep_rows=True).monitored()
 
         nation_of = {c[0]: c[3] for c in customer_rows(db)}
         agg = defaultdict(lambda: [0, 0.0])
@@ -61,7 +61,7 @@ class TestAnalyticsReport:
         )
         order by c.mktsegment
         """
-        result = db.execute(sql)
+        result = db.connect().execute(sql)
         spenders = {o[1] for o in orders_rows(db) if o[3] > 450000}
         expected = sorted({c[6] for c in customer_rows(db) if c[0] in spenders})
         assert [r[0] for r in result.rows] == expected
@@ -72,7 +72,7 @@ class TestAnalyticsReport:
         from customer
         where name like 'Customer#0000000%' and nationkey in (1, 2, 3)
         """
-        result = db.execute(sql)
+        result = db.connect().execute(sql)
         expected = sum(
             1
             for c in customer_rows(db)
@@ -88,7 +88,7 @@ class TestAnalyticsReport:
         order by o.totalprice desc
         limit 5
         """
-        result = db.execute(sql)
+        result = db.connect().execute(sql)
         top = sorted((o[3] for o in orders_rows(db)), reverse=True)[:5]
         assert [r[1] for r in result.rows] == top
 
@@ -101,7 +101,7 @@ class TestAnalyticsReport:
         order by c.nationkey
         """
         db.restart()
-        monitored = db.execute_with_progress(sql, keep_rows=True)
+        monitored = db.connect().submit(sql, keep_rows=True).monitored()
         log = monitored.log
         assert log.final().percent_done == pytest.approx(100.0)
         percents = [r.percent_done for r in log]

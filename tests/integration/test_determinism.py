@@ -15,7 +15,7 @@ def run_once(sql):
     db = tpcr.build_database(
         scale=0.002, subset_rows=40, config=SystemConfig(work_mem_pages=8)
     )
-    monitored = db.execute_with_progress(sql, keep_rows=True)
+    monitored = db.connect().submit(sql, keep_rows=True).monitored()
     return monitored
 
 

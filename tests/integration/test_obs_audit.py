@@ -20,7 +20,9 @@ SCALE = 0.003
 def traced_q1():
     db = tpcr.build_database(scale=SCALE, config=SystemConfig(work_mem_pages=24))
     trace = TraceBus()
-    monitored = db.execute_with_progress(queries.Q1, trace=trace)
+    monitored = db.connect().submit(
+        queries.Q1, trace=trace, keep_rows=False
+    ).monitored()
     return monitored, trace
 
 

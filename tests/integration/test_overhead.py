@@ -33,8 +33,8 @@ class TestZeroSimulatedOverhead:
         sql = queries.PAPER_QUERIES[name]
         plain_db.restart()
         monitored_db.restart()
-        plain = plain_db.execute(sql, keep_rows=False)
-        monitored = monitored_db.execute_with_progress(sql)
+        plain = plain_db.connect().execute(sql, keep_rows=False)
+        monitored = monitored_db.connect().submit(sql, keep_rows=False).monitored()
         assert monitored.result.elapsed == pytest.approx(plain.elapsed, rel=1e-9)
 
     def test_same_io_counters(self, pair):
@@ -43,8 +43,8 @@ class TestZeroSimulatedOverhead:
         monitored_db.restart()
         io_before_plain = dict(plain_db.disk.io_counters())
         io_before_mon = dict(monitored_db.disk.io_counters())
-        plain_db.execute(queries.Q2, keep_rows=False)
-        monitored_db.execute_with_progress(queries.Q2)
+        plain_db.connect().execute(queries.Q2, keep_rows=False)
+        monitored_db.connect().submit(queries.Q2, keep_rows=False).monitored()
         delta_plain = {
             k: v - io_before_plain[k] for k, v in plain_db.disk.io_counters().items()
         }
@@ -61,7 +61,9 @@ class TestPacing:
         # seconds" (Section 5): one report per 10 virtual seconds.
         _, monitored_db = pair
         monitored_db.restart()
-        monitored = monitored_db.execute_with_progress(queries.Q2)
+        monitored = monitored_db.connect().submit(
+            queries.Q2, keep_rows=False
+        ).monitored()
         elapsed = monitored.result.elapsed
         periodic = [r for r in monitored.log.reports if not r.finished]
         assert len(periodic) == int(elapsed / 10.0)

@@ -2,7 +2,7 @@
 
 The pluggable-estimator API redesign (``repro.estimators``) rebuilt the
 refinement layer behind an interface, but the ``paper`` estimator's
-contract is *bit identity* with the pre-redesign ``core.refine`` path:
+contract is *bit identity* with the pre-redesign refinement path:
 estimation is passive (it never charges virtual time), so execution is
 identical regardless of estimator, and the paper blend's reports must
 match float-for-float.  Pinned here across every tier-1 workload grid

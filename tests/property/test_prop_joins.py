@@ -62,28 +62,28 @@ class TestJoinAlgorithmsAgree:
     @given(rows_left, rows_right)
     def test_hash_join_matches_brute_force(self, left, right):
         db = make_db(left, right, enable_mergejoin=False, enable_nestloop=False)
-        result = db.execute(SQL)
+        result = db.connect().execute(SQL)
         assert Counter(result.rows) == expected_equijoin(left, right)
 
     @settings(max_examples=40, deadline=None)
     @given(rows_left, rows_right)
     def test_merge_join_matches_brute_force(self, left, right):
         db = make_db(left, right, enable_hashjoin=False, enable_nestloop=False)
-        result = db.execute(SQL)
+        result = db.connect().execute(SQL)
         assert Counter(result.rows) == expected_equijoin(left, right)
 
     @settings(max_examples=40, deadline=None)
     @given(rows_left, rows_right)
     def test_nestloop_matches_brute_force(self, left, right):
         db = make_db(left, right, enable_hashjoin=False, enable_mergejoin=False)
-        result = db.execute(SQL)
+        result = db.connect().execute(SQL)
         assert Counter(result.rows) == expected_equijoin(left, right)
 
     @settings(max_examples=30, deadline=None)
     @given(rows_left, rows_right)
     def test_inequality_join_matches_brute_force(self, left, right):
         db = make_db(left, right)
-        result = db.execute("select l.a, r.b from l, r where l.k <> r.k")
+        result = db.connect().execute("select l.a, r.b from l, r where l.k <> r.k")
         expected = Counter(
             (l[1], r[1])
             for l in left
@@ -96,7 +96,7 @@ class TestJoinAlgorithmsAgree:
     @given(rows_left, rows_right)
     def test_filter_pushdown_preserves_semantics(self, left, right):
         db = make_db(left, right)
-        result = db.execute(
+        result = db.connect().execute(
             "select l.a, r.b from l, r where l.k = r.k and l.a > 50"
         )
         expected = Counter(

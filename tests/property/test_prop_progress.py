@@ -94,9 +94,9 @@ class TestMonitoredQueryProperties:
             "t", Schema([Column("k", INTEGER), Column("s", string(16))]), data
         )
         db.analyze()
-        monitored = db.execute_with_progress(
+        monitored = db.connect().submit(
             f"select k from t where k < {threshold}", keep_rows=True
-        )
+        ).monitored()
         expected = sum(1 for k, _ in data if k < threshold)
         assert monitored.result.row_count == expected
 
@@ -120,8 +120,8 @@ class TestMonitoredQueryProperties:
             db.analyze()
             return db
 
-        plain = build().execute("select k, s from t where k > 10")
-        monitored = build().execute_with_progress(
+        plain = build().connect().execute("select k, s from t where k > 10")
+        monitored = build().connect().submit(
             "select k, s from t where k > 10", keep_rows=True
-        )
+        ).monitored()
         assert plain.rows == monitored.result.rows

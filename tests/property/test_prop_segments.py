@@ -131,9 +131,9 @@ class TestSegmentationInvariants:
         if shape["force_merge"]:
             db.config = db.config.with_planner(enable_hashjoin=False)
         sql = build_sql(shape)
-        expected = db.execute(sql, keep_rows=True)
+        expected = db.connect().execute(sql, keep_rows=True)
         db.restart()
-        monitored = db.execute_with_progress(sql, keep_rows=True)
+        monitored = db.connect().submit(sql, keep_rows=True).monitored()
         assert sorted(map(repr, monitored.result.rows)) == sorted(
             map(repr, expected.rows)
         )

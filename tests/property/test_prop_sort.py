@@ -36,7 +36,7 @@ class TestSortProperties:
     @given(rows)
     def test_output_is_sorted_ascending(self, data):
         db = sort_db(data)
-        result = db.execute("select k, s from t order by k")
+        result = db.connect().execute("select k, s from t order by k")
         keys = [r[0] for r in result.rows]
         assert keys == sorted(keys)
 
@@ -44,16 +44,16 @@ class TestSortProperties:
     @given(rows)
     def test_output_is_permutation_of_input(self, data):
         db = sort_db(data)
-        result = db.execute("select k, s from t order by k")
+        result = db.connect().execute("select k, s from t order by k")
         assert Counter(result.rows) == Counter(data)
 
     @settings(max_examples=25, deadline=None)
     @given(rows)
     def test_external_sort_equals_in_memory_sort(self, data):
-        in_mem = sort_db(data, work_mem_pages=256).execute(
+        in_mem = sort_db(data, work_mem_pages=256).connect().execute(
             "select k, s from t order by k, s"
         )
-        external = sort_db(data, work_mem_pages=1).execute(
+        external = sort_db(data, work_mem_pages=1).connect().execute(
             "select k, s from t order by k, s"
         )
         assert in_mem.rows == external.rows
@@ -62,8 +62,8 @@ class TestSortProperties:
     @given(rows)
     def test_descending_is_reverse_of_ascending_keys(self, data):
         db = sort_db(data)
-        asc = db.execute("select k from t order by k")
-        desc = db.execute("select k from t order by k desc")
+        asc = db.connect().execute("select k from t order by k")
+        desc = db.connect().execute("select k from t order by k desc")
         assert [r[0] for r in desc.rows] == sorted(
             (r[0] for r in asc.rows), reverse=True
         )
@@ -72,8 +72,8 @@ class TestSortProperties:
     @given(rows, st.integers(min_value=0, max_value=20))
     def test_limit_is_prefix_of_sorted(self, data, n):
         db = sort_db(data)
-        full = db.execute("select k, s from t order by k, s")
-        limited = db.execute(f"select k, s from t order by k, s limit {n}")
+        full = db.connect().execute("select k, s from t order by k, s")
+        limited = db.connect().execute(f"select k, s from t order by k, s limit {n}")
         assert limited.rows == full.rows[:n]
 
     @settings(max_examples=25, deadline=None)
@@ -88,7 +88,7 @@ class TestSortProperties:
     )
     def test_nulls_sort_last(self, data):
         db = sort_db(data)
-        result = db.execute("select k from t order by k")
+        result = db.connect().execute("select k from t order by k")
         keys = [r[0] for r in result.rows]
         first_null = next((i for i, k in enumerate(keys) if k is None), len(keys))
         assert all(k is None for k in keys[first_null:])

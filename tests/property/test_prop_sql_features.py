@@ -35,7 +35,7 @@ class TestAggregationProperties:
     @given(rows)
     def test_group_by_matches_python_groupby(self, data):
         db = make_db(data)
-        result = db.execute(
+        result = db.connect().execute(
             "select g, count(*), sum(v), min(v), max(v) from t group by g"
         )
         expected = defaultdict(list)
@@ -53,16 +53,16 @@ class TestAggregationProperties:
     @given(rows)
     def test_global_count_equals_row_count(self, data):
         db = make_db(data)
-        assert db.execute("select count(*) from t").rows == [(len(data),)]
+        assert db.connect().execute("select count(*) from t").rows == [(len(data),)]
 
     @settings(max_examples=30, deadline=None)
     @given(rows, st.integers(min_value=0, max_value=20))
     def test_having_is_a_filter_over_groups(self, data, threshold):
         db = make_db(data)
-        with_having = db.execute(
+        with_having = db.connect().execute(
             f"select g, count(*) from t group by g having count(*) > {threshold}"
         )
-        without = db.execute("select g, count(*) from t group by g")
+        without = db.connect().execute("select g, count(*) from t group by g")
         expected = [(g, c) for g, c in without.rows if c > threshold]
         assert sorted(with_having.rows) == sorted(expected)
 
@@ -72,15 +72,15 @@ class TestDistinctProperties:
     @given(rows)
     def test_distinct_equals_set(self, data):
         db = make_db(data)
-        result = db.execute("select distinct g from t")
+        result = db.connect().execute("select distinct g from t")
         assert sorted(r[0] for r in result.rows) == sorted({g for g, _ in data})
 
     @settings(max_examples=30, deadline=None)
     @given(rows)
     def test_distinct_never_increases_cardinality(self, data):
         db = make_db(data)
-        plain = db.execute("select g, v from t")
-        distinct = db.execute("select distinct g, v from t")
+        plain = db.connect().execute("select g, v from t")
+        distinct = db.connect().execute("select distinct g, v from t")
         assert len(distinct.rows) <= len(plain.rows)
         assert Counter(distinct.rows) == Counter(set(plain.rows))
 
@@ -91,8 +91,8 @@ class TestDesugaringProperties:
     def test_between_equals_range_conjunction(self, data, a, b):
         lo, hi = min(a, b), max(a, b)
         db = make_db(data)
-        sugared = db.execute(f"select v from t where v between {lo} and {hi}")
-        plain = db.execute(f"select v from t where v >= {lo} and v <= {hi}")
+        sugared = db.connect().execute(f"select v from t where v between {lo} and {hi}")
+        plain = db.connect().execute(f"select v from t where v >= {lo} and v <= {hi}")
         assert Counter(sugared.rows) == Counter(plain.rows)
 
     @settings(max_examples=30, deadline=None)
@@ -100,7 +100,7 @@ class TestDesugaringProperties:
     def test_in_equals_or_chain(self, data, values):
         db = make_db(data)
         in_list = ", ".join(str(v) for v in values)
-        sugared = db.execute(f"select v from t where v in ({in_list})")
+        sugared = db.connect().execute(f"select v from t where v in ({in_list})")
         expected = Counter((v,) for _, v in data if v in set(values))
         assert Counter(sugared.rows) == expected
 
@@ -144,6 +144,6 @@ class TestLikeProperties:
             "n", Schema([Column("s", string(10))]), [(n,) for n in names]
         )
         db.analyze()
-        result = db.execute("select s from n where s like 'a%'")
+        result = db.connect().execute("select s from n where s like 'a%'")
         expected = Counter((n,) for n in names if n.startswith("a"))
         assert Counter(result.rows) == expected

@@ -52,7 +52,7 @@ def find(root, node_type):
 
 class TestAggregateResults:
     def test_count_star(self, db):
-        result = db.execute("select count(*) from sales")
+        result = db.connect().execute("select count(*) from sales")
         assert result.rows == [(300,)]
 
     def test_count_column_skips_nulls(self):
@@ -61,11 +61,11 @@ class TestAggregateResults:
             "t", Schema([Column("x", INTEGER)]), [(1,), (None,), (3,), (None,)]
         )
         database.analyze()
-        result = database.execute("select count(x), count(*) from t")
+        result = database.connect().execute("select count(x), count(*) from t")
         assert result.rows == [(2, 4)]
 
     def test_sum_avg_min_max(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select sum(amount), avg(amount), min(amount), max(amount) from sales"
         )
         rows = [r for r in db.catalog.get_table("sales").heap.iter_rows()]
@@ -78,7 +78,7 @@ class TestAggregateResults:
         assert got[3] == max(amounts)
 
     def test_group_by_matches_brute_force(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select region, product, count(*), sum(amount) from sales "
             "group by region, product"
         )
@@ -93,7 +93,7 @@ class TestAggregateResults:
             assert total == pytest.approx(want[1])
 
     def test_having_filters_groups(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select product, count(*) from sales group by product "
             "having count(*) > 50"
         )
@@ -101,7 +101,7 @@ class TestAggregateResults:
         assert all(count > 50 for _, count in result.rows)
 
     def test_order_by_aggregate(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select product, count(*) from sales group by product "
             "order by count(*) desc"
         )
@@ -109,18 +109,20 @@ class TestAggregateResults:
         assert counts == sorted(counts, reverse=True)
 
     def test_aggregate_on_empty_input_global(self, db):
-        result = db.execute("select count(*), sum(amount) from sales where amount < -1")
+        result = db.connect().execute(
+            "select count(*), sum(amount) from sales where amount < -1"
+        )
         assert result.rows == [(0, None)]
 
     def test_aggregate_on_empty_input_grouped(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select region, count(*) from sales where amount < -1 group by region"
         )
         assert result.rows == []
 
     def test_arithmetic_over_aggregates(self, db):
-        result = db.execute("select sum(amount) / count(*) from sales")
-        check = db.execute("select avg(amount) from sales")
+        result = db.connect().execute("select sum(amount) / count(*) from sales")
+        check = db.connect().execute("select avg(amount) from sales")
         assert result.rows[0][0] == pytest.approx(check.rows[0][0])
 
     def test_group_by_join_result(self, db):
@@ -134,7 +136,7 @@ class TestAggregateResults:
             [(i % 40, float(i)) for i in range(120)],
         )
         database.analyze()
-        result = database.execute(
+        result = database.connect().execute(
             "select a.g, count(*) from a, b where a.k = b.k group by a.g"
         )
         assert sorted(result.rows) == [(0, 30), (1, 30), (2, 30), (3, 30)]
@@ -204,23 +206,25 @@ class TestAggregateProgress:
             "select region, product, count(*), avg(amount) from sales "
             "group by region, product order by region, product"
         )
-        plain = db.execute(sql)
+        plain = db.connect().execute(sql)
         db.restart()
-        monitored = db.execute_with_progress(sql, keep_rows=True)
+        monitored = db.connect().submit(sql, keep_rows=True).monitored()
         assert monitored.result.rows == plain.rows
 
     def test_aggregate_is_a_segment_boundary(self, db):
-        monitored = db.execute_with_progress(
-            "select region, count(*) from sales group by region"
-        )
+        monitored = db.connect().submit(
+            "select region, count(*) from sales group by region",
+            keep_rows=False,
+        ).monitored()
         labels = [s.label for s in monitored.indicator.segments]
         assert any("aggregate" in label for label in labels)
         assert monitored.log.final().percent_done == pytest.approx(100.0)
 
     def test_group_output_counted_as_segment_output(self, db):
-        monitored = db.execute_with_progress(
-            "select region, count(*) from sales group by region"
-        )
+        monitored = db.connect().submit(
+            "select region, count(*) from sales group by region",
+            keep_rows=False,
+        ).monitored()
         agg_seg = next(
             s for s in monitored.indicator.segments if "aggregate" in s.label
         )

@@ -118,7 +118,7 @@ class TestEngineWiring:
         """Database.execute verifies before running when strict."""
         monkeypatch.setenv("REPRO_VERIFY", "strict")
         db = make_db()
-        result = db.execute("select count(*) from t")
+        result = db.connect().execute("select count(*) from t")
         assert result.rows == [(120,)]
 
     def test_database_verify_reports_clean(self):

@@ -408,47 +408,6 @@ class TestHotLoopDispatchRule:
         assert findings == []
 
 
-class TestLegacyRefineImportRule:
-    def test_flags_plain_import(self):
-        findings = lint_source(
-            "import repro.core.refine\n", "src/repro/core/indicator.py"
-        )
-        assert rules_of(findings) == {"REPRO010"}
-
-    def test_flags_from_import(self):
-        findings = lint_source(
-            "from repro.core.refine import ProgressEstimator\n",
-            "src/repro/obs/audit.py",
-        )
-        assert rules_of(findings) == {"REPRO010"}
-
-    def test_flags_submodule_from_import(self):
-        findings = lint_source(
-            "from repro.core import refine\n", "src/repro/sched/x.py"
-        )
-        assert rules_of(findings) == {"REPRO010"}
-
-    def test_estimators_package_is_the_blessed_path(self):
-        assert lint_source(
-            "from repro.estimators import make_estimator\n"
-            "from repro.estimators.base import EstimateSnapshot\n",
-            "src/repro/core/indicator.py",
-        ) == []
-
-    def test_shim_module_itself_exempt(self):
-        assert lint_source(
-            "from repro.estimators.refinement import RefinementEstimator\n"
-            "import repro.core.refine\n",
-            "src/repro/core/refine.py",
-        ) == []
-
-    def test_tests_exempt(self):
-        assert lint_source(
-            "from repro.core.refine import ProgressEstimator\n",
-            "tests/unit/test_estimators.py",
-        ) == []
-
-
 class TestRawSchedulerRule:
     def test_flags_direct_construction(self):
         findings = lint_source(

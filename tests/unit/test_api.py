@@ -1,4 +1,4 @@
-"""Unit tests for the stable session API (repro.api) and the shims."""
+"""Unit tests for the stable session API (repro.api)."""
 
 from __future__ import annotations
 
@@ -160,35 +160,17 @@ class TestSealedTrace:
 
 
 # ----------------------------------------------------------------------
-# deprecated facade shims
+# what the removed Database.execute* facade's tests pinned about the session
 
 
 class TestDeprecatedFacade:
-    def test_execute_warns_and_still_works(self):
-        db = _db()
-        with pytest.warns(DeprecationWarning, match="Database.execute"):
-            result = db.execute("select count(*) from lineitem")
-        assert result.row_count == 1
-
-    def test_execute_with_progress_warns_and_matches_session(self):
-        db = _db()
-        with pytest.warns(DeprecationWarning, match="execute_with_progress"):
-            monitored = db.execute_with_progress(queries.Q1)
-        assert isinstance(monitored, MonitoredResult)
-        assert monitored.log.final().fraction_done == pytest.approx(1.0)
-        assert monitored.result.row_count > 0
-
-    def test_run_planned_with_progress_warns(self):
-        db = _db()
-        planned = db.prepare(queries.Q1)
-        with pytest.warns(DeprecationWarning, match="run_planned_with_progress"):
-            monitored = db.run_planned_with_progress(planned, label="Q1")
-        assert monitored.log.final().fraction_done == pytest.approx(1.0)
-
     def test_shim_trace_is_sealed_not_live(self):
         db = _db()
-        with pytest.warns(DeprecationWarning):
-            monitored = db.execute_with_progress(queries.Q1, trace=TraceBus())
+        monitored = (
+            db.connect()
+            .submit(queries.Q1, keep_rows=False, trace=TraceBus())
+            .monitored()
+        )
         assert isinstance(monitored.trace, SealedTrace)
         assert not hasattr(monitored.trace, "emit")
 

@@ -46,7 +46,7 @@ def report(elapsed=100.0, fraction=0.5, speed=10.0, remaining=100.0):
 
 class TestOptimizerBaseline:
     def test_remaining_decreases_linearly(self, tiny_tpcr):
-        monitored = tiny_tpcr.execute_with_progress(queries.Q1)
+        monitored = tiny_tpcr.connect().submit(queries.Q1, keep_rows=False).monitored()
         baseline = OptimizerBaseline(monitored.indicator.segments, tiny_tpcr.config)
         assert baseline.remaining(0.0) == pytest.approx(baseline.est_total_seconds)
         assert baseline.remaining(baseline.est_total_seconds / 2) == pytest.approx(
@@ -54,12 +54,12 @@ class TestOptimizerBaseline:
         )
 
     def test_remaining_floors_at_zero(self, tiny_tpcr):
-        monitored = tiny_tpcr.execute_with_progress(queries.Q1)
+        monitored = tiny_tpcr.connect().submit(queries.Q1, keep_rows=False).monitored()
         baseline = OptimizerBaseline(monitored.indicator.segments, tiny_tpcr.config)
         assert baseline.remaining(baseline.est_total_seconds * 10) == 0.0
 
     def test_series_helpers(self, tiny_tpcr):
-        monitored = tiny_tpcr.execute_with_progress(queries.Q1)
+        monitored = tiny_tpcr.connect().submit(queries.Q1, keep_rows=False).monitored()
         baseline = OptimizerBaseline(monitored.indicator.segments, tiny_tpcr.config)
         points = [0.0, 10.0, 20.0]
         opt = optimizer_remaining_series(baseline, points)
@@ -75,7 +75,7 @@ class TestOptimizerBaseline:
 
 class TestStepBaseline:
     def test_steps_advance_with_segments(self, tiny_tpcr):
-        monitored = tiny_tpcr.execute_with_progress(queries.Q2)
+        monitored = tiny_tpcr.connect().submit(queries.Q2, keep_rows=False).monitored()
         step = StepBaseline(
             monitored.indicator.segments, monitored.indicator.tracker
         )

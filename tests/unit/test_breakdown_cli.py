@@ -15,7 +15,7 @@ from repro.workloads import queries, tpcr
 @pytest.fixture(scope="module")
 def finished_run():
     db = tpcr.build_database(scale=0.002)
-    return db, db.execute_with_progress(queries.Q2)
+    return db, db.connect().submit(queries.Q2, keep_rows=False).monitored()
 
 
 class TestSegmentBreakdown:

@@ -23,7 +23,7 @@ INT_T = Schema([Column("x", INTEGER)])
 class TestEmptyAndTinyTables:
     def test_scan_empty_table(self):
         db = db_with("t", INT_T, [])
-        assert db.execute("select x from t").rows == []
+        assert db.connect().execute("select x from t").rows == []
 
     def test_join_with_empty_side(self):
         db = Database()
@@ -31,45 +31,45 @@ class TestEmptyAndTinyTables:
         db.create_table("b", Schema([Column("x", INTEGER), Column("y", INTEGER)]),
                         [(1, 2)])
         db.analyze()
-        assert db.execute("select a.x from a, b where a.x = b.x").rows == []
+        assert db.connect().execute("select a.x from a, b where a.x = b.x").rows == []
 
     def test_monitored_empty_query_completes(self):
         db = db_with("t", INT_T, [])
-        monitored = db.execute_with_progress("select x from t")
+        monitored = db.connect().submit("select x from t", keep_rows=False).monitored()
         assert monitored.log.final().finished
         assert monitored.log.final().percent_done == pytest.approx(100.0)
 
     def test_single_row_table(self):
         db = db_with("t", INT_T, [(7,)])
-        assert db.execute("select x from t where x = 7").rows == [(7,)]
+        assert db.connect().execute("select x from t where x = 7").rows == [(7,)]
 
     def test_sort_empty_input(self):
         db = db_with("t", INT_T, [])
-        assert db.execute("select x from t order by x").rows == []
+        assert db.connect().execute("select x from t order by x").rows == []
 
     def test_order_by_with_ties_stable_cardinality(self):
         db = db_with("t", INT_T, [(1,)] * 10)
-        assert len(db.execute("select x from t order by x").rows) == 10
+        assert len(db.connect().execute("select x from t order by x").rows) == 10
 
 
 class TestLimits:
     def test_limit_zero(self):
         db = db_with("t", INT_T, [(i,) for i in range(10)])
-        assert db.execute("select x from t limit 0").rows == []
+        assert db.connect().execute("select x from t limit 0").rows == []
 
     def test_limit_larger_than_result(self):
         db = db_with("t", INT_T, [(i,) for i in range(3)])
-        assert len(db.execute("select x from t limit 100").rows) == 3
+        assert len(db.connect().execute("select x from t limit 100").rows) == 3
 
     def test_limit_stops_execution_early(self):
         # A limited scan must not pay for the whole table.
         rows = [(i, "x" * 40) for i in range(20_000)]
         schema = Schema([Column("x", INTEGER), Column("pad", string(50))])
         full_db = db_with("t", schema, rows)
-        full_db.execute("select x from t", keep_rows=False)
+        full_db.connect().execute("select x from t", keep_rows=False)
         full_time = full_db.clock.now
         lim_db = db_with("t", schema, rows)
-        lim_db.execute("select x from t limit 5")
+        lim_db.connect().execute("select x from t limit 5")
         assert lim_db.clock.now < 0.2 * full_time
 
 
@@ -79,12 +79,12 @@ class TestThreeWayAndSelfJoins:
         db.create_table("a", INT_T, [(1,), (2,)])
         db.create_table("b", Schema([Column("y", INTEGER)]), [(10,), (20,), (30,)])
         db.analyze()
-        result = db.execute("select x, y from a, b")
+        result = db.connect().execute("select x, y from a, b")
         assert len(result.rows) == 6
 
     def test_self_join_aliases(self):
         db = db_with("t", INT_T, [(1,), (2,), (3,)])
-        result = db.execute(
+        result = db.connect().execute(
             "select a.x, b.x from t a, t b where a.x < b.x"
         )
         assert sorted(result.rows) == [(1, 2), (1, 3), (2, 3)]
@@ -98,7 +98,7 @@ class TestThreeWayAndSelfJoins:
                 [(i, i * 10) for i in range(20)],
             )
         db.analyze()
-        result = db.execute(
+        result = db.connect().execute(
             "select a.va from a, b, c, d "
             "where a.ka = b.kb and b.kb = c.kc and c.kc = d.kd"
         )
@@ -108,23 +108,23 @@ class TestThreeWayAndSelfJoins:
 class TestDuplicatesAndNulls:
     def test_duplicate_rows_preserved(self):
         db = db_with("t", INT_T, [(5,)] * 4)
-        assert len(db.execute("select x from t where x = 5").rows) == 4
+        assert len(db.connect().execute("select x from t where x = 5").rows) == 4
 
     def test_all_null_join_column(self):
         db = Database()
         db.create_table("a", INT_T, [(None,)] * 5)
         db.create_table("b", Schema([Column("y", INTEGER)]), [(None,)] * 5)
         db.analyze()
-        assert db.execute("select x from a, b where a.x = b.y").rows == []
+        assert db.connect().execute("select x from a, b where a.x = b.y").rows == []
 
     def test_null_in_projection(self):
         db = db_with("t", INT_T, [(None,), (1,)])
-        rows = db.execute("select x from t").rows
+        rows = db.connect().execute("select x from t").rows
         assert (None,) in rows
 
     def test_arithmetic_on_null_projects_null(self):
         db = db_with("t", INT_T, [(None,)])
-        assert db.execute("select x + 1 from t").rows == [(None,)]
+        assert db.connect().execute("select x + 1 from t").rows == [(None,)]
 
 
 class TestCatalogEdges:
@@ -137,7 +137,7 @@ class TestCatalogEdges:
     def test_table_names_case_insensitive(self):
         db = Database()
         db.create_table("MyTable", INT_T, [(1,)])
-        assert db.execute("select x from mytable").rows == [(1,)]
+        assert db.connect().execute("select x from mytable").rows == [(1,)]
 
     def test_drop_table(self):
         db = Database()
@@ -168,7 +168,9 @@ class TestWorkMemExtremes:
                 scale=0.001, subset_rows=20,
                 config=SystemConfig(work_mem_pages=pages),
             )
-            results.append(db.execute(tpcr_queries["Q2"], keep_rows=False).row_count)
+            results.append(db.connect().execute(
+                tpcr_queries["Q2"], keep_rows=False
+            ).row_count)
         assert results[0] == results[1] == results[2]
 
     def test_tiny_work_mem_still_monitorable(self, tpcr_queries):
@@ -177,7 +179,7 @@ class TestWorkMemExtremes:
         db = tpcr.build_database(
             scale=0.001, subset_rows=20, config=SystemConfig(work_mem_pages=1)
         )
-        monitored = db.execute_with_progress(tpcr_queries["Q2"])
+        monitored = db.connect().submit(tpcr_queries["Q2"], keep_rows=False).monitored()
         assert monitored.log.final().percent_done == pytest.approx(100.0)
 
 
@@ -186,18 +188,18 @@ class TestFloatLiteralsAndExpressions:
         db = db_with(
             "t", Schema([Column("v", FLOAT)]), [(0.5,), (1.5,), (2.5,)]
         )
-        assert len(db.execute("select v from t where v > 1.0").rows) == 2
+        assert len(db.connect().execute("select v from t where v > 1.0").rows) == 2
 
     def test_projection_expression(self):
         db = db_with("t", INT_T, [(3,)])
-        assert db.execute("select x * 2 + 1 from t").rows == [(7,)]
+        assert db.connect().execute("select x * 2 + 1 from t").rows == [(7,)]
 
     def test_string_equality_filter(self):
         db = db_with(
             "t", Schema([Column("s", string(5))]), [("ab",), ("cd",)]
         )
-        assert db.execute("select s from t where s = 'cd'").rows == [("cd",)]
+        assert db.connect().execute("select s from t where s = 'cd'").rows == [("cd",)]
 
     def test_negative_literal_filter(self):
         db = db_with("t", INT_T, [(-5,), (5,)])
-        assert db.execute("select x from t where x < -1").rows == [(-5,)]
+        assert db.connect().execute("select x from t where x < -1").rows == [(-5,)]

@@ -1,6 +1,5 @@
 """Unit tests for the pluggable estimator layer: the registry, the three
-blend rules, history-learned corrections, the online selector, and the
-deprecated ``core.refine`` shim."""
+blend rules, history-learned corrections and the online selector."""
 
 import pytest
 
@@ -326,42 +325,3 @@ class TestEnsembleSelector:
         tracker.finish_all()
         ens.on_finish()
         assert store.observations(signature_of(specs[0])) == 1
-
-
-class TestDeprecatedShim:
-    def test_instantiation_warns(self):
-        specs, tracker = partial_run()
-        from repro.core.refine import ProgressEstimator
-
-        with pytest.warns(DeprecationWarning, match="make_estimator"):
-            ProgressEstimator(specs, tracker)
-
-    def test_bad_mode_raises_before_warning(self):
-        specs, tracker = partial_run()
-        from repro.core.refine import ProgressEstimator
-
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError):
-                ProgressEstimator(specs, tracker, refine_mode="nope")
-        assert caught == []  # validation precedes the deprecation warning
-
-    def test_shim_matches_new_paper_path(self):
-        specs, tracker = partial_run()
-        from repro.core.refine import ProgressEstimator
-
-        with pytest.warns(DeprecationWarning):
-            shim = ProgressEstimator(specs, tracker)
-        assert shim.snapshot() == PaperEstimator(specs, tracker).snapshot()
-        assert shim.name == "paper"
-
-    def test_shim_maps_legacy_modes(self):
-        specs, tracker = partial_run()
-        from repro.core.refine import ProgressEstimator
-
-        with pytest.warns(DeprecationWarning):
-            shim = ProgressEstimator(specs, tracker, refine_mode="optimizer")
-        assert shim.name == "tgn"
-        assert shim.snapshot() == TotalGetNextEstimator(specs, tracker).snapshot()

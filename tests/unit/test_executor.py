@@ -35,40 +35,40 @@ def brute_force_join(db, predicate):
 class TestScans:
     def test_seq_scan_all_rows(self):
         db = make_db()
-        result = db.execute("select k from r")
+        result = db.connect().execute("select k from r")
         assert len(result.rows) == 60
 
     def test_filter_applied(self):
         db = make_db()
-        result = db.execute("select k from r where g = 2")
+        result = db.connect().execute("select k from r where g = 2")
         assert sorted(r[0] for r in result.rows) == [i for i in range(60) if i % 5 == 2]
 
     def test_scan_advances_clock(self):
         db = make_db()
         before = db.clock.now
-        db.execute("select k from r")
+        db.connect().execute("select k from r")
         assert db.clock.now > before
 
     def test_warm_scan_faster_than_cold(self):
         db = make_db()
         t0 = db.clock.now
-        db.execute("select k from r")
+        db.connect().execute("select k from r")
         cold = db.clock.now - t0
         t0 = db.clock.now
-        db.execute("select k from r")
+        db.connect().execute("select k from r")
         warm = db.clock.now - t0
         assert warm < cold
 
     def test_function_filter(self):
         db = make_db()
-        result = db.execute("select k from r where absolute(k) > 0")
+        result = db.connect().execute("select k from r where absolute(k) > 0")
         assert len(result.rows) == 59  # k = 0 excluded
 
 
 class TestHashJoinOp:
     def test_in_memory_results(self):
         db = make_db()
-        result = db.execute("select r.k, s.v from r, s where r.k = s.k")
+        result = db.connect().execute("select r.k, s.v from r, s where r.k = s.k")
         expected = brute_force_join(db, lambda r, s: r[0] == s[0])
         assert sorted(result.rows) == expected
 
@@ -89,7 +89,7 @@ class TestHashJoinOp:
 
     def test_partitioned_results_match(self):
         db = self._big_db()
-        result = db.execute("select r.k, s.v from r, s where r.k = s.k")
+        result = db.connect().execute("select r.k, s.v from r, s where r.k = s.k")
         expected = brute_force_join(db, lambda r, s: r[0] == s[0])
         assert sorted(result.rows) == expected
 
@@ -112,12 +112,12 @@ class TestHashJoinOp:
 
     def test_partitioned_charges_spill_io(self):
         db = self._big_db()
-        db.execute("select r.k, s.v from r, s where r.k = s.k")
+        db.connect().execute("select r.k, s.v from r, s where r.k = s.k")
         assert db.disk.writes > 0
 
     def test_extra_filter_on_join(self):
         db = make_db()
-        result = db.execute(
+        result = db.connect().execute(
             "select r.k, s.v from r, s where r.k = s.k and r.g < s.v"
         )
         expected = brute_force_join(db, lambda r, s: r[0] == s[0] and r[1] < s[1])
@@ -125,7 +125,7 @@ class TestHashJoinOp:
 
     def test_temp_partitions_released(self):
         db = make_db(SystemConfig(work_mem_pages=1))
-        db.execute("select r.k from r, s where r.k = s.k")
+        db.connect().execute("select r.k from r, s where r.k = s.k")
         # Only the two base tables should remain on the simulated disk.
         assert len(db.disk._files) == 2
 
@@ -133,13 +133,13 @@ class TestHashJoinOp:
 class TestNestLoopOp:
     def test_inequality_join(self):
         db = make_db()
-        result = db.execute("select r.k, s.v from r, s where r.k <> s.k")
+        result = db.connect().execute("select r.k, s.v from r, s where r.k <> s.k")
         expected = brute_force_join(db, lambda r, s: r[0] != s[0])
         assert sorted(result.rows) == expected
 
     def test_range_join(self):
         db = make_db()
-        result = db.execute("select r.k, s.v from r, s where r.k < s.k")
+        result = db.connect().execute("select r.k, s.v from r, s where r.k < s.k")
         expected = brute_force_join(db, lambda r, s: r[0] < s[0])
         assert sorted(result.rows) == expected
 
@@ -154,7 +154,7 @@ class TestMergeJoinOp:
 
     def test_results_match_hash_join(self):
         db = self._merge_db()
-        result = db.execute("select r.k, s.v from r, s where r.k = s.k")
+        result = db.connect().execute("select r.k, s.v from r, s where r.k = s.k")
         expected = brute_force_join(db, lambda r, s: r[0] == s[0])
         assert sorted(result.rows) == expected
 
@@ -169,7 +169,7 @@ class TestMergeJoinOp:
             [(1, 10), (1, 11), (3, 30)],
         )
         db.analyze()
-        result = db.execute("select a.k, b.x from a, b where a.k = b.k")
+        result = db.connect().execute("select a.k, b.x from a, b where a.k = b.k")
         assert sorted(result.rows) == [(1, 10), (1, 10), (1, 11), (1, 11), (3, 30)]
 
     def test_null_keys_never_match(self):
@@ -178,26 +178,26 @@ class TestMergeJoinOp:
         db.create_table("a", Schema([Column("k", INTEGER)]), [(None,), (1,)])
         db.create_table("b", Schema([Column("k", INTEGER)]), [(None,), (1,)])
         db.analyze()
-        result = db.execute("select a.k from a, b where a.k = b.k")
+        result = db.connect().execute("select a.k from a, b where a.k = b.k")
         assert result.rows == [(1,)]
 
 
 class TestSortOp:
     def test_order_by_ascending(self):
         db = make_db()
-        result = db.execute("select v from s order by v")
+        result = db.connect().execute("select v from s order by v")
         values = [r[0] for r in result.rows]
         assert values == sorted(values)
 
     def test_order_by_descending(self):
         db = make_db()
-        result = db.execute("select v from s order by v desc")
+        result = db.connect().execute("select v from s order by v desc")
         values = [r[0] for r in result.rows]
         assert values == sorted(values, reverse=True)
 
     def test_multi_key_sort(self):
         db = make_db()
-        result = db.execute("select g, k from r order by g desc, k asc")
+        result = db.connect().execute("select g, k from r order by g desc, k asc")
         rows = result.rows
         assert rows == sorted(rows, key=lambda t: (-t[0], t[1]))
 
@@ -209,14 +209,14 @@ class TestSortOp:
             [(float((i * 37) % 1000), "x" * 30) for i in range(2000)],
         )
         db.analyze()
-        result = db.execute("select v from big order by v")
+        result = db.connect().execute("select v from big order by v")
         values = [r[0] for r in result.rows]
         assert values == sorted(values)
         assert db.disk.writes > 0
 
     def test_limit_after_sort(self):
         db = make_db()
-        result = db.execute("select v from s order by v desc limit 3")
+        result = db.connect().execute("select v from s order by v desc limit 3")
         assert len(result.rows) == 3
         assert result.rows[0][0] == 89.0
 
@@ -227,34 +227,34 @@ class TestNullHandling:
         db.create_table("a", Schema([Column("k", INTEGER)]), [(None,), (1,), (2,)])
         db.create_table("b", Schema([Column("k", INTEGER)]), [(None,), (2,)])
         db.analyze()
-        result = db.execute("select a.k from a, b where a.k = b.k")
+        result = db.connect().execute("select a.k from a, b where a.k = b.k")
         assert result.rows == [(2,)]
 
     def test_null_filter_rejects(self):
         db = Database()
         db.create_table("a", Schema([Column("k", INTEGER)]), [(None,), (5,)])
         db.analyze()
-        result = db.execute("select k from a where k > 0")
+        result = db.connect().execute("select k from a where k > 0")
         assert result.rows == [(5,)]
 
 
 class TestQueryResult:
     def test_names_follow_select_list(self):
         db = make_db()
-        result = db.execute("select k as kk, s from r limit 1")
+        result = db.connect().execute("select k as kk, s from r limit 1")
         assert result.names == ["kk", "s"]
 
     def test_keep_rows_false_discards_but_counts(self):
         db = make_db()
-        result = db.execute("select k from r", keep_rows=False)
+        result = db.connect().execute("select k from r", keep_rows=False)
         assert result.rows == []
         assert result.row_count == 60
 
     def test_max_rows_caps_retention(self):
         db = make_db()
-        result = db.execute("select k from r", max_rows=5)
+        result = db.connect().execute("select k from r", max_rows=5)
         assert len(result.rows) == 5
 
     def test_elapsed_positive(self):
         db = make_db()
-        assert db.execute("select k from r").elapsed > 0
+        assert db.connect().execute("select k from r").elapsed > 0

@@ -42,7 +42,7 @@ class TestExplainAnalyze:
         assert "actual rows=7" in limit_line
 
     def test_counting_does_not_change_results(self, db):
-        plain = db.execute(queries.Q2, keep_rows=False)
+        plain = db.connect().execute(queries.Q2, keep_rows=False)
         analyzed = db.explain_analyze(queries.Q2)
         assert f"Execution: {plain.row_count} rows" in analyzed
 

@@ -9,7 +9,6 @@ from repro.config import (
     SystemConfig,
 )
 from repro.core.segments import build_segments
-from repro.estimators import estimator_for_refine_mode
 from repro.planner.explain import explain
 from repro.workloads import queries, tpcr
 
@@ -90,19 +89,18 @@ class TestConfig:
         assert cost.random_page_read > cost.seq_page_read
         assert cost.cpu_tuple < cost.seq_page_read
 
-    def test_refine_mode_validated(self):
-        config = SystemConfig().with_progress(refine_mode="bogus")
+    def test_estimator_name_validated(self):
+        # An unknown name fails at indicator construction (submit), whether
+        # it comes from the config or from the per-query argument.
+        config = SystemConfig().with_progress(estimator="bogus")
         db = tpcr.build_database(scale=0.001, subset_rows=20, config=config)
-        with pytest.raises(ValueError):
-            db.execute_with_progress("select * from customer")
+        with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+            db.connect().submit("select * from customer", keep_rows=False)
+        db = tpcr.build_database(scale=0.001, subset_rows=20)
+        with pytest.raises(ValueError, match="unknown estimator 'nope'"):
+            db.connect().submit("select * from customer", estimator="nope")
 
-
-class TestEstimatorConfig:
-    def test_refine_mode_maps_to_estimators(self):
-        assert estimator_for_refine_mode("paper") == "paper"
-        assert estimator_for_refine_mode("optimizer") == "tgn"
-        assert estimator_for_refine_mode("extrapolate") == "dne"
-
-    def test_estimator_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            estimator_for_refine_mode("nope")
+    def test_refine_mode_knob_is_gone(self):
+        # The alias field was removed, not silently ignored.
+        with pytest.raises(TypeError):
+            SystemConfig().with_progress(refine_mode="paper")

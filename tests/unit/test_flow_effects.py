@@ -180,7 +180,7 @@ class TestShippedTree:
         remaining REPRO110 carries a justified suppression."""
         graph = build_callgraph(REPO_SRC / "repro")
         findings = analyze_effects(graph, repo_root=REPO_ROOT)
-        assert findings, "the concurrent workload's threading should show"
+        assert findings, "the indicator's REPRO_VERIFY env read should show"
         assert rules_of(findings) == {"REPRO110"}
         baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
         unsuppressed, suppressed, stale = baseline.filter(findings)

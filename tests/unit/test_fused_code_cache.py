@@ -1,7 +1,7 @@
 """The fused engine compiles each plan *shape* once.
 
 ``FusedQuery.source`` must be a pure function of plan shape, config and
-monitored/gated mode: SQL literals and ``id()``-derived temp-file names
+monitored mode: SQL literals and ``id()``-derived temp-file names
 are ``env`` bindings, never text.  Python's ``compile`` then runs once
 per distinct text (``fused.code_cache_info()`` counts it), and anything a
 program *is* specialized on must change the text.
@@ -149,24 +149,6 @@ class TestSpecializationsStayInTheText:
         assert src_base != src_dearer
         assert rows_base == rows_dearer
         assert dearer.clock.cost_charged != base.clock.cost_charged
-
-    def test_gate_is_in_the_text(self):
-        class Gate:
-            charges = 0
-
-            def before_charge(self, cost):
-                self.charges += 1
-
-        gated = build()
-        ungated_src, rows, _ = run(gated, self.SQL)
-        gate = Gate()
-        gated.clock.set_gate(gate)
-        gated_src, gated_rows, hit = run(gated, self.SQL)
-        assert gated_src != ungated_src
-        assert "before_charge" in gated_src and "before_charge" not in ungated_src
-        assert not hit
-        assert gate.charges > 0
-        assert gated_rows == rows
 
 
 class TestClosureFallbacks:

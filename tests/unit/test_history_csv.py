@@ -9,7 +9,7 @@ from repro.workloads import queries, tpcr
 @pytest.fixture(scope="module")
 def log():
     db = tpcr.build_database(scale=0.002)
-    return db.execute_with_progress(queries.Q2).log
+    return db.connect().submit(queries.Q2, keep_rows=False).monitored().log
 
 
 class TestCsvRoundTrip:

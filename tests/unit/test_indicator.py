@@ -11,7 +11,7 @@ from repro.workloads import queries
 
 def run_monitored(db, sql, **kwargs):
     db.restart()  # cold buffer pool, as in the paper's protocol
-    return db.execute_with_progress(sql, **kwargs)
+    return db.connect().submit(sql, keep_rows=False, **kwargs).monitored()
 
 
 class TestIndicatorLifecycle:

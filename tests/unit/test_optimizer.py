@@ -109,9 +109,9 @@ class TestIndexSelection:
         assert scan.high == 5 and not scan.high_inclusive
 
     def test_index_scan_results_match_seq_scan(self, indexed_db):
-        via_index = indexed_db.execute("select k from big where k = 123")
+        via_index = indexed_db.connect().execute("select k from big where k = 123")
         indexed_db.config = indexed_db.config.with_planner(enable_indexscan=False)
-        via_seq = indexed_db.execute("select k from big where k = 123")
+        via_seq = indexed_db.connect().execute("select k from big where k = 123")
         assert via_index.rows == via_seq.rows == [(123,)]
 
 

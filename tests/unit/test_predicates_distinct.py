@@ -38,17 +38,19 @@ def db():
 
 class TestBetween:
     def test_inclusive_both_ends(self, db):
-        rows = db.execute("select id from people where age between 25 and 35").rows
+        rows = db.connect().execute(
+            "select id from people where age between 25 and 35"
+        ).rows
         assert sorted(r[0] for r in rows) == [1, 2, 3]
 
     def test_not_between(self, db):
-        rows = db.execute(
+        rows = db.connect().execute(
             "select id from people where age not between 25 and 35"
         ).rows
         assert sorted(r[0] for r in rows) == [4, 5, 6]
 
     def test_between_with_expressions(self, db):
-        rows = db.execute(
+        rows = db.connect().execute(
             "select id from people where age between 20 + 5 and 30 + 5"
         ).rows
         assert sorted(r[0] for r in rows) == [1, 2, 3]
@@ -56,47 +58,53 @@ class TestBetween:
 
 class TestIn:
     def test_in_list(self, db):
-        rows = db.execute("select id from people where id in (2, 4, 99)").rows
+        rows = db.connect().execute("select id from people where id in (2, 4, 99)").rows
         assert sorted(r[0] for r in rows) == [2, 4]
 
     def test_not_in_list(self, db):
-        rows = db.execute("select id from people where id not in (2, 4)").rows
+        rows = db.connect().execute("select id from people where id not in (2, 4)").rows
         assert sorted(r[0] for r in rows) == [1, 3, 5, 6]
 
     def test_in_strings(self, db):
-        rows = db.execute(
+        rows = db.connect().execute(
             "select id from people where name in ('bob', 'carol')"
         ).rows
         assert sorted(r[0] for r in rows) == [2, 4]
 
     def test_in_single_value(self, db):
-        rows = db.execute("select id from people where id in (3)").rows
+        rows = db.connect().execute("select id from people where id in (3)").rows
         assert rows == [(3,)]
 
 
 class TestLike:
     def test_prefix_wildcard(self, db):
-        rows = db.execute("select name from people where name like 'ali%'").rows
+        rows = db.connect().execute(
+            "select name from people where name like 'ali%'"
+        ).rows
         assert sorted(r[0] for r in rows) == ["alice", "alicia"]
 
     def test_underscore_single_char(self, db):
-        rows = db.execute("select name from people where name like 'a_'").rows
+        rows = db.connect().execute("select name from people where name like 'a_'").rows
         assert rows == [("al",)]
 
     def test_contains(self, db):
-        rows = db.execute("select name from people where name like '%ro%'").rows
+        rows = db.connect().execute(
+            "select name from people where name like '%ro%'"
+        ).rows
         assert rows == [("carol",)]
 
     def test_not_like(self, db):
-        rows = db.execute("select name from people where name not like 'a%'").rows
+        rows = db.connect().execute(
+            "select name from people where name not like 'a%'"
+        ).rows
         assert sorted(r[0] for r in rows) == ["bob", "carol"]
 
     def test_null_never_matches(self, db):
-        rows = db.execute("select id from people where name like '%'").rows
+        rows = db.connect().execute("select id from people where name like '%'").rows
         assert sorted(r[0] for r in rows) == [1, 2, 3, 4, 5]  # id 6 has NULL
 
     def test_exact_pattern_without_wildcards(self, db):
-        rows = db.execute("select id from people where name like 'bob'").rows
+        rows = db.connect().execute("select id from people where name like 'bob'").rows
         assert rows == [(2,)]
 
     def test_regex_metacharacters_are_literal(self):
@@ -105,7 +113,7 @@ class TestLike:
             "t", Schema([Column("s", string(10))]), [("a.b",), ("axb",)]
         )
         database.analyze()
-        rows = database.execute("select s from t where s like 'a.b'").rows
+        rows = database.connect().execute("select s from t where s like 'a.b'").rows
         assert rows == [("a.b",)]
 
     def test_like_requires_string(self, db):
@@ -146,7 +154,7 @@ class TestDistinct:
             "t", Schema([Column("x", INTEGER)]), [(1,), (2,), (1,), (2,), (3,)]
         )
         database.analyze()
-        rows = database.execute("select distinct x from t").rows
+        rows = database.connect().execute("select distinct x from t").rows
         assert sorted(rows) == [(1,), (2,), (3,)]
 
     def test_distinct_preserves_sort_order(self, db):
@@ -155,11 +163,13 @@ class TestDistinct:
             "t", Schema([Column("x", INTEGER)]), [(3,), (1,), (2,), (1,)]
         )
         database.analyze()
-        rows = database.execute("select distinct x from t order by x desc").rows
+        rows = database.connect().execute(
+            "select distinct x from t order by x desc"
+        ).rows
         assert rows == [(3,), (2,), (1,)]
 
     def test_distinct_multi_column(self, db):
-        rows = db.execute("select distinct age, id from people").rows
+        rows = db.connect().execute("select distinct age, id from people").rows
         assert len(rows) == 6  # all distinct anyway
 
     def test_distinct_with_limit(self):
@@ -168,13 +178,13 @@ class TestDistinct:
             "t", Schema([Column("x", INTEGER)]), [(i % 3,) for i in range(30)]
         )
         database.analyze()
-        rows = database.execute("select distinct x from t limit 2").rows
+        rows = database.connect().execute("select distinct x from t limit 2").rows
         assert len(rows) == 2
 
     def test_distinct_monitored(self, db):
-        monitored = db.execute_with_progress(
+        monitored = db.connect().submit(
             "select distinct age from people", keep_rows=True
-        )
+        ).monitored()
         assert len(monitored.result.rows) == 6
         assert monitored.log.final().percent_done == pytest.approx(100.0)
 

@@ -139,6 +139,28 @@ class TestScheduling:
         sched.run()
         assert a.state == FINISHED
 
+    def test_run_until_raises_when_every_pending_task_is_suspended(self):
+        sched = CooperativeScheduler(_db())
+        a = sched.submit(queries.Q1, name="a", keep_rows=False)
+        b = sched.submit(queries.Q2, name="b", keep_rows=False)
+        sched.step()
+        sched.suspend(a)
+        sched.suspend(b)
+        with pytest.raises(ProgressError, match="nothing runnable"):
+            sched.run_until(b)
+        assert not a.done and not b.done
+
+    def test_interleaved_queries_return_their_solo_rows(self):
+        workload = {"scan": "select * from orders", "join": queries.Q2}
+        sched = CooperativeScheduler(_db())
+        tasks = [sched.submit(sql, name=name) for name, sql in workload.items()]
+        sched.run()
+        assert {s.task for s in sched.slices[:2]} == set(workload)
+        for task in tasks:
+            solo = _db().connect().execute(workload[task.name])
+            assert task.result.rows == solo.rows
+            assert solo.row_count > 0
+
 
 # ----------------------------------------------------------------------
 # determinism

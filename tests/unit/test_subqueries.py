@@ -33,27 +33,27 @@ def db():
 
 class TestInSubquery:
     def test_basic_membership(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept in (select id from dept)"
         )
         expected = [i for i in range(100) if i % 5 in (0, 1, 2, 3)]
         assert sorted(r[0] for r in result.rows) == expected
 
     def test_filtered_subquery(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept in "
             "(select id from dept where name = 'eng')"
         )
         assert sorted(r[0] for r in result.rows) == [i for i in range(100) if i % 5 == 0]
 
     def test_not_in(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept not in (select id from dept)"
         )
         assert sorted(r[0] for r in result.rows) == [i for i in range(100) if i % 5 == 4]
 
     def test_empty_subquery_result(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept in "
             "(select id from dept where name = 'nothing')"
         )
@@ -65,7 +65,7 @@ class TestInSubquery:
         database.create_table("b", Schema([Column("x", INTEGER)]), [(1,), (None,)])
         database.analyze()
         # SQL: NOT IN against a set containing NULL is never TRUE.
-        result = database.execute(
+        result = database.connect().execute(
             "select x from a where x not in (select x from b)"
         )
         assert result.rows == []
@@ -75,18 +75,20 @@ class TestInSubquery:
         database.create_table("a", Schema([Column("x", INTEGER)]), [(None,), (1,)])
         database.create_table("b", Schema([Column("x", INTEGER)]), [(1,)])
         database.analyze()
-        result = database.execute("select x from a where x in (select x from b)")
+        result = database.connect().execute(
+            "select x from a where x in (select x from b)"
+        )
         assert result.rows == [(1,)]
 
     def test_subquery_with_aggregation(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept in "
             "(select dept from emp group by dept having count(*) > 19)"
         )
         assert len(result.rows) == 100  # every dept has exactly 20 members
 
     def test_subquery_combined_with_other_predicates(self, db):
-        result = db.execute(
+        result = db.connect().execute(
             "select id from emp where dept in (select id from dept) "
             "and salary > 5000"
         )
@@ -98,16 +100,16 @@ class TestInSubquery:
         assert sorted(r[0] for r in result.rows) == expected
 
     def test_monitored_query_with_subplan(self, db):
-        monitored = db.execute_with_progress(
+        monitored = db.connect().submit(
             "select id from emp where dept in (select id from dept)",
             keep_rows=True,
-        )
+        ).monitored()
         assert len(monitored.result.rows) == 80
         assert monitored.log.final().percent_done == pytest.approx(100.0)
 
     def test_subplan_charges_time(self, db):
         before = db.clock.now
-        db.execute("select id from emp where dept in (select id from dept)")
+        db.connect().execute("select id from emp where dept in (select id from dept)")
         assert db.clock.now > before
 
 
@@ -140,5 +142,7 @@ class TestInSubqueryBinding:
             "b", Schema([Column("s", string(5))]), [("y",), ("z",)]
         )
         database.analyze()
-        result = database.execute("select s from a where s in (select s from b)")
+        result = database.connect().execute(
+            "select s from a where s in (select s from b)"
+        )
         assert result.rows == [("y",)]

@@ -71,7 +71,7 @@ class TestUpdate:
         txn.update("accounts", {"balance": lambda row: -1.0},
                    where=lambda row: row[0] == 3)
         txn.commit()
-        result = db.execute("select balance from accounts where id = 3")
+        result = db.connect().execute("select balance from accounts where id = 3")
         assert result.rows == [(-1.0,)]
 
 
@@ -88,7 +88,7 @@ class TestDelete:
         txn = Transaction(db)
         assert txn.delete("accounts") == 500
         txn.commit()
-        assert db.execute("select id from accounts").rows == []
+        assert db.connect().execute("select id from accounts").rows == []
 
     def test_total_bytes_shrink(self, db):
         before = db.catalog.get_table("accounts").heap.total_bytes
@@ -188,5 +188,5 @@ class TestLifecycle:
         txn.delete("accounts", where=lambda row: row[0] < 10)
         txn.commit()
         db.analyze("accounts")
-        result = db.execute("select count(*) from accounts")
+        result = db.connect().execute("select count(*) from accounts")
         assert result.rows == [(490,)]
