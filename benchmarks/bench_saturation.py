@@ -31,6 +31,11 @@ exactly once (counted via a wrapped ``on_retire``), ends in exactly one
 terminal state with a finalized indicator and monotone progress reports,
 and the shared engine state (buffer pins, temp files, per-tenant
 accounting) settles to zero.
+
+Not a duplicate of ``benchmarks/e2e``: only this bench compares shedding
+on against off at 100/1k/10k and runs the retire-exactly-once audit; the
+gated real-time number for the flood is ``queries_per_s`` on
+``service_flood`` (``qps_real`` here is advisory).
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ unchanged: the initial cost estimate is identical (cost in U does not
 depend on caching), the estimate still ramps to the same exact value, and
 the remaining-time estimate still converges — the speed monitor simply
 observes a higher U/s.
+
+Not a duplicate of ``benchmarks/e2e``: this is warm-vs-cold in *virtual*
+seconds for EXPERIMENTS A7; the gated real-time cost of a cold pool is
+``storage.cold_ratio`` there.
 """
 
 from __future__ import annotations

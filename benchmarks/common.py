@@ -7,24 +7,18 @@ harness cost), prints the figure series, and writes the rendered text to
 capture.
 
 Alongside the rendered text, every bench persists a machine-readable
-JSON document (schema ``repro.bench/2``) to ``benchmarks/results/
+JSON document (schema ``repro.bench/1``) to ``benchmarks/results/
 <name>.json`` via :func:`write_bench_json`, so figure series and summary
 scalars can be diffed, plotted, and trended across PRs without re-parsing
 the text tables:
 
-    {"schema": "repro.bench/2", "bench": "<name>",
-     "real_time_s": 1.23,                  # wall-clock run time (or null)
+    {"schema": "repro.bench/1", "bench": "<name>",
      "scalars": {...},                     # flat summary numbers
      "series": {"label": [[t, v], ...]},   # the figure's time series
      "meta": {...}}                        # free-form run parameters
 
-Schema history: ``repro.bench/2`` added the top-level ``real_time_s``
-field — the *real* (wall-clock) duration of the experiment function, as
-opposed to the virtual-clock durations everything under ``scalars``
-reports.  It exists so engine-level real-time work (see
-``benchmarks/PERF_SHEET.md``) can be trended from the same documents.
-:func:`read_bench_json` still reads ``repro.bench/1`` files, surfacing
-``real_time_s`` as None.
+Everything in these documents is virtual time, a pure function of the
+seed; real (wall-clock) time is measured only by ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
@@ -32,16 +26,11 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-import time
 from typing import Any, Optional
 
 from repro.config import SystemConfig
 
-BENCH_SCHEMA = "repro.bench/2"
-
-#: Schemas :func:`read_bench_json` accepts; older ones are upgraded
-#: in-memory (missing fields filled with None).
-_READABLE_SCHEMAS = ("repro.bench/1", "repro.bench/2")
+BENCH_SCHEMA = "repro.bench/1"
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -55,20 +44,9 @@ def experiment_config() -> SystemConfig:
     return SystemConfig(work_mem_pages=24)
 
 
-#: Wall-clock seconds of the most recent :func:`run_once` call, consumed
-#: as the default ``real_time_s`` by :func:`write_bench_json` so every
-#: bench records its real duration without threading a timer through.
-_last_real_time: Optional[float] = None
-
-
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
-    global _last_real_time
-    start = time.perf_counter()
-    try:
-        return benchmark.pedantic(fn, rounds=1, iterations=1)
-    finally:
-        _last_real_time = time.perf_counter() - start
+    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def _jsonable(value: Any) -> Any:
@@ -88,24 +66,15 @@ def write_bench_json(
     series: Optional[dict[str, Any]] = None,
     scalars: Optional[dict[str, Any]] = None,
     meta: Optional[dict[str, Any]] = None,
-    real_time_s: Optional[float] = None,
 ) -> pathlib.Path:
     """Persist one bench's machine-readable result document.
 
     ``series`` maps a label to ``[(t, value), ...]`` points (values may be
     None); ``scalars`` holds flat summary numbers; ``meta`` records run
-    parameters.  ``real_time_s`` is the wall-clock duration of the
-    experiment; when omitted it defaults to the most recent
-    :func:`run_once` timing (None if no run happened in this process).
-    Non-finite floats serialize as ``null`` so the files stay strict JSON.
+    parameters.  Non-finite floats serialize as ``null`` so the files stay
+    strict JSON.
     """
-    if real_time_s is None:
-        real_time_s = _last_real_time
-    doc: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "bench": name,
-        "real_time_s": _jsonable(real_time_s),
-    }
+    doc: dict[str, Any] = {"schema": BENCH_SCHEMA, "bench": name}
     if meta:
         doc["meta"] = _jsonable(meta)
     if scalars:
@@ -121,25 +90,6 @@ def write_bench_json(
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
-
-
-def read_bench_json(path) -> dict[str, Any]:
-    """Read a bench result document, upgrading older schemas in-memory.
-
-    Accepts any schema in :data:`_READABLE_SCHEMAS`; documents written
-    before ``repro.bench/2`` gain ``real_time_s: None``.  Unknown schemas
-    raise ``ValueError`` rather than silently misreading future formats.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema not in _READABLE_SCHEMAS:
-        raise ValueError(
-            f"{path}: unknown bench schema {schema!r} "
-            f"(readable: {', '.join(_READABLE_SCHEMAS)})"
-        )
-    doc.setdefault("real_time_s", None)
-    return doc
 
 
 def experiment_series(result) -> dict[str, Any]:

@@ -11,7 +11,6 @@ Run:  python examples/concurrent_queries.py
 """
 
 from repro.config import SystemConfig
-from repro.core.loadmgmt import MonitoredQuery, choose_victims, most_remaining_work
 from repro.workloads import queries, tpcr
 
 
@@ -33,26 +32,25 @@ def main() -> None:
             break
 
     print(f"t={db.clock.now:7.1f}s  DBA checks the running queries:")
-    pool = [
-        MonitoredQuery(name, h.progress())
-        for name, h in handles.items()
-        if not h.done
-    ]
-    for q in pool:
-        remaining = q.report.est_remaining_seconds
+    running = {
+        name: h.progress() for name, h in handles.items() if not h.done
+    }
+    for name, report in running.items():
+        remaining = report.est_remaining_seconds
         print(
-            f"   {q.name:<5} {q.report.percent_done:5.1f}% done, "
+            f"   {name:<5} {report.percent_done:5.1f}% done, "
             f"~{remaining:7.1f}s left" if remaining is not None else
-            f"   {q.name:<5} {q.report.percent_done:5.1f}% done (warming up)"
+            f"   {name:<5} {report.percent_done:5.1f}% done (warming up)"
         )
 
-    victims = choose_victims(pool, 1, policy=most_remaining_work)
-    if victims:
-        victim = victims[0].name
+    victim = max(
+        running,
+        key=lambda n: running[n].est_cost_pages - running[n].done_pages,
+        default=None,
+    )
+    if victim is not None:
         print(f"\n   -> blocking {victim!r} (most remaining work)\n")
         session.scheduler.suspend(victim)
-    else:
-        victim = None
 
     # Run until every unblocked query completes.
     while session.step() is not None:

@@ -8,18 +8,12 @@ Two of the paper's proposed uses of progress indicators beyond the UI:
    running under heavy interference.
 2. **Load management** — "a progress indicator can help the DBA choose
    which queries to block."  We monitor several queries, collect their
-   latest reports, and rank blocking victims under different policies.
+   latest reports, and rank blocking victims under two policies.
 
 Run:  python examples/dba_triggers.py
 """
 
 from repro.config import SystemConfig
-from repro.core.loadmgmt import (
-    MonitoredQuery,
-    choose_victims,
-    least_progress,
-    longest_remaining,
-)
 from repro.core.triggers import (
     ProgressTrigger,
     TriggerSet,
@@ -73,28 +67,34 @@ def demo_triggers() -> None:
 
 def demo_load_management() -> None:
     print("=== 2. Choosing queries to block ===\n")
-    pool: list[MonitoredQuery] = []
+    pool = {}
     for name, sql in [("Q1", queries.Q1), ("Q2", queries.Q2), ("Q5", queries.Q5)]:
         db = tpcr.build_database(scale=0.005, config=SystemConfig(work_mem_pages=24))
         handle = db.connect().submit(sql, name=name, keep_rows=False)
         handle.result()
         # Take each query's report from one third of the way through its
         # life — a snapshot of "currently running" state.
-        snapshot = handle.log.at(handle.log.total_elapsed / 3)
-        pool.append(MonitoredQuery(name, snapshot))
+        pool[name] = handle.log.at(handle.log.total_elapsed / 3)
 
     print(f"  {'query':<6} {'done %':>8} {'est. remaining (s)':>20}")
-    for q in pool:
-        remaining = q.report.est_remaining_seconds
+    for name, report in pool.items():
+        remaining = report.est_remaining_seconds
         print(
-            f"  {q.name:<6} {q.report.percent_done:>8.1f} "
+            f"  {name:<6} {report.percent_done:>8.1f} "
             f"{remaining if remaining is None else round(remaining, 1):>20}"
         )
 
-    by_remaining = choose_victims(pool, 1, policy=longest_remaining)
-    by_progress = choose_victims(pool, 1, policy=least_progress, protect={"Q2"})
-    print(f"\n  block by longest-remaining     : {by_remaining[0].name}")
-    print(f"  block by least-progress (Q2 protected): {by_progress[0].name}")
+    def remaining(name):  # no estimate yet counts as the longest
+        estimate = pool[name].est_remaining_seconds
+        return float("inf") if estimate is None else estimate
+
+    by_remaining = max(pool, key=remaining)
+    # Q2 is the query the DBA wants to speed up: never a victim.
+    by_progress = min(
+        (n for n in pool if n != "Q2"), key=lambda n: pool[n].fraction_done
+    )
+    print(f"\n  block by longest-remaining     : {by_remaining}")
+    print(f"  block by least-progress (Q2 protected): {by_progress}")
 
 
 if __name__ == "__main__":

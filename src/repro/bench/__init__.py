@@ -16,15 +16,10 @@ from repro.bench.metrics import (
     series_min,
     value_near,
 )
-from repro.bench.perf import PERF_CASES, PerfCase, SuiteResult, run_suite
 
 __all__ = [
     "run_experiment",
     "ExperimentResult",
-    "PerfCase",
-    "PERF_CASES",
-    "SuiteResult",
-    "run_suite",
     "render_series",
     "render_table",
     "mean_abs_error",

@@ -80,9 +80,9 @@ def run_experiment(
     cold, the load profile models any concurrent job, and the indicator's
     outputs are stored for post-processing.
 
-    Tracing follows ``ProgressConfig.trace_enabled`` / ``REPRO_TRACE``;
-    when ``REPRO_TRACE`` names a directory, the recorded trace is also
-    exported there as ``<name>.trace.jsonl`` + ``<name>.trace.json``.
+    Tracing follows ``REPRO_TRACE``; when it names a directory, the
+    recorded trace is also exported there as ``<name>.trace.jsonl`` +
+    ``<name>.trace.json``.
     """
     db.restart()
     if load is not None:

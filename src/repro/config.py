@@ -89,9 +89,6 @@ class ProgressConfig:
     update_interval: float = 10.0
     #: Length T of the sliding window used to estimate current speed.
     speed_window: float = 10.0
-    #: Granularity at which cumulative work samples are recorded for the
-    #: speed window.  Must divide ``speed_window`` evenly for exact windows.
-    speed_sample_interval: float = 1.0
     #: Simulated seconds of processing the indicator "watches" before it is
     #: willing to produce its first remaining-time estimate (Section 4.1).
     warmup: float = 2.0
@@ -99,8 +96,6 @@ class ProgressConfig:
     #: (the exponentially-decaying average suggested as future work in
     #: Section 4.6), or "global" (whole-history mean; ablation baseline).
     speed_estimator: str = "window"
-    #: Decay factor per sample for the "decay" estimator.
-    decay_alpha: float = 0.3
     #: Which registered progress estimator runs each query: "paper" (the
     #: default §4.5 blend), "dne", "tgn", "history", any name added via
     #: :func:`repro.estimators.register_estimator`, or "ensemble" (race
@@ -133,14 +128,6 @@ class ProgressConfig:
     #: (flushing is clock-silent), so any value produces bit-identical
     #: results; 1 degenerates to row-at-a-time transport.
     batch_rows: int = 256
-    #: Structured tracing (repro.obs): when True, every monitored run
-    #: records typed TraceBus events (segment spans, refinement
-    #: provenance, speed samples, page counters).  Off by default — the
-    #: disabled path is a single ``is not None`` test per call site.  The
-    #: REPRO_TRACE environment variable overrides this: "1"/"on" enables,
-    #: "0"/"off" disables, and any other value enables tracing *and*
-    #: names the directory where trace artifacts are written.
-    trace_enabled: bool = False
 
 
 @dataclass(frozen=True)
@@ -172,23 +159,11 @@ class ServiceConfig:
     #: (``tenant_throttled``).  ``None`` = unlimited.  Per-tenant
     #: overrides via :meth:`repro.service.QueryService.register_tenant`.
     tenant_cost_budget_pages: Optional[float] = None
-    #: Fair-share weight assigned to tenants never explicitly registered.
-    default_tenant_weight: float = 1.0
     #: Whether the load-shedding policy loop acts on deadline-bearing
     #: queries (deprioritize, then evict).  Off, the watchdog alone
     #: enforces deadlines — queries die *at* the deadline instead of
     #: being evicted early once predicted to miss it.
     shedding: bool = False
-    #: A query is *flagged* when its predicted overrun — (now + estimated
-    #: remaining) − deadline — exceeds this fraction of its total
-    #: deadline budget (deadline − first slice) ...
-    shed_overrun_fraction: float = 0.10
-    #: ... and recovers (strikes reset, demotions lifted) only when the
-    #: overrun drops below this fraction.  The band between the two is
-    #: the hysteresis dead zone: estimator noise oscillating inside it
-    #: changes nothing (König et al.: estimate error is worst exactly
-    #: when these decisions matter, so single-sample actions are banned).
-    shed_recover_fraction: float = 0.0
     #: Consecutive flagged policy checks before the query is demoted
     #: (its effective fair-share weight halves per demotion).
     deprioritize_after: int = 1

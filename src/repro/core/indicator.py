@@ -79,6 +79,13 @@ from repro.obs.events import SegmentTrace as _SegmentTrace
 from repro.planner.optimizer import PlannedQuery
 from repro.sim.clock import VirtualClock
 
+#: Virtual seconds between cumulative-work samples fed to the speed
+#: estimator.  Divides the default ``speed_window`` evenly, which exact
+#: windows need.
+SPEED_SAMPLE_INTERVAL = 1.0
+#: Decay factor per sample of the "decay" speed estimator.
+DECAY_ALPHA = 0.3
+
 
 class ProgressIndicator:
     """Monitors one query execution on a virtual clock."""
@@ -125,7 +132,7 @@ class ProgressIndicator:
         self._speed = make_speed_estimator(
             self._progress_cfg.speed_estimator,
             self._progress_cfg.speed_window,
-            self._progress_cfg.decay_alpha,
+            DECAY_ALPHA,
         )
         #: The optimizer's initial total cost, in U (pages) — what a trivial
         #: optimizer-based indicator would use for its whole life.
@@ -172,9 +179,10 @@ class ProgressIndicator:
                 )
             )
 
-        interval = self._progress_cfg.speed_sample_interval
         self._speed.record(clock.now, 0.0)
-        self._speed_ticker = clock.add_ticker(interval, self._sample_speed)
+        self._speed_ticker = clock.add_ticker(
+            SPEED_SAMPLE_INTERVAL, self._sample_speed
+        )
         self._report_ticker = clock.add_ticker(
             self._progress_cfg.update_interval, self._sample_report
         )
@@ -198,8 +206,7 @@ class ProgressIndicator:
             self._speed.record(t, done_pages)
             if self._trace is not None:
                 self._trace.emit(TickerFired(
-                    t=t, name="speed",
-                    interval=self._progress_cfg.speed_sample_interval,
+                    t=t, name="speed", interval=SPEED_SAMPLE_INTERVAL,
                 ))
                 self._trace.emit(SpeedSampled(t=t, cumulative_pages=done_pages))
                 self._trace.emit(SpeedEstimated(

@@ -14,19 +14,18 @@ The subsystem explains every estimate the progress indicator emits:
 * A CLI — ``python -m repro.obs {trace,audit,metrics}``.
 
 Tracing is **opt-in**: pass ``trace=True`` (or a ``TraceBus``) to
-``Session.submit``, set ``ProgressConfig.trace_enabled``, or export
-``REPRO_TRACE``.  Disabled (the default), every instrumented call site
-costs one ``is not None`` test — ``benchmarks/bench_overhead.py`` keeps
-that claim measured.
+``Session.submit``, or export ``REPRO_TRACE``.  Disabled (the default),
+every instrumented call site costs one ``is not None`` test — the
+``obs.trace_ratio`` row of ``benchmarks/e2e/`` keeps the enabled cost
+measured.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from repro.config import SystemConfig
 from repro.obs.audit import AuditRow, AuditSummary, audit_events, render_audit
 from repro.obs.bus import SealedTrace, TraceBus
 from repro.obs.exporters import (
@@ -49,12 +48,20 @@ _OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
 _ON_VALUES = frozenset({"1", "on", "true", "yes"})
 
 
-def resolve_trace_enabled(config: Optional[SystemConfig] = None) -> bool:
-    """Is tracing on?  ``REPRO_TRACE`` overrides the config flag."""
+def resolve_trace_enabled() -> bool:
+    """Is tracing on by default?  Only when ``REPRO_TRACE`` says so."""
     env = os.environ.get("REPRO_TRACE")
-    if env is None:
-        return bool(config is not None and config.progress.trace_enabled)
-    return env.strip().lower() not in _OFF_VALUES
+    return env is not None and env.strip().lower() not in _OFF_VALUES
+
+
+def resolve_trace(trace: Union[None, bool, TraceBus]) -> Optional[TraceBus]:
+    """The bus a ``trace=`` argument selects: the given :class:`TraceBus`,
+    a fresh one for True, none for False, ``REPRO_TRACE``'s say for None."""
+    if isinstance(trace, TraceBus):
+        return trace
+    if trace is None:
+        trace = resolve_trace_enabled()
+    return TraceBus() if trace else None
 
 
 def trace_artifact_dir() -> Optional[Path]:

@@ -6,7 +6,8 @@ Design constraints, in order:
    means *no bus object exists*: every instrumented call site is written
    ``if trace is not None: trace.emit(...)``, so the disabled path is one
    attribute load and an identity test — no event construction, no
-   indirection.  ``bench_overhead.py`` measures this.
+   indirection.  ``obs.trace_ratio`` in ``benchmarks/e2e/`` measures
+   the enabled cost.
 2. **Virtual time only.**  Events are stamped by their emitters with the
    virtual-clock instant they describe; the bus enforces that the stream
    is non-decreasing in ``t`` (a wall-clock read sneaking in would break

@@ -55,6 +55,7 @@ from repro.errors import ProgressError, QueryShedError, QueryTimeoutError
 from repro.executor.base import PULSE, ExecContext
 from repro.executor.batch import Batch
 from repro.executor.runtime import QueryResult, execute
+from repro.obs import resolve_trace
 from repro.obs.bus import TraceBus
 from repro.planner.optimizer import PlannedQuery
 from repro.sched.policy import SchedulingPolicy, make_policy
@@ -68,6 +69,7 @@ from repro.sched.task import (
     TIMED_OUT,
     QueryTask,
     SliceRecord,
+    next_task_name,
 )
 
 #: Default slice budget: pages of U per slice.
@@ -148,11 +150,11 @@ class CooperativeScheduler:
             sql = query
             planned = self.db.prepare(sql)
         if name is None:
-            name = f"q{len(self.tasks) + 1}"
+            name = next_task_name(self.tasks)
         if name in self.tasks:
             raise ProgressError(f"task {name!r} already submitted")
 
-        bus = self._resolve_trace(trace)
+        bus = resolve_trace(trace)
         indicator: Optional[ProgressIndicator] = None
         if monitor:
             indicator = ProgressIndicator(
@@ -187,19 +189,6 @@ class CooperativeScheduler:
         self.tasks[name] = task
         self._active[name] = task
         return task
-
-    def _resolve_trace(
-        self, trace: Union[None, bool, TraceBus]
-    ) -> Optional[TraceBus]:
-        if isinstance(trace, TraceBus):
-            return trace
-        if trace is True:
-            return TraceBus()
-        if trace is False:
-            return None
-        from repro.obs import resolve_trace_enabled
-
-        return TraceBus() if resolve_trace_enabled(self.db.config) else None
 
     # ------------------------------------------------------------------
     # driving

@@ -9,7 +9,7 @@ virtual-clock instants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Collection, Iterator, Optional
 
 from repro.core.history import ProgressLog
 from repro.core.indicator import ProgressIndicator
@@ -32,6 +32,15 @@ SHED = "shed"             #: evicted by the service's load-shedding policy
 RUNNABLE_STATES = frozenset({PENDING, SUSPENDED})
 #: Terminal states — every task ends in exactly one of these.
 DONE_STATES = frozenset({FINISHED, CANCELLED, FAILED, TIMED_OUT, SHED})
+
+
+def next_task_name(taken: Collection[str]) -> str:
+    """Default name for the next submission: ``q<len + 1>``, or the next
+    ``q<n>`` after it that an explicit ``name=`` has not already used."""
+    n = len(taken) + 1
+    while f"q{n}" in taken:
+        n += 1
+    return f"q{n}"
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,19 @@ from repro.core.segments import initial_total_cost_bytes, planned_segments
 from repro.database import Database
 from repro.errors import AdmissionRejectedError, ProgressError
 from repro.executor.runtime import QueryResult
+from repro.obs import resolve_trace
 from repro.obs.bus import SealedTrace, TraceBus
 from repro.obs.events import AdmissionDecided, TenantThrottled
 from repro.planner.optimizer import PlannedQuery
 from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES, CooperativeScheduler
-from repro.sched.task import CANCELLED, FAILED, SHED, TIMED_OUT, QueryTask
+from repro.sched.task import (
+    CANCELLED,
+    FAILED,
+    SHED,
+    TIMED_OUT,
+    QueryTask,
+    next_task_name,
+)
 from repro.service.admission import (
     ADMISSION_REJECTED,
     ADMITTED,
@@ -195,7 +203,6 @@ class QueryService:
         )
         self.scheduler.on_retire = self._on_retire
         self.tenants = TenantRegistry(
-            default_weight=self.config.default_tenant_weight,
             default_cost_budget_pages=self.config.tenant_cost_budget_pages,
         )
         self.admission = AdmissionController(self.config)
@@ -206,7 +213,7 @@ class QueryService:
         self.queue: deque[_Pending] = deque()
         #: Service-level trace stream: admission / throttle decisions.
         #: (Per-query events land in each task's own bus, as always.)
-        self.trace = self._resolve_trace(trace)
+        self.trace = resolve_trace(trace)
         #: Lifecycle tallies across all submissions.
         self.counters: dict[str, int] = {
             "submitted": 0,
@@ -223,19 +230,6 @@ class QueryService:
         self._handles: dict[str, ServiceHandle] = {}
         self._inflight = 0
         self._page_size = db.config.page_size
-
-    def _resolve_trace(
-        self, trace: Union[None, bool, TraceBus]
-    ) -> Optional[TraceBus]:
-        if isinstance(trace, TraceBus):
-            return trace
-        if trace is True:
-            return TraceBus()
-        if trace is False:
-            return None
-        from repro.obs import resolve_trace_enabled
-
-        return TraceBus() if resolve_trace_enabled(self.db.config) else None
 
     # ------------------------------------------------------------------
     # tenants
@@ -303,7 +297,7 @@ class QueryService:
             sql = query
             planned = self.db.prepare(sql)
         if name is None:
-            name = f"q{len(self._handles) + 1}"
+            name = next_task_name(self._handles)
         if name in self._handles:
             raise ProgressError(f"task {name!r} already submitted")
 

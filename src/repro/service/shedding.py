@@ -14,10 +14,10 @@ Robust-to-its-own-inputs, because estimator error is worst exactly under
 the contention that triggers shedding (König et al., PAPERS.md):
 
 * **Hysteresis** — one bad estimate does nothing.  A query is flagged
-  only while its predicted overrun exceeds ``shed_overrun_fraction`` of
-  its deadline budget, needs ``shed_after`` consecutive flagged checks
+  only while its predicted overrun exceeds :data:`SHED_OVERRUN_FRACTION`
+  of its deadline budget, needs ``shed_after`` consecutive flagged checks
   to be evicted, and recovers (strikes cleared, demotion lifted) only
-  when the overrun falls below ``shed_recover_fraction`` — estimates
+  when the overrun falls below :data:`SHED_RECOVER_FRACTION` — estimates
   oscillating in the band between the two thresholds change nothing.
 * **Degrade, don't die** — when the indicator reports ``degraded=True``
   (or has no remaining-time estimate yet), the policy falls back to the
@@ -39,6 +39,17 @@ from repro.sched.task import QueryTask
 KEEP = "keep"
 DEPRIORITIZE = "deprioritize"
 EVICT = "evict"
+
+#: A query is *flagged* when its predicted overrun — (now + estimated
+#: remaining) − deadline — exceeds this fraction of its total deadline
+#: budget (deadline − first slice) ...
+SHED_OVERRUN_FRACTION = 0.10
+#: ... and recovers (strikes reset, demotions lifted) only when the
+#: overrun drops below this fraction.  The band between the two is the
+#: hysteresis dead zone: estimator noise oscillating inside it changes
+#: nothing (König et al.: estimate error is worst exactly when these
+#: decisions matter, so single-sample actions are banned).
+SHED_RECOVER_FRACTION = 0.0
 
 
 @dataclass
@@ -135,9 +146,9 @@ class SheddingPolicy:
         budget = max(task.deadline - started, 1e-9)
         overrun = (now + remaining) - task.deadline
 
-        if overrun > cfg.shed_overrun_fraction * budget:
+        if overrun > SHED_OVERRUN_FRACTION * budget:
             state.strikes += 1
-        elif overrun < cfg.shed_recover_fraction * budget:
+        elif overrun < SHED_RECOVER_FRACTION * budget:
             state.strikes = 0
             if state.demoted:  # recovery lifts the demotion
                 state.demoted = False

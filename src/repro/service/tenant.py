@@ -19,6 +19,9 @@ from typing import Iterator, Optional
 
 from repro.errors import ProgressError
 
+#: Fair-share weight of tenants never explicitly registered.
+DEFAULT_TENANT_WEIGHT = 1.0
+
 
 @dataclass
 class Tenant:
@@ -27,7 +30,7 @@ class Tenant:
     name: str
     #: Fair-share weight: under the ``weighted_fair`` policy, backlogged
     #: tenants converge to U shares proportional to their weights.
-    weight: float = 1.0
+    weight: float = DEFAULT_TENANT_WEIGHT
     #: Admission budget: max summed *predicted* cost (U pages) of this
     #: tenant's concurrently admitted queries; ``None`` = unlimited.
     cost_budget_pages: Optional[float] = None
@@ -57,7 +60,6 @@ class Tenant:
 class TenantRegistry:
     """Name -> :class:`Tenant`, auto-creating with configured defaults."""
 
-    default_weight: float = 1.0
     default_cost_budget_pages: Optional[float] = None
     _tenants: dict[str, Tenant] = field(default_factory=dict)
 
@@ -72,7 +74,7 @@ class TenantRegistry:
         if tenant is None:
             tenant = Tenant(
                 name=name,
-                weight=self.default_weight if weight is None else weight,
+                weight=DEFAULT_TENANT_WEIGHT if weight is None else weight,
                 cost_budget_pages=(
                     self.default_cost_budget_pages
                     if cost_budget_pages is None
@@ -97,7 +99,6 @@ class TenantRegistry:
         if tenant is None:
             tenant = Tenant(
                 name=name,
-                weight=self.default_weight,
                 cost_budget_pages=self.default_cost_budget_pages,
             )
             self._tenants[name] = tenant

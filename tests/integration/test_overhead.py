@@ -8,8 +8,8 @@ claim splits in two:
   monitored and unmonitored runs take identical simulated seconds and do
   identical I/O.
 * **Real (host) time**: counting is a few float additions per tuple; the
-  pytest-benchmark suite (benchmarks/bench_overhead.py) measures that
-  wall-clock cost.
+  repo benchmark (``benchmarks/e2e/``: ``monitor_ratio``,
+  ``obs.trace_ratio``) measures that wall-clock cost.
 """
 
 import pytest

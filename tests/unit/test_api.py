@@ -61,6 +61,11 @@ class TestSession:
         handle = db.connect().submit(planned, name="prep")
         assert handle.result().rows[0][0] > 0
 
+    def test_auto_name_skips_an_explicitly_taken_name(self):
+        session = _db().connect()
+        session.submit("select count(*) from orders", name="q2")
+        assert session.submit("select count(*) from orders").name == "q3"
+
     def test_execute_convenience_is_unmonitored(self):
         session = _db().connect()
         result = session.execute("select count(*) from orders")

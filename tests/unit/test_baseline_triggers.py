@@ -1,4 +1,4 @@
-"""Unit tests for baselines, triggers, load management and rollback."""
+"""Unit tests for baselines, triggers and rollback."""
 
 import pytest
 
@@ -8,14 +8,6 @@ from repro.core.baseline import (
     actual_remaining_series,
     closer_to_actual,
     optimizer_remaining_series,
-)
-from repro.core.loadmgmt import (
-    MonitoredQuery,
-    choose_victims,
-    least_progress,
-    longest_remaining,
-    most_remaining_work,
-    nearly_done,
 )
 from repro.core.report import ProgressReport
 from repro.core.rollback import RollbackMonitor
@@ -136,39 +128,6 @@ class TestTriggers:
         )
         triggers(report(fraction=0.1, speed=1.0))
         assert fired == ["a", "b"]
-
-
-class TestLoadManagement:
-    def _pool(self):
-        return [
-            MonitoredQuery("fast", report(remaining=10.0, fraction=0.9)),
-            MonitoredQuery("slow", report(remaining=5000.0, fraction=0.1)),
-            MonitoredQuery("mid", report(remaining=300.0, fraction=0.5)),
-        ]
-
-    def test_longest_remaining_policy(self):
-        victims = choose_victims(self._pool(), 1, policy=longest_remaining)
-        assert victims[0].name == "slow"
-
-    def test_least_progress_policy(self):
-        victims = choose_victims(self._pool(), 2, policy=least_progress)
-        assert [v.name for v in victims] == ["slow", "mid"]
-
-    def test_most_remaining_work_policy(self):
-        pool = self._pool()
-        victims = choose_victims(pool, 1, policy=most_remaining_work)
-        assert victims[0].name == "slow"
-
-    def test_protect_excludes(self):
-        victims = choose_victims(self._pool(), 3, protect={"slow"})
-        assert all(v.name != "slow" for v in victims)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            choose_victims(self._pool(), -1)
-
-    def test_nearly_done(self):
-        assert [q.name for q in nearly_done(self._pool())] == ["fast"]
 
 
 class TestRollbackMonitor:

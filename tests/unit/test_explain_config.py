@@ -9,6 +9,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.core.segments import build_segments
+from repro.obs.bus import TraceBus
 from repro.planner.explain import explain
 from repro.workloads import queries, tpcr
 
@@ -104,3 +105,18 @@ class TestConfig:
         # The alias field was removed, not silently ignored.
         with pytest.raises(TypeError):
             SystemConfig().with_progress(refine_mode="paper")
+
+    def test_never_set_knobs_are_gone_and_env_still_enables_tracing(
+        self, monkeypatch
+    ):
+        with pytest.raises(TypeError):
+            SystemConfig().with_progress(trace_enabled=True)
+        with pytest.raises(TypeError):
+            SystemConfig().with_service(shed_overrun_fraction=0.2)
+        db = tpcr.build_database(scale=0.001, subset_rows=20)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        plain = db.connect().submit("select * from customer", keep_rows=False)
+        assert plain.task.trace_bus is None
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        traced = db.connect().submit("select * from customer", keep_rows=False)
+        assert isinstance(traced.task.trace_bus, TraceBus)

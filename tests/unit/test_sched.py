@@ -77,6 +77,11 @@ class TestScheduling:
         t2 = sched.submit(queries.Q2, keep_rows=False)
         assert (t1.name, t2.name) == ("q1", "q2")
 
+    def test_auto_name_skips_an_explicitly_taken_name(self):
+        sched = CooperativeScheduler(_db())
+        sched.submit(queries.Q1, name="q2", keep_rows=False)
+        assert sched.submit(queries.Q1, keep_rows=False).name == "q3"
+
     def test_all_tasks_finish_and_interleave(self):
         sched = CooperativeScheduler(_db())
         sched.submit(queries.Q1, name="a", keep_rows=False)
