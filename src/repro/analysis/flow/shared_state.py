@@ -2,8 +2,8 @@
 
 A *shared object* is one that several in-flight queries (or the scheduler
 and a query) observe concurrently in virtual time: the buffer pool, the
-simulated disk, the virtual clock, a trace bus, the catalog, and the
-scheduler's task table.  Each entry names
+simulated disk, the virtual clock, a trace bus, the catalog, the
+scheduler's task table, each query's work tracker.  Each entry names
 
 * the owning class — the only code allowed to store to the object's
   registered attributes (everyone else must go through the owner's
@@ -93,6 +93,12 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         attrs=frozenset({"tasks", "slices", "_seq"}),
         description="the cooperative scheduler's task table and slice log",
     ),
+    SharedObject(
+        cls="repro.executor.work.WorkTracker",
+        aliases=frozenset({"tracker", "_tracker"}),
+        attrs=frozenset({"sync"}),
+        description="a query's work tracker: only its running program sets sync",
+    ),
 )
 
 
@@ -106,9 +112,6 @@ def receiver_type_map() -> dict[str, str]:
     for obj in SHARED_STATE_REGISTRY:
         for alias in obj.aliases:
             out.setdefault(alias, obj.cls)
-    # Not a *shared* object, but a conventional receiver the resolver
-    # benefits from knowing: the per-query work tracker.
-    out.setdefault("tracker", "repro.executor.work.WorkTracker")
     return out
 
 

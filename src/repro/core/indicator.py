@@ -16,8 +16,8 @@ While the query runs, two virtual-clock tickers drive the indicator:
 
 Goals from Section 3: continuously revised estimates (every report
 re-runs the Section 4.5 refinement), acceptable pacing (periodic ticks),
-minimal overhead (counters are a handful of float adds per page/tuple;
-refinement runs only at tick time).
+minimal overhead (the query only counts in its own variables, the indicator
+*pulls* through ``tracker.sync``; refinement runs only at tick time).
 
 With a :class:`repro.obs.bus.TraceBus` attached, the indicator also
 explains itself: every ticker fire, speed sample, refinement snapshot
@@ -202,7 +202,7 @@ class ProgressIndicator:
 
     def _sample_speed(self, t: float) -> None:
         try:
-            done_pages = self.tracker.total_done_bytes / self._page_size
+            done_pages = self.tracker.done_pages(self._page_size)
             self._speed.record(t, done_pages)
             if self._trace is not None:
                 self._trace.emit(TickerFired(
@@ -340,7 +340,7 @@ class ProgressIndicator:
 
     def _record_report(self, t: float, finished: bool) -> ProgressReport:
         """One refinement pass: trace provenance, then build the report."""
-        snapshot = self.estimator.snapshot()
+        snapshot = self.snapshot()
         if self._trace is not None:
             self._emit_refinement(t, snapshot)
         report = self._build_report(t, snapshot, finished)
@@ -483,12 +483,14 @@ class ProgressIndicator:
         """
         t = self._clock.now if at is None else at
         try:
-            return self._build_report(t, self.estimator.snapshot(), finished)
+            return self._build_report(t, self.snapshot(), finished)
         except Exception as exc:  # noqa: REPRO007 - degrade boundary
             return self._degrade(t, finished, phase="report", error=exc)
 
     def snapshot(self) -> EstimateSnapshot:
-        """Expose the raw refinement snapshot (tests, dashboards)."""
+        """The refinement snapshot of the counters as they stand right now."""
+        if self.tracker.sync is not None:
+            self.tracker.sync()
         return self.estimator.snapshot()
 
     def describe_segments(self) -> str:

@@ -17,12 +17,18 @@ engine — same result rows in the same order, the same ProgressLog, the
 same final clock and tracker state.  Because the virtual clock fires
 ticker callbacks (progress reports, speed samples) *inside*
 ``clock.advance``, identity requires preserving the exact ordered
-sequence of charges and the tracker state visible at each one.  The
-compiler therefore follows three rules:
+sequence of charges and the tracker values *a reader sees* at each one.
+The compiler therefore follows four rules:
 
-* every per-row ``clock.advance`` and tracker update is emitted at the
-  same point in the row stream as the volcano operator performs it —
-  never merged, split, or reordered (float addition is not associative);
+* every per-row ``clock.advance`` is emitted at the same point in the
+  row stream as the volcano operator performs it — never merged, split,
+  or reordered (virtual time is a float; float addition is not
+  associative);
+* work accounting is integer arithmetic, so only its value at each
+  observation point matters: row loops count in bare local names at the
+  volcano engine's stream positions, and the nested ``_sync`` installed
+  as ``tracker.sync`` folds those counts in whenever the indicator, the
+  scheduler or a segment end reads — no row loop writes to the tracker;
 * every storage call (buffer-pool page get/pin/unpin, disk read, temp
   write) keeps its exact order, because fault injection draws one RNG
   value per charged I/O;
@@ -43,6 +49,7 @@ row source and fuses everything above it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 from types import CodeType
@@ -266,6 +273,8 @@ class _Compiler:
         }
         self.pre: List[str] = []
         self.body: List[str] = []
+        #: (position in ``body``, lines to splice in there) — see hole().
+        self._holes: List[tuple[int, List[str]]] = []
         self.depth = 1
         #: Embedded volcano operators (merge join) to close with the query.
         self.ops: list = []
@@ -275,15 +284,15 @@ class _Compiler:
         self.temps: List[HeapFile] = []
         self._n = 0
         self._seg_names: dict[int, str] = {}
-        self._seg_list_names: dict[int, tuple[str, str]] = {}
-        self._adv_name: Optional[str] = None
-        self._clk_name: Optional[str] = None
-        self._cch_name: Optional[str] = None
-        self._slow_name: Optional[str] = None
-        self._tracker_name: Optional[str] = None
-        self._start_name: Optional[str] = None
-        self._segfin_name: Optional[str] = None
-        self._trin_name: Optional[str] = None
+        #: The program's tracker state: names shared with ``_sync``; its body.
+        self._cells: List[str] = []
+        self._sync: List[str] = []
+        #: Row variable -> per-slot ``(source row, slot)`` for tuples built
+        #: from slots of other rows (None where a slot is computed).
+        self._origin: dict[str, list] = {}
+        #: Source row -> ``slots -> name`` binding those slots' string-length
+        #: sum once, where the source row is bound (see _emit_width).
+        self._hoist: dict[str, Callable[[List[int]], str]] = {}
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -302,79 +311,64 @@ class _Compiler:
     def line(self, text: str) -> None:
         self.body.append("    " * self.depth + text)
 
+    def hole(self) -> Callable[[str], None]:
+        """Reserve this spot in the body; the result emits a line there later."""
+        lines: List[str] = []
+        pad = "    " * self.depth
+        self._holes.append((len(self.body), lines))
+        return lambda text: lines.append(pad + text)
+
+    def cell(self, hint: str) -> str:
+        """A variable the program shares with its ``_sync`` (starts at 0)."""
+        name = self.fresh(hint)
+        self._cells.append(name)
+        return name
+
     def block(self, header: str) -> "_Block":
         self.line(header)
         return _Block(self)
 
     # cached hot bindings ------------------------------------------------
 
+    @functools.cached_property
     def _adv(self) -> str:
-        if self._adv_name is None:
-            self._adv_name = self.local(self.ctx.clock.advance, "adv")
-        return self._adv_name
+        return self.local(self.ctx.clock.advance, "adv")
 
+    @functools.cached_property
     def _clk(self) -> str:
-        if self._clk_name is None:
-            self._clk_name = self.local(self.ctx.clock, "clk")
-        return self._clk_name
+        return self.local(self.ctx.clock, "clk")
 
+    @functools.cached_property
     def _cch(self) -> str:
         """The clock's ``cost_charged`` dict (mutated in place, never rebound)."""
-        if self._cch_name is None:
-            self._cch_name = self.local(self.ctx.clock.cost_charged, "cch")
-        return self._cch_name
+        return self.local(self.ctx.clock.cost_charged, "cch")
 
+    @functools.cached_property
     def _slow(self) -> str:
-        if self._slow_name is None:
-            self._slow_name = self.local(self.ctx.clock._advance_slow, "slow")
-        return self._slow_name
+        return self.local(self.ctx.clock._advance_slow, "slow")
 
-    def _tr(self) -> str:
-        if self._tracker_name is None:
-            self._tracker_name = self.local(self.tracker, "tr")
-        return self._tracker_name
-
+    @functools.cached_property
     def _tr_start(self) -> str:
-        if self._start_name is None:
-            self._start_name = self.local(self.tracker._start, "trst")
-        return self._start_name
+        return self.local(self.tracker._start, "trst")
 
+    @functools.cached_property
     def _tr_segfin(self) -> str:
-        if self._segfin_name is None:
-            self._segfin_name = self.local(
-                self.tracker.segment_finished, "segfin"
-            )
-        return self._segfin_name
+        return self.local(self.tracker.segment_finished, "segfin")
 
+    @functools.cached_property
     def _tr_input(self) -> str:
         """The bound ``input_rows`` method, for cold per-page call sites."""
-        if self._trin_name is None:
-            self._trin_name = self.local(self.tracker.input_rows, "trin")
-        return self._trin_name
+        return self.local(self.tracker.input_rows, "trin")
 
     def _seg(self, seg_id: int) -> str:
+        """One segment's counters; ``<name>st``: the program saw it started."""
         name = self._seg_names.get(seg_id)
         if name is None:
             name = self._seg_names[seg_id] = self.local(
                 self.tracker.segments[seg_id], f"seg{seg_id}_"
             )
+            self.pre.append(f"{name}st = False")
         return name
-
-    def _seg_lists(self, seg_id: int) -> tuple[str, str]:
-        """Hoisted ``input_rows`` / ``input_bytes`` lists of one segment.
-
-        The lists are mutated in place and never rebound, so per-row code
-        can index hoisted locals instead of re-reading two attributes.
-        """
-        names = self._seg_list_names.get(seg_id)
-        if names is None:
-            seg = self._seg(seg_id)
-            ir = self.fresh(f"seg{seg_id}ir")
-            ib = self.fresh(f"seg{seg_id}ib")
-            self.pre.append(f"{ir} = {seg}.input_rows")
-            self.pre.append(f"{ib} = {seg}.input_bytes")
-            names = self._seg_list_names[seg_id] = (ir, ib)
-        return names
 
     # inlined clock charge (must mirror VirtualClock.advance exactly) ----
 
@@ -395,7 +389,7 @@ class _Compiler:
                 return
             if cost < 0:
                 # Invalid config: keep the real method's ValueError.
-                self.line(f"{self._adv()}({_lit(cost)}, {res})")
+                self.line(f"{self._adv}({_lit(cost)}, {res})")
                 return
             c = _lit(cost)
             guard = False
@@ -406,9 +400,9 @@ class _Compiler:
             c = self.fresh("c")
             self.line(f"{c} = {cost}")
             guard = maybe_zero
-        clk = self._clk()
-        cch = self._cch()
-        slow = self._slow()
+        clk = self._clk
+        cch = self._cch
+        slow = self._slow
         rloc = "_rcpu" if res == "_CPU" else "_rio"
 
         def emit_body() -> None:
@@ -425,36 +419,39 @@ class _Compiler:
         else:
             emit_body()
 
-    # tracker arithmetic, inlined (must mirror WorkTracker exactly) ------
+    # tracker counting: the row loop counts in bare names, ``_sync`` adds
+    # them to the SegmentCounters and zeroes them.  Every count is an
+    # integer, so the fold commutes with the cold call sites that still
+    # push straight into the tracker (per spilled page, per hash table).
 
-    def _emit_input_rows(
-        self, seg_id: int, idx: int, rows_expr: str, bytes_name: str
-    ) -> None:
-        """Inline ``tracker.input_rows(seg_id, idx, rows, bytes)``.
-
-        ``bytes_name`` must be a variable name or literal (it is evaluated
-        three times).  The float additions run in the method's exact
-        order: input_bytes, done_bytes, total_done_bytes.
-        """
+    def _emit_start(self, seg_id: int) -> None:
+        """``tracker._start`` at the segment's first row, as the row engine."""
         seg = self._seg(seg_id)
-        ir, ib = self._seg_lists(seg_id)
-        with self.block(f"if not {seg}.started:"):
-            self.line(f"{self._tr_start()}({seg})")
-        self.line(f"{ir}[{idx}] += {rows_expr}")
-        self.line(f"{ib}[{idx}] += {bytes_name}")
-        self.line(f"{seg}.done_bytes += {bytes_name}")
-        self.line(f"{self._tr()}.total_done_bytes += {bytes_name}")
+        with self.block(f"if not {seg}st:"):
+            self.line(f"{seg}st = True")
+            with self.block(f"if not {seg}.started:"):
+                self.line(f"{self._tr_start}({seg})")
 
-    def _emit_output_rows(self, seg_id: int, bytes_name: str) -> None:
-        """Inline ``tracker.output_rows(seg_id, 1, bytes)``."""
+    def _emit_count(self, seg_id: int, idx: Optional[int], width: "int | str") -> None:
+        """Count one row of ``width`` bytes (a constant int, or source for
+        one) into input ``idx`` of a segment, or its output when None."""
+        self._emit_start(seg_id)
+        rows = self.cell("n")
+        self.line(f"{rows} += 1")
+        zero = f"{rows} = 0"
+        if isinstance(width, int):
+            nbytes = f"{rows} * {width}"
+        else:
+            nbytes = self.cell("b")
+            self.line(f"{nbytes} += {width}")
+            zero = f"{nbytes} = {zero}"
         seg = self._seg(seg_id)
-        with self.block(f"if not {seg}.started:"):
-            self.line(f"{self._tr_start()}({seg})")
-        self.line(f"{seg}.output_rows += 1")
-        self.line(f"{seg}.output_bytes += {bytes_name}")
-        if seg_id != self.tracker.final_segment:
-            self.line(f"{seg}.done_bytes += {bytes_name}")
-            self.line(f"{self._tr()}.total_done_bytes += {bytes_name}")
+        what, sub = ("output", "") if idx is None else ("input", f"[{idx}]")
+        self._sync += [
+            f"{seg}.{what}_rows{sub} += {rows}",
+            f"{seg}.{what}_bytes{sub} += {nbytes}",
+            zero,
+        ]
 
     # batch / pulse plumbing ---------------------------------------------
 
@@ -479,27 +476,83 @@ class _Compiler:
     # width arithmetic ----------------------------------------------------
 
     @staticmethod
-    def _width_parts(types) -> tuple[float, List[int]]:
-        """Split a row shape into (fixed width, variable string slots)."""
-        fixed = float(TUPLE_HEADER_BYTES)
+    def _width_parts(types) -> tuple[int, List[int]]:
+        """Split a row shape into (fixed width, variable string slots).
+
+        A string is one byte plus its length (NULL: the one byte), so the
+        fixed part already holds a byte per string slot.
+        """
+        fixed = TUPLE_HEADER_BYTES
         var_slots: List[int] = []
         for i, t in enumerate(types):
             if isinstance(t, StringType):
                 var_slots.append(i)
+                fixed += 1
             else:
                 fixed += t.width(None)
         return fixed, var_slots
 
-    def _emit_width(self, rowvar: str, fixed: float, var_slots: List[int]) -> str:
-        """Emit the exact row-width computation; return its value's name."""
-        if not var_slots:
-            return _lit(fixed)
-        w = self.fresh("w")
-        self.line(f"{w} = {_lit(fixed)}")
+    @staticmethod
+    def _lens(rowvar: str, slots: List[int]) -> str:
+        """NULL-safe sum of the string lengths in ``slots`` of ``rowvar``."""
+        return " + ".join(f"len({rowvar}[{i}] or '')" for i in slots)
+
+    def _src(self, rowvar: str, slot: int) -> tuple[str, int]:
+        """Where ``rowvar[slot]`` was copied from (a hoistable row at most)."""
+        origin = None if rowvar in self._hoist else self._origin.get(rowvar)
+        return (origin and origin[slot]) or (rowvar, slot)
+
+    def _tuple(self, parts: list) -> str:
+        """Emit a tuple of ``(row, slot)`` picks and computed-value sources."""
+        o = self.fresh("o")
+        self.line(f"{o} = " + _tuple_display(
+            [p if isinstance(p, str) else f"{p[0]}[{p[1]}]" for p in parts]
+        ))
+        self._origin[o] = [
+            None if isinstance(p, str) else self._src(*p) for p in parts
+        ]
+        return o
+
+    @contextlib.contextmanager
+    def _hoisting(self, rowvar: str) -> Iterator[None]:
+        """While the loop about to open is emitted, widths take ``rowvar``'s
+        string lengths from a name bound here: once per row, not per pair."""
+        at = self.hole()
+
+        def bind(slots: List[int]) -> str:
+            name = self.fresh("pw")
+            at(f"{name} = {self._lens(rowvar, slots)}")
+            return name
+
+        outer = self._hoist
+        self._hoist = {**outer, rowvar: bind}
+        yield
+        self._hoist = outer
+
+    def _emit_width(
+        self, rowvar: str, fixed: int, var_slots: List[int], named: bool = False
+    ) -> "int | str":
+        """The exact width of ``rowvar``: ``fixed`` itself when the shape has
+        no strings, else one integer sum (bound to a name when ``named``:
+        the caller uses it twice).  A width is a sum of parts: string
+        lengths are read from the rows the tuple was *built from*, and a
+        source row bound outside the current loop contributes a name bound
+        once out there."""
+        by_src: dict[str, List[int]] = {}
         for i in var_slots:
-            v = self.fresh("v")
-            self.line(f"{v} = {rowvar}[{i}]")
-            self.line(f"{w} += 1.0 if {v} is None else 1.0 + len({v})")
+            src, slot = self._src(rowvar, i)
+            by_src.setdefault(src, []).append(slot)
+        if not by_src:
+            return fixed
+        terms = [
+            self._hoist[src](slots) if src in self._hoist else self._lens(src, slots)
+            for src, slots in by_src.items()
+        ]
+        expr = f"{fixed} + " + " + ".join(terms)
+        if not named:
+            return expr
+        w = self.fresh("w")
+        self.line(f"{w} = {expr}")
         return w
 
     # expression helpers --------------------------------------------------
@@ -510,16 +563,16 @@ class _Compiler:
             return f"{rowvar}[{slots[0]}]"
         return _tuple_display([f"{rowvar}[{s}]" for s in slots])
 
-    def _combine_expr(self, left_cols, right_cols, out_cols, lvar, rvar) -> str:
+    def _combine(self, left_cols, right_cols, out_cols, lvar, rvar) -> str:
+        """Emit a join's output tuple; return its name."""
         left_slots = layout_of(left_cols)
         right_slots = layout_of(right_cols)
-        parts = []
-        for col in out_cols:
-            if col.coordinate in left_slots:
-                parts.append(f"{lvar}[{left_slots[col.coordinate]}]")
-            else:
-                parts.append(f"{rvar}[{right_slots[col.coordinate]}]")
-        return _tuple_display(parts)
+        return self._tuple([
+            (lvar, left_slots[col.coordinate])
+            if col.coordinate in left_slots
+            else (rvar, right_slots[col.coordinate])
+            for col in out_cols
+        ])
 
     # fused expression source ---------------------------------------------
     #
@@ -668,13 +721,23 @@ class _Compiler:
 
     def compile(self, root: PhysicalNode) -> str:
         self._node(root, self._driver)
+        sync: List[str] = []
+        if self._sync:
+            # The program's tracker state and the reader-side fold over it.
+            sync.append(" = ".join(self._cells) + " = 0")
+            sync.append("def _sync():")
+            sync.append("    nonlocal " + ", ".join(self._cells))
+            sync.extend("    " + s for s in self._sync)
+            sync.append(f"{self.local(self.tracker, 'tr')}.sync = _sync")
         lines = ["def _fused_run():"]
         lines.append("    out = []")
         lines.append("    out_append = out.append")
         lines.append("    nout = 0")
         lines.append("    _rcpu = _CPU")
         lines.append("    _rio = _IO")
-        lines.extend("    " + p for p in self.pre)
+        lines.extend("    " + p for p in self.pre + sync)
+        for at, late in reversed(self._holes):  # back to front: positions hold
+            self.body[at:at] = late
         lines.extend(self.body)
         lines.append("    if out:")
         lines.append("        yield _B(out)")
@@ -719,7 +782,7 @@ class _Compiler:
         cost = self.cost
         ref = getattr(node, "pi_input_ref", None)
         monitored = self.tracker is not None and ref is not None
-        per_tuple = ctx.config.progress.scan_granularity != "page"
+        per_row = monitored and ctx.config.progress.scan_granularity != "page"
         handle = node.table.heap.handle
         layout = _scan_layout(node)
         slots = _projector(node)
@@ -734,6 +797,24 @@ class _Compiler:
         rows = self.fresh("rows")
         n = self.fresh("n")
         r = self.fresh("r")
+        if per_row:
+            # The row loop does not count at all: the scan's position is the
+            # open page's list iterator ``it`` (how many of its ``n`` rows are
+            # taken is exact for a list), the page's bytes ``pb``, and whole
+            # pages since the last fold in ``dr``/``db``.  ``_sync`` credits
+            # the k rows taken their integer work.page_share of the page and
+            # books that against the page's end.
+            segv = self._seg(ref[0])
+            self._cells.append(n)
+            it, pb, dr, db = (self.cell(c) for c in ("it", "pb", "dr", "db"))
+            k, share = self.fresh("k"), self.fresh("share")
+            self._sync += [
+                f"{k} = {n} - {it}.__length_hint__() if {it} else 0",
+                f"{share} = {k} * {pb} // {n} if {k} else 0",
+                f"{segv}.input_rows[{ref[1]}] += {dr} + {k}",
+                f"{segv}.input_bytes[{ref[1]}] += {db} + {share}",
+                f"{dr} = -{k}; {db} = -{share}",
+            ]
         with self.block(f"for {pno} in range({handle.num_pages}):"):
             self.line(f"{pg} = {get}({h}, {pno}, sequential=True)")
             self.line(f"{rows} = {pg}.rows")
@@ -746,28 +827,23 @@ class _Compiler:
                     self._emit_advance(
                         f"{_lit(cpu_per_row)} * {n}", "_CPU", maybe_zero=False
                     )
-                if monitored and per_tuple:
-                    prb = self.fresh("prb")
-                    self.line(f"{prb} = {pg}.bytes_used / {n}")
-                if monitored and not per_tuple:
-                    seg, idx = ref
+                if per_row:
+                    self.line(f"{pb} = {pg}.bytes_used")
+                    self._emit_start(ref[0])
+                    self.line(f"{it} = iter({rows})")
+                elif monitored:
                     self.line(
-                        f"{self._tr_input()}({seg}, {idx}, {n}, {pg}.bytes_used)"
+                        f"{self._tr_input}"
+                        f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
                     )
-                with self.block(f"for {r} in {rows}:"):
-                    if monitored and per_tuple:
-                        seg, idx = ref
-                        self._emit_input_rows(seg, idx, "1", prb)
+                with self.block(f"for {r} in {it if per_row else rows}:"):
                     self._emit_predicates(node.filters, layout, r)
                     if slots is None:
                         consume(r)
                     else:
-                        o = self.fresh("o")
-                        self.line(
-                            f"{o} = "
-                            + _tuple_display([f"{r}[{i}]" for i in slots])
-                        )
-                        consume(o)
+                        consume(self._tuple([(r, i) for i in slots]))
+                if per_row:
+                    self.line(f"{dr} += {n}; {db} += {pb}; {it} = 0")
                 self._emit_pulse()
             with self.block("finally:"):
                 self.line(f"{unpin}({h}, {pno})")
@@ -819,19 +895,12 @@ class _Compiler:
                 self.line(f"{r} = {pg}.rows[{slot}]")
                 self._emit_advance(per_row_cpu, "_CPU")
                 if monitored:
-                    seg, idx = ref
-                    b = self.fresh("b")
-                    self.line(f"{b} = {rw}({r})")
-                    self._emit_input_rows(seg, idx, "1", b)
+                    self._emit_count(ref[0], ref[1], f"{rw}({r})")
                 self._emit_predicates(node.filters, layout, r)
                 if slots is None:
                     consume(r)
                 else:
-                    o = self.fresh("o")
-                    self.line(
-                        f"{o} = " + _tuple_display([f"{r}[{i}]" for i in slots])
-                    )
-                    consume(o)
+                    consume(self._tuple([(r, i) for i in slots]))
             with self.block("finally:"):
                 self.line(f"{unpin}({hh}, {pno})")
 
@@ -861,16 +930,7 @@ class _Compiler:
         layout = {c.coordinate: i for i, c in enumerate(node.child.columns)}
         computed = sum(1 for e in node.exprs if not isinstance(e, ColumnExpr))
         per_row = cost.cpu_tuple + computed * cost.cpu_operator
-        # ProjectOp folds its fixed width as header + sum(...) — mirror that
-        # exact float-addition order, not row_width_fn's incremental one.
-        var_slots = [
-            i for i, e in enumerate(node.exprs) if isinstance(e.type, StringType)
-        ]
-        fixed = float(TUPLE_HEADER_BYTES) + sum(
-            e.type.width(None)
-            for e in node.exprs
-            if not isinstance(e.type, StringType)
-        )
+        fixed, var_slots = self._width_parts([e.type for e in node.exprs])
 
         # Expressions fuse into one output tuple display — column
         # references and simple computations become inline source, the
@@ -899,14 +959,15 @@ class _Compiler:
             if identity:
                 o = rowvar
             else:
-                parts = [
-                    part_src(i, e, rowvar) for i, e in enumerate(node.exprs)
-                ]
-                o = self.fresh("o")
-                self.line(f"{o} = " + _tuple_display(parts))
+                o = self._tuple([
+                    (rowvar, layout[e.coordinate])
+                    if isinstance(e, ColumnExpr) and e.coordinate in layout
+                    else part_src(i, e, rowvar)
+                    for i, e in enumerate(node.exprs)
+                ])
             if monitored:
                 w = self._emit_width(o, fixed, var_slots)
-                self._emit_output_rows(segment, w)
+                self._emit_count(segment, None, w)
             consume(o)
 
         self._node(node.child, stage)
@@ -1005,10 +1066,7 @@ class _Compiler:
             self._emit_advance(
                 f"{_lit(per_match)} * len({bkt})", "_CPU", maybe_zero=False
             )
-        combine = self._combine_expr(
-            node.build.columns, node.probe.columns, node.columns, br, rowvar
-        )
-        with self.block(f"for {br} in {bkt}:"):
+        with self._hoisting(rowvar), self.block(f"for {br} in {bkt}:"):
             if node.extra_filters:
                 self._emit_predicates(
                     node.extra_filters,
@@ -1016,9 +1074,9 @@ class _Compiler:
                     None,
                     split=(br, rowvar, len(node.build.columns)),
                 )
-            o = self.fresh("o")
-            self.line(f"{o} = {combine}")
-            consume(o)
+            consume(self._combine(
+                node.build.columns, node.probe.columns, node.columns, br, rowvar
+            ))
 
     def _hash_join_memory(self, node: HashJoinNode, consume) -> None:
         cost = self.cost
@@ -1039,15 +1097,11 @@ class _Compiler:
 
         def build_sink(rowvar: str) -> None:
             self._emit_advance(cost.cpu_hash, "_CPU")
-            w = self._emit_width(rowvar, fixed, var_slots)
-            if not var_slots:
-                wv = self.fresh("w")
-                self.line(f"{wv} = {w}")
-                w = wv
+            w = self._emit_width(rowvar, fixed, var_slots, named=mon_build)
             self.line(f"{trows} += 1")
             self.line(f"{tbytes} += {w}")
             if mon_build:
-                self._emit_output_rows(build_segment, w)
+                self._emit_count(build_segment, None, w)
             self._build_row_update(
                 rowvar,
                 self._key_expr(node.build.columns, node.build_keys, rowvar),
@@ -1057,11 +1111,11 @@ class _Compiler:
 
         self._node(node.build, build_sink)
         if mon_build:
-            self.line(f"{self._tr_segfin()}({build_segment})")
+            self.line(f"{self._tr_segfin}({build_segment})")
         if self.tracker is not None and hash_ref is not None:
             # The probe segment "handles" the hash table once as it starts.
             self.line(
-                f"{self._tr_input()}"
+                f"{self._tr_input}"
                 f"({hash_ref[0]}, {hash_ref[1]}, {trows}, {tbytes})"
             )
 
@@ -1103,14 +1157,14 @@ class _Compiler:
                 self.line(f"{apps}[{b}]({rowvar})")
                 if monitored:
                     w = self._emit_width(rowvar, fixed, var_slots)
-                    self._emit_output_rows(segment, w)
+                    self._emit_count(segment, None, w)
 
             self._node(child, sink)
             p = self.fresh("p")
             with self.block(f"for {p} in {parts}:"):
                 self.line(f"{p}.flush()")
             if monitored:
-                self.line(f"{self._tr_segfin()}({segment})")
+                self.line(f"{self._tr_segfin}({segment})")
             return parts
 
         build_parts = partition(
@@ -1153,7 +1207,7 @@ class _Compiler:
                         )
                 if self.tracker is not None and ref is not None:
                     self.line(
-                        f"{self._tr_input()}"
+                        f"{self._tr_input}"
                         f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
                     )
                 with self.block(f"for {r} in {pg}.rows:"):
@@ -1216,9 +1270,12 @@ class _Compiler:
         self._node(node.inner, inner_sink)
         if self.tracker is not None and inner_ref is not None:
             self.line(
-                f"{self._tr_input()}({inner_ref[0]}, {inner_ref[1]}, "
+                f"{self._tr_input}({inner_ref[0]}, {inner_ref[1]}, "
                 f"len({inner}), {ibytes})"
             )
+        # A consumer that wants string lengths of inner rows gets them from a
+        # list built here, parallel to ``inner``: once per row, not per pair.
+        lens_at = self.hole()
 
         poc = self.fresh("poc")
         rio = self.fresh("rio")
@@ -1236,26 +1293,38 @@ class _Compiler:
         self.line(f"{first} = True")
 
         ir = self.fresh("ir")
-        combine = self._combine_expr(
-            node.outer.columns, node.inner.columns, node.columns, "OUTER", ir
-        )
 
         def outer_stage(rowvar: str) -> None:
             self._emit_advance(poc, "_CPU")
             with self.block(f"if {rio} and not {first}:"):
                 self._emit_advance(rio, "_IO", maybe_zero=False)
             self.line(f"{first} = False")
-            with self.block(f"for {ir} in {inner}:"):
-                if node.predicates:
-                    self._emit_predicates(
-                        node.predicates,
-                        layout,
-                        None,
-                        split=(rowvar, ir, len(node.outer.columns)),
-                    )
-                o = self.fresh("o")
-                self.line(f"{o} = " + combine.replace("OUTER", rowvar))
-                consume(o)
+            with self._hoisting(rowvar):
+                head = self.hole()  # written below, once the loop body has asked
+                zipped = [(ir, inner)]
+
+                def inner_lens(slots: List[int]) -> str:
+                    iw, pw = self.fresh("iw"), self.fresh("pw")
+                    lens_at(f"{iw} = [{self._lens('_r', slots)} for _r in {inner}]")
+                    zipped.append((pw, iw))
+                    return pw
+
+                self._hoist[ir] = inner_lens
+                with _Block(self):
+                    if node.predicates:
+                        self._emit_predicates(
+                            node.predicates,
+                            layout,
+                            None,
+                            split=(rowvar, ir, len(node.outer.columns)),
+                        )
+                    consume(self._combine(
+                        node.outer.columns, node.inner.columns, node.columns,
+                        rowvar, ir,
+                    ))
+                names, lists = (", ".join(x) for x in zip(*zipped))
+                over = f"zip({lists})" if len(zipped) > 1 else lists
+                head(f"for {names} in {over}:")
 
         self._node(node.outer, outer_stage)
 
@@ -1284,9 +1353,9 @@ class _Compiler:
 
         def absorb(rowvar: str) -> None:
             self._emit_advance(cost.cpu_tuple, "_CPU")
-            w = self._emit_width(rowvar, fixed, var_slots)
+            w = self._emit_width(rowvar, fixed, var_slots, named=mon_out)
             if mon_out:
-                self._emit_output_rows(segment, w)
+                self._emit_count(segment, None, w)
             self.line(f"{bapp}({rowvar})")
             self.line(f"{bbytes} += {w}")
             with self.block(f"if {bbytes} > {_lit(ctx.work_mem_bytes)}:"):
@@ -1307,7 +1376,7 @@ class _Compiler:
             self.line(f"yield from {hv}.sort_buffer({buf})")
             self.line(f"{mem} = {buf}")
         if mon_out:
-            self.line(f"{self._tr_segfin()}({segment})")
+            self.line(f"{self._tr_segfin}({segment})")
 
         r = self.fresh("r")
         st = self.fresh("st")
@@ -1316,7 +1385,7 @@ class _Compiler:
                 self._emit_advance(cost.cpu_tuple, "_CPU")
                 if mon_in:
                     w = self._emit_width(r, fixed, var_slots)
-                    self._emit_input_rows(ref[0], ref[1], "1", w)
+                    self._emit_count(ref[0], ref[1], w)
                 # The single-pass loop gives a consumer's ``continue``
                 # (filter/distinct row drop) a target that still falls
                 # through to the pulse-cadence check below, exactly like
@@ -1479,20 +1548,16 @@ class _Compiler:
             self.line(f"{o} = tuple({vals})")
             self._emit_advance(cost.cpu_tuple, "_CPU")
             if mon_seg:
-                w = self.fresh("w")
-                self.line(f"{w} = {wfv}({o})")
-                self._emit_output_rows(segment, w)
+                self._emit_count(segment, None, f"{wfv}({o})")
             self.line(f"{oapp}({o})")
         if mon_seg:
-            self.line(f"{self._tr_segfin()}({segment})")
+            self.line(f"{self._tr_segfin}({segment})")
 
         def stream() -> None:
             with self.block(f"for {o} in {output}:"):
                 self._emit_advance(cost.cpu_tuple, "_CPU")
                 if mon_ref:
-                    w = self.fresh("w")
-                    self.line(f"{w} = {wfv}({o})")
-                    self._emit_input_rows(groups_ref[0], groups_ref[1], "1", w)
+                    self._emit_count(groups_ref[0], groups_ref[1], f"{wfv}({o})")
                 consume(o)
 
         stream()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.executor.base import PULSE, ExecContext, Operator
+from repro.executor.work import page_share
 from repro.expr.compiler import compile_predicate
 from repro.planner.physical import IndexScanNode, SeqScanNode
 from repro.sim.load import CPU, IO
@@ -71,13 +72,15 @@ class SeqScanOp(Operator):
                 # slow consumer — e.g. a CPU-bound nested-loops join pulling one
                 # outer tuple at a time, the paper's Q5 — still shows smooth
                 # byte progress to the speed monitor.  "page" granularity is an
-                # ablation knob demonstrating why that matters.
-                per_row_bytes = page.bytes_used / n
+                # ablation knob demonstrating why that matters.  Each row is
+                # credited an integer share of the page (see page_share).
                 if monitored and not per_tuple:
                     tracker.input_rows(seg, idx, n, page.bytes_used)
-                for row in page.rows:
+                nbytes = page.bytes_used
+                for k, row in enumerate(page.rows):
                     if monitored and per_tuple:
-                        tracker.input_rows(seg, idx, 1, per_row_bytes)
+                        share = page_share(k + 1, nbytes, n) - page_share(k, nbytes, n)
+                        tracker.input_rows(seg, idx, 1, share)
                     keep = True
                     for predicate in predicates:
                         if not predicate(row):

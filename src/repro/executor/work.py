@@ -4,8 +4,15 @@ The paper measures work in bytes processed at segment boundaries
 (Section 4.1/4.5): a byte is counted when a segment reads it as input,
 when a segment writes it as output (unless that output is the final query
 result), and once more per extra multi-stage pass.  :class:`WorkTracker`
-holds those counters per segment, plus the global total the speed monitor
-consumes.
+holds those counters per segment; the global total the speed monitor
+consumes is their sum, taken when it is read.
+
+Every byte count is an integer (row widths, ``Page.bytes_used``, the
+per-row :func:`page_share` of a page), held in a float only so traces
+print as before: sums are exact in any order, so the engines agree on U
+by arithmetic.  The row engine *pushes* each row into the counters; a
+fused program counts in its own variables and installs
+:attr:`WorkTracker.sync`, which readers call first to fold those in.
 
 This module lives in the executor package (not in :mod:`repro.core`) so
 operators can report without importing the estimator; the estimator reads
@@ -20,6 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs.bus import TraceBus
 
 
+def page_share(k: int, nbytes: int, n: int) -> int:
+    """Bytes of an ``n``-row, ``nbytes``-byte page credited to its first
+    ``k`` rows by per-tuple scans: row k's own share is the difference of
+    two of these, so a page's shares are integers that sum to ``nbytes``."""
+    return k * nbytes // n
+
+
 class SegmentCounters:
     """Mutable run-time counters for one segment."""
 
@@ -30,26 +44,32 @@ class SegmentCounters:
         "output_rows",
         "output_bytes",
         "extra_bytes",
-        "done_bytes",
+        "final",
         "started",
         "finished",
         "started_at",
         "finished_at",
     )
 
-    def __init__(self, segment_id: int, num_inputs: int):
+    def __init__(self, segment_id: int, num_inputs: int, final: bool = False):
         self.segment_id = segment_id
         self.input_rows = [0] * num_inputs
         self.input_bytes = [0.0] * num_inputs
         self.output_rows = 0
         self.output_bytes = 0.0
         self.extra_bytes = 0.0
-        #: Bytes of this segment counted toward the query's done work.
-        self.done_bytes = 0.0
+        #: The final segment's output is the query result, which is not work.
+        self.final = final
         self.started = False
         self.finished = False
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+
+    @property
+    def done_bytes(self) -> float:
+        """Bytes of this segment counted toward the query's done work."""
+        done = sum(self.input_bytes) + self.extra_bytes
+        return done if self.final else done + self.output_bytes
 
     def avg_output_width(self) -> Optional[float]:
         """Observed mean output tuple width, or None before any output."""
@@ -75,11 +95,14 @@ class WorkTracker:
 
     def __init__(self, num_inputs: list[int], final_segment: int, clock=None):
         self.segments = [
-            SegmentCounters(i, n) for i, n in enumerate(num_inputs)
+            SegmentCounters(i, n, final=i == final_segment)
+            for i, n in enumerate(num_inputs)
         ]
-        self.final_segment = final_segment
-        self.total_done_bytes = 0.0
         self._clock = clock
+        #: Installed by a running fused program: folds the counts it keeps
+        #: in its own variables into ``segments``; whatever reads counters
+        #: mid-query calls it first.  None: they are already current.
+        self.sync: Optional[Callable[[], None]] = None
         #: Optional hook invoked as segments finish (indicator refresh).
         self.on_segment_finished: Optional[Callable[[int], None]] = None
         #: Optional TraceBus for segment-lifecycle events.  None (default)
@@ -99,8 +122,6 @@ class WorkTracker:
             self._start(seg)
         seg.input_rows[input_index] += rows
         seg.input_bytes[input_index] += nbytes
-        seg.done_bytes += nbytes
-        self.total_done_bytes += nbytes
 
     def output_rows(self, segment_id: int, rows: int, nbytes: float) -> None:
         """Record tuples produced at a segment's output."""
@@ -109,16 +130,11 @@ class WorkTracker:
             self._start(seg)
         seg.output_rows += rows
         seg.output_bytes += nbytes
-        if segment_id != self.final_segment:
-            seg.done_bytes += nbytes
-            self.total_done_bytes += nbytes
 
     def extra_pass(self, segment_id: int, nbytes: float) -> None:
         """Record a multi-stage extra pass over ``nbytes`` (Section 4.5)."""
         seg = self.segments[segment_id]
         seg.extra_bytes += nbytes
-        seg.done_bytes += nbytes
-        self.total_done_bytes += nbytes
         if self.trace is not None:
             from repro.obs.events import ExtraPass
 
@@ -148,6 +164,8 @@ class WorkTracker:
         seg = self.segments[segment_id]
         if seg.finished:
             return
+        if self.sync is not None:
+            self.sync()
         if not seg.started:
             self._start(seg)
         seg.finished = True
@@ -190,6 +208,13 @@ class WorkTracker:
                 break
         return current
 
+    @property
+    def total_done_bytes(self) -> float:
+        """Work done so far, in bytes, as of the last :attr:`sync`."""
+        return sum(seg.done_bytes for seg in self.segments)
+
     def done_pages(self, page_size: int) -> float:
-        """Total work done so far, in U (pages)."""
+        """Total work done so far, in U (pages), synced first."""
+        if self.sync is not None:
+            self.sync()
         return self.total_done_bytes / page_size

@@ -492,7 +492,7 @@ class CooperativeScheduler:
     def _done_pages(self, task: QueryTask) -> float:
         if task.indicator is None:
             return 0.0
-        return task.indicator.tracker.total_done_bytes / self._page_size
+        return task.indicator.tracker.done_pages(self._page_size)
 
     def _quantum_spent(self, task: QueryTask, start_pages: float, pulses: int) -> bool:
         if task.indicator is not None:

@@ -115,7 +115,7 @@ class SheddingPolicy:
         elapsed = now - task.started_at
         if elapsed <= self._warmup:
             return None, "none"
-        done = indicator.tracker.total_done_bytes / self._page_size
+        done = indicator.tracker.done_pages(self._page_size)
         if done <= 0:
             return None, "none"
         speed = done / elapsed

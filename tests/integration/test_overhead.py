@@ -7,9 +7,12 @@ claim splits in two:
 * **Simulated time**: the tracker charges *no* virtual time at all, so
   monitored and unmonitored runs take identical simulated seconds and do
   identical I/O.
-* **Real (host) time**: counting is a few float additions per tuple; the
-  repo benchmark (``benchmarks/e2e/``: ``monitor_ratio``,
-  ``obs.trace_ratio``) measures that wall-clock cost.
+* **Real (host) time**: the executing query only counts — at most a
+  couple of integer increments of its own local variables per tuple —
+  and the indicator pulls those counts when it samples or reports
+  (``tracker.sync``); the repo benchmark (``benchmarks/e2e/``:
+  ``monitor_ratio``, ``core.tracking_ratio``, ``obs.trace_ratio``)
+  measures the wall-clock cost that leaves.
 """
 
 import pytest

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.obs.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SCALE = ["--scale", "0.002"]
 
@@ -110,3 +115,23 @@ class TestLeaderboardCommand:
         ])
         assert code == 2
         assert "baseline not found" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_reader_going_away_is_not_a_traceback(self):
+        """``python -m repro.obs ... | head`` ends quietly, not in a
+        BrokenPipeError traceback (nor one from the exit-time flush)."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs", "leaderboard", "--list",
+             "--grid", "full"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "BrokenPipeError" not in stderr and "Traceback" not in stderr
