@@ -7,7 +7,9 @@ Three pillars, all dependency-free (stdlib only):
   :class:`~repro.core.segments.SegmentSpec` list the segment builder
   derived from it, statically check the structural properties the
   paper's estimator silently assumes (Sections 4.2, 4.3 and 4.5).
-  :mod:`repro.analysis.gate` wires it in front of query execution.
+  :mod:`repro.analysis.gate` wires it in front of query execution, and
+  :mod:`repro.analysis.generated` checks the text of the program each
+  verified plan compiles to — the code production actually runs.
 
 * :mod:`repro.analysis.lint` — a repo-specific **AST lint pass** built
   on :mod:`ast` with rules that encode this codebase's conventions
@@ -16,19 +18,17 @@ Three pillars, all dependency-free (stdlib only):
   randomness).
 
 * :mod:`repro.analysis.flow` — an **interprocedural flow analyzer** for
-  the cooperative engine: a call graph with transitive may-yield
-  summaries, yield-point atomicity diagnostics over the shared-state
-  ownership registry (REPRO10x), a determinism-effect checker for the
-  engine core (REPRO11x), and a hybrid cross-check that validates the
-  static summaries against pulses observed in a real run.
+  the cooperative engine: a call graph, yield-point atomicity
+  diagnostics over the shared-state ownership registry (REPRO10x) and a
+  determinism-effect checker for the engine core (REPRO11x), suppressed
+  the way lint findings are (a ``noqa`` comment, reason mandatory).
 
 Run them from the command line::
 
-    python -m repro.analysis verify        # check Q1-Q5 plans
+    python -m repro.analysis verify        # plans + generated programs
     python -m repro.analysis lint src      # lint the tree
     python -m repro.analysis races --strict
     python -m repro.analysis effects --strict
-    python -m repro.analysis crosscheck --strict
 """
 
 from repro.analysis.gate import (

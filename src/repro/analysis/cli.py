@@ -2,32 +2,33 @@
 
 Subcommands:
 
-* ``verify`` — plan the paper's built-in workload queries (Q1-Q5 by
-  default, or any SQL via ``--sql``), run the segment builder, and check
-  every plan/segment invariant.  Exit code 0 when all plans are clean,
+* ``verify`` — plan the paper's built-in workload queries plus three
+  synthetic statements that cover the operators those plans skip (or any
+  SQL via ``--sql``), run the segment builder, check every plan/segment
+  invariant, then compile each plan the two ways production does
+  (monitored and plain) and check the generated program's text
+  (:mod:`repro.analysis.generated`).  Exit code 0 when all are clean,
   1 otherwise.
 * ``lint`` — run the repo-specific AST lint pass over files/directories
   (default ``src``).  Exit code 0 when no findings, 1 otherwise.
 * ``races`` — interprocedural yield-point atomicity analysis (REPRO10x):
   shared-state writes outside owner methods, read-modify-write spans
-  crossing a suspension point.  ``--strict`` fails on any finding not
-  covered by the committed baseline (and on stale baseline entries).
+  crossing a suspension point.  A finding is suppressed by a ``noqa``
+  comment naming its rule on the reported line, reason mandatory;
+  ``--strict`` also fails on such comments that match nothing.
 * ``effects`` — determinism-effect checker (REPRO11x): functions in the
   engine core that reach a nondeterminism source (wall clock, unseeded
-  random, environment, ...).  Same ``--strict`` / baseline contract.
-* ``crosscheck`` — validate the static may-yield summaries against
-  pulses observed in a real run (or a recorded JSONL trace): a class
-  observed originating pulses must be statically an originator.
+  random, environment, ...).  Same ``noqa`` / ``--strict`` contract.
+
+A path that does not exist, or a run that found no file to parse, exits 2:
+a typo in a CI step must not be a green gate.
 
 Examples::
 
     python -m repro.analysis verify --query Q2 --scale 0.01
     repro-analyze lint --rule REPRO004 src
     repro-analyze races --strict
-    repro-analyze effects --update-baseline
-    repro-analyze crosscheck --strict
-    repro-analyze crosscheck --record traces/q5.jsonl --query Q5
-    repro-analyze crosscheck --trace traces/q5.jsonl
+    repro-analyze effects --strict
 """
 
 from __future__ import annotations
@@ -38,26 +39,96 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.analysis.generated import check_program
 from repro.analysis.invariants import Violation, verify_plan
-from repro.analysis.lint import lint_paths
+from repro.analysis.lint import iter_python_files, lint_paths
 from repro.analysis.report import render_findings, render_violations
 from repro.analysis.rules import LINT_RULES
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - keeps CLI import light
-    from repro.analysis.flow.findings import FlowFinding
+    from repro.core.segments import SegmentSpec
     from repro.database import Database
+    from repro.planner.physical import PhysicalNode
+
+#: Statements whose plans cover what Q1-Q5 skip at small scale: a fat-row
+#: table makes a multi-leaf index *range* scan beat the sequential scan,
+#: ORDER BY over 20k rows is an external sort at small work_mem, and with
+#: hash join disabled an equi-join goes through the (unfused) merge join.
+SYNTHETIC_STATEMENTS = {
+    "index-range": "select k from wide where k >= 0 and k < 600",
+    "external-sort": "select pad from big order by k desc",
+    "merge-join": "select b.k from big b, small s where b.k = s.k",
+}
+
+
+def _synthetic_database(work_mem: int) -> "Database":
+    """The instance :data:`SYNTHETIC_STATEMENTS` are planned against."""
+    from repro.config import SystemConfig
+    from repro.database import Database
+    from repro.storage.schema import Column, Schema
+    from repro.storage.types import INTEGER, string
+
+    config = SystemConfig(work_mem_pages=work_mem).with_planner(
+        enable_hashjoin=False
+    )
+    db = Database(config)
+    db.create_table(
+        "big",
+        Schema([Column("k", INTEGER), Column("pad", string(60))]),
+        [(i, "x" * 50) for i in range(20_000)],
+    )
+    db.create_table(
+        "small",
+        Schema([Column("k", INTEGER), Column("v", INTEGER)]),
+        [(i * 7 % 500, i) for i in range(500)],
+    )
+    db.create_table(
+        "wide",
+        Schema([Column("k", INTEGER), Column("pad", string(1400))]),
+        [(i, "x" * 1400) for i in range(15_000)],
+    )
+    db.analyze()
+    db.create_index("big", "k")
+    db.create_index("wide", "k")
+    return db
 
 
 def _build_database(query: str, scale: float, work_mem: int) -> "Database":
-    """The workload database a paper query runs against (Q3 needs the
-    correlated generator; everything else uses plain TPC-R)."""
+    """The workload database a target is planned against (Q3 needs the
+    correlated generator; everything else named Q* uses plain TPC-R)."""
     from repro.config import SystemConfig
     from repro.workloads import correlated, tpcr
 
+    if query in SYNTHETIC_STATEMENTS:
+        return _synthetic_database(work_mem)
     config = SystemConfig(work_mem_pages=work_mem)
     builder = correlated if query == "Q3" else tpcr
     return builder.build_database(scale=scale, config=config)
+
+
+def check_compiled(
+    root: "PhysicalNode", specs: "list[SegmentSpec]", db: "Database"
+) -> list[Violation]:
+    """Compile ``root`` the two ways production does — with a tracker and
+    without — and check both generated programs' text."""
+    from repro.executor.base import ExecContext
+    from repro.executor.fused import FusedQuery
+    from repro.executor.work import WorkTracker
+
+    out: list[Violation] = []
+    for monitored in (True, False):
+        tracker = None
+        if monitored:
+            inputs = [len(s.inputs) for s in specs]
+            tracker = WorkTracker(inputs, specs[-1].id, db.clock)
+        ctx = ExecContext(
+            db.clock, db.disk, db.buffer_pool, db.config, tracker=tracker
+        )
+        query = FusedQuery(root, ctx)
+        query.close()
+        out.extend(check_program(query.source, monitored))
+    return out
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -74,7 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 2
         targets = {name: queries.PAPER_QUERIES[name]}
     else:
-        targets = dict(queries.PAPER_QUERIES)
+        targets = {**queries.PAPER_QUERIES, **SYNTHETIC_STATEMENTS}
 
     results: dict[str, list[Violation]] = {}
     for name, sql in targets.items():
@@ -84,8 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ReproError as exc:
             print(f"{name}: cannot plan: {exc}", file=sys.stderr)
             return 2
-        _specs, violations = verify_plan(planned.root)
-        results[name] = violations
+        specs, violations = verify_plan(planned.root)
+        results[name] = violations + check_compiled(planned.root, specs, db)
     print(render_violations(results))
     total = sum(len(v) for v in results.values())
     if total:
@@ -93,6 +164,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     print(f"\nall {len(results)} plan(s) verified")
     return 0
+
+
+def _no_input(what: str, paths: Sequence[str], parsed: int) -> bool:
+    """True, having said why on stderr, when a run has nothing to look at."""
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        print(f"{what}: no such path: {', '.join(missing)}", file=sys.stderr)
+    elif not parsed:
+        print(f"{what}: no .py file under {', '.join(paths)}", file=sys.stderr)
+    return bool(missing) or not parsed
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -107,153 +188,63 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    findings = lint_paths(args.paths, rules=rules)
+    files = iter_python_files(args.paths)
+    if _no_input("lint", args.paths, len(files)):
+        return 2
+    findings = lint_paths(files, rules=rules)
     print(render_findings(findings))
     return 1 if findings else 0
 
 
-def _run_flow_analysis(args: argparse.Namespace, which: str) -> int:
-    """Shared body of ``races`` and ``effects``: build the call graph,
-    run the pass, apply the baseline, render."""
+def cmd_flow(args: argparse.Namespace) -> int:
+    """``races`` (REPRO10x) and ``effects`` (REPRO11x): build the call
+    graph, run the pass, apply the ``noqa`` comments, render."""
     from repro.analysis.flow import (
         analyze_effects,
         analyze_races,
+        apply_noqa,
         build_callgraph,
-        find_repo_root,
+        render_flow_findings,
     )
-    from repro.analysis.flow.baseline import (
-        BASELINE_FILENAME,
-        Baseline,
-        update_baseline,
-    )
-    from repro.analysis.flow.findings import render_flow_findings
 
-    repo_root = find_repo_root()
-    package_dir = Path(args.package) if args.package else None
-    if package_dir is None:
+    package: Optional[str] = args.package
+    if package is None:
         import repro
 
-        package_dir = Path(repro.__file__).resolve().parent
-    graph = build_callgraph(package_dir)
-    root_for_paths = repo_root or Path.cwd()
-    analyzer = analyze_races if which == "races" else analyze_effects
-    findings: "list[FlowFinding]" = analyzer(graph, root_for_paths)
-
-    baseline_path: Optional[Path] = None
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    elif repo_root is not None and (repo_root / BASELINE_FILENAME).is_file():
-        baseline_path = repo_root / BASELINE_FILENAME
-
-    if getattr(args, "update_baseline", False):
-        target = baseline_path or (
-            (repo_root or Path.cwd()) / BASELINE_FILENAME
-        )
-        previous = Baseline.load(target) if target.is_file() else None
-        # Keep the other pass's suppressions: merge by re-reading and only
-        # replacing entries whose rule family this pass owns.
-        own_prefix = "REPRO10" if which == "races" else "REPRO11"
-        kept = [
-            e
-            for e in (previous.entries if previous else [])
-            if not e.rule.startswith(own_prefix)
-        ]
-        n = update_baseline(findings, target, previous)
-        if kept:
-            import json as _json
-
-            doc = _json.loads(target.read_text(encoding="utf-8"))
-            for e in kept:
-                doc["suppressions"].append(
-                    {
-                        "rule": e.rule,
-                        "path": e.path,
-                        "function": e.function,
-                        "count": e.count,
-                        "justification": e.justification,
-                    }
-                )
-            doc["suppressions"].sort(
-                key=lambda s: (s["rule"], s["path"], s["function"])
-            )
-            target.write_text(
-                _json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-            )
-            n = len(doc["suppressions"])
-        print(f"wrote {n} suppression(s) to {target}")
-        return 0
-
-    baseline = (
-        Baseline.load(baseline_path)
-        if baseline_path is not None and baseline_path.is_file()
-        else Baseline.empty()
+        assert repro.__file__ is not None
+        package = str(Path(repro.__file__).resolve().parent)
+    graph = build_callgraph(package)
+    if _no_input(args.command, [package], len(graph.module_imports)):
+        return 2
+    root = Path.cwd()  # report paths the way ``lint`` does
+    analyzer, family = analyze_effects, "REPRO11"
+    if args.command == "races":
+        analyzer, family = analyze_races, "REPRO10"
+    findings, suppressed, complaints = apply_noqa(
+        analyzer(graph, root), graph, root, family
     )
-    unsuppressed, suppressed, stale = baseline.filter(findings)
-    print(render_flow_findings(unsuppressed))
+    print(render_flow_findings(findings))
     if suppressed:
-        print(f"({len(suppressed)} finding(s) suppressed by baseline)")
-    failed = bool(unsuppressed)
-    if args.strict:
-        for entry in stale:
-            # Only police entries this pass can re-derive.
-            own_prefix = "REPRO10" if which == "races" else "REPRO11"
-            if entry.rule.startswith(own_prefix):
-                print(
-                    f"stale baseline entry: {entry.rule} {entry.path} "
-                    f"[{entry.function}] matches nothing — remove it"
-                )
-                failed = True
-    return 1 if failed else 0
-
-
-def cmd_races(args: argparse.Namespace) -> int:
-    """Yield-point atomicity analysis (REPRO10x)."""
-    return _run_flow_analysis(args, "races")
-
-
-def cmd_effects(args: argparse.Namespace) -> int:
-    """Determinism-effect analysis (REPRO11x)."""
-    return _run_flow_analysis(args, "effects")
-
-
-def cmd_crosscheck(args: argparse.Namespace) -> int:
-    """Validate static may-yield summaries against observed pulses."""
-    from repro.analysis.flow import crosscheck as cc
-
-    if args.record is not None:
-        n = cc.record_trace(
-            args.record,
-            query=(args.query or "Q5").upper(),
-            scale=args.scale,
-            work_mem=args.work_mem,
-        )
-        print(f"recorded {n} probe event(s) to {args.record}")
-        return 0
-    if args.trace is not None:
-        report = cc.check_trace(args.trace, strict_complete=False)
-    else:
-        queries = [q.upper() for q in args.query.split(",")] if args.query else None
-        report = cc.run_crosscheck(
-            queries=queries,
-            scale=args.scale,
-            work_mem=args.work_mem,
-            strict_complete=args.strict,
-            synthetic=args.query is None,
-        )
-    print(report.render())
-    return 0 if report.ok else 1
+        print(f"({suppressed} finding(s) suppressed by noqa)")
+    if not args.strict:
+        complaints = []
+    for complaint in complaints:
+        print(complaint)
+    return 1 if findings or complaints else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description="Static analysis: plan invariant verifier + AST lint",
+        description="Static analysis: plan and generated-program verifier, "
+        "AST lint, flow analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="verify plan/segment invariants")
     verify.add_argument("--query", default=None,
-                        help="one paper query (Q1..Q5); default: all")
+                        help="one paper query (Q1..Q5); default: all, plus "
+                        "the synthetic operator-coverage statements")
     verify.add_argument("--sql", default=None,
                         help="verify an ad-hoc SELECT against the TPC-R data")
     verify.add_argument("--scale", type=float, default=0.005,
@@ -275,52 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--package", default=None,
                        help="package directory to analyze "
                        "(default: the installed repro package)")
-        p.add_argument("--baseline", default=None,
-                       help="baseline file (default: analysis-baseline.json "
-                       "at the repo root, when present)")
         p.add_argument("--strict", action="store_true",
-                       help="also fail on stale baseline entries")
-        p.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline to cover current findings "
-                       "(preserving existing justifications)")
+                       help="also fail on a noqa comment of this pass that "
+                       "states no reason or matches no finding")
 
     races = sub.add_parser(
         "races",
         help="interprocedural yield-point atomicity analysis (REPRO10x)",
     )
     _flow_args(races)
-    races.set_defaults(func=cmd_races)
+    races.set_defaults(func=cmd_flow)
 
     effects = sub.add_parser(
         "effects",
         help="determinism-effect analysis for the engine core (REPRO11x)",
     )
     _flow_args(effects)
-    effects.set_defaults(func=cmd_effects)
+    effects.set_defaults(func=cmd_flow)
 
-    crosscheck = sub.add_parser(
-        "crosscheck",
-        help="validate static may-yield summaries against observed pulses",
-    )
-    crosscheck.add_argument("--query", default=None,
-                            help="paper queries to run, comma-separated "
-                            "(default: Q1..Q5 plus synthetic coverage "
-                            "queries)")
-    crosscheck.add_argument("--scale", type=float, default=0.005,
-                            help="TPC-R scale factor (default 0.005)")
-    crosscheck.add_argument("--work-mem", type=int, default=4,
-                            help="work_mem in pages (default 4; small values "
-                            "force spilling joins and external sorts)")
-    crosscheck.add_argument("--strict", action="store_true",
-                            help="also fail when a static originator was "
-                            "instantiated but never observed originating")
-    crosscheck.add_argument("--record", default=None, metavar="PATH",
-                            help="record one query's probe events to a JSONL "
-                            "trace instead of validating")
-    crosscheck.add_argument("--trace", default=None, metavar="PATH",
-                            help="validate a previously recorded JSONL trace "
-                            "instead of running queries")
-    crosscheck.set_defaults(func=cmd_crosscheck)
     return parser
 
 

@@ -11,10 +11,7 @@ statically, from the stdlib :mod:`ast` alone:
 
 * :mod:`~repro.analysis.flow.callgraph` — a call graph over ``src/repro``
   (name/self/alias/unique-method resolution, virtual dispatch over the
-  ``Operator`` hierarchy).
-* :mod:`~repro.analysis.flow.summaries` — transitive **may-yield**
-  summaries: which functions can reach a ``PULSE`` origin, and which
-  merely forward pulses.
+  ``Operator`` hierarchy) with each frame's own yield lines.
 * :mod:`~repro.analysis.flow.shared_state` — the ownership registry of
   shared mutable engine objects (buffer pool, disk, clock, trace bus,
   catalog, scheduler task table).
@@ -22,42 +19,32 @@ statically, from the stdlib :mod:`ast` alone:
   call-path witnesses.
 * :mod:`~repro.analysis.flow.effects` — REPRO110/111: the determinism
   effect checker for ``core/`` + ``executor/``.
-* :mod:`~repro.analysis.flow.baseline` — the committed suppression file
-  (every entry carries a written justification).
-* :mod:`~repro.analysis.flow.crosscheck` — the hybrid check validating
-  static may-yield summaries against pulse events in a recorded trace.
+* :mod:`~repro.analysis.flow.findings` — the finding type and its
+  suppression: a ``noqa`` comment on the reported line, reason mandatory.
+
+These passes read the hand-written source.  The program a query actually
+runs is the text :mod:`repro.executor.fused` generates, which no pass over
+``src/`` can see; :mod:`repro.analysis.generated` checks that text, plan
+by plan, under ``python -m repro.analysis verify``.
 """
 
 from __future__ import annotations
 
 from repro.analysis.flow.atomicity import analyze_races
-from repro.analysis.flow.baseline import Baseline, BaselineEntry, find_repo_root
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, build_callgraph
 from repro.analysis.flow.effects import analyze_effects
-from repro.analysis.flow.findings import FlowFinding, render_flow_findings
+from repro.analysis.flow.findings import FlowFinding, apply_noqa, render_flow_findings
 from repro.analysis.flow.shared_state import SHARED_STATE_REGISTRY, SharedObject
-from repro.analysis.flow.summaries import (
-    ClassPulseSummary,
-    YieldSummary,
-    class_pulse_summaries,
-    compute_summaries,
-)
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "CallGraph",
-    "ClassPulseSummary",
     "FlowFinding",
     "FunctionInfo",
     "SHARED_STATE_REGISTRY",
     "SharedObject",
-    "YieldSummary",
     "analyze_effects",
     "analyze_races",
+    "apply_noqa",
     "build_callgraph",
-    "class_pulse_summaries",
-    "compute_summaries",
-    "find_repo_root",
     "render_flow_findings",
 ]

@@ -11,7 +11,7 @@ store is safe today, it bypasses the owner's invariants (restore
 pairing, monotonic timestamps, counter consistency) and the analyzer
 cannot see the pairing discipline; route it through a mediating owner
 method (``set_owner`` / ``set_trace`` / ``set_faults``) or carry a
-justified baseline entry.
+``noqa`` comment that says why it is safe.
 
 ``REPRO101`` **rmw-across-yield** — inside one generator frame, a read
 of a registered shared attribute, then a yield, then a write to the same
@@ -35,8 +35,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, FunctionNode
-from repro.analysis.flow.findings import FlowFinding, sort_findings
+from repro.analysis.flow.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    FunctionNode,
+    dotted_name,
+)
+from repro.analysis.flow.findings import FlowFinding, rel_path, sort_findings
 from repro.analysis.flow.shared_state import (
     SHARED_STATE_REGISTRY,
     SharedObject,
@@ -57,21 +62,10 @@ class _Access:
     receiver: str
 
 
-def _attr_chain(node: ast.AST) -> Optional[list[str]]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
 def _classify(node: ast.AST) -> Optional[tuple[SharedObject, str, str]]:
     """(owner, attr, receiver text) when ``node`` is ``<...>.alias.attr``."""
-    chain = _attr_chain(node)
-    if chain is None or len(chain) < 2:
+    chain = (dotted_name(node) or "").split(".")
+    if len(chain) < 2:
         return None
     receiver_tail, attr = chain[-2], chain[-1]
     owner = owner_for_store(receiver_tail, attr)
@@ -174,16 +168,6 @@ def _scan_frame(node: FunctionNode) -> _AccessScanner:
     return scanner
 
 
-def _rel_path(path: str, repo_root: Optional[Path]) -> str:
-    p = Path(path)
-    if repo_root is not None:
-        try:
-            return p.relative_to(repo_root).as_posix()
-        except ValueError:
-            pass
-    return p.as_posix()
-
-
 def _is_owner_frame(info: FunctionInfo, owner: SharedObject) -> bool:
     return info.cls == owner.class_name and info.module == owner.module
 
@@ -226,7 +210,7 @@ def _check_rmw_across_yield(
 ) -> list[FlowFinding]:
     if not info.is_generator:
         return []
-    yield_lines = sorted(y.line for y in info.yields)
+    yield_lines = sorted(info.yields)
     out: list[FlowFinding] = []
     by_location: dict[tuple[str, str], list[_Access]] = {}
     for access in scanner.accesses:
@@ -311,7 +295,7 @@ def analyze_races(
         scanner = _scan_frame(info.node)
         if not scanner.accesses and not scanner.self_stores:
             continue
-        path = _rel_path(info.path, repo_root)
+        path = rel_path(info.path, repo_root)
         findings.extend(_check_unmediated_stores(info, scanner, graph, path))
         findings.extend(_check_rmw_across_yield(info, scanner, path))
         findings.extend(_check_yield_in_owner(info, scanner, path))

@@ -50,22 +50,6 @@ _GENERIC_METHOD_NAMES = frozenset({
 
 
 @dataclass(frozen=True)
-class YieldPoint:
-    """One ``yield`` / ``yield from`` in a function's own frame."""
-
-    line: int
-    is_yield_from: bool
-    #: The yield can surface the ``PULSE`` marker: either the yielded
-    #: expression is ``PULSE`` itself, or it is a name the frame compares
-    #: against ``PULSE`` (``if row is PULSE: ... yield row``).
-    yields_pulse: bool
-    #: Forwarding, not origin: the yield sits under an ``if <x> is
-    #: PULSE:`` guard, or re-yields a pulse-compared name.  Only an
-    #: unguarded literal ``yield PULSE`` originates pulses.
-    guarded: bool
-
-
-@dataclass(frozen=True)
 class CallSite:
     """One call expression and the definitions it may reach."""
 
@@ -74,7 +58,6 @@ class CallSite:
     text: str
     #: Resolved callee qualnames; empty means unresolved (no edge).
     targets: tuple[str, ...]
-    is_yield_from: bool
 
 
 @dataclass
@@ -89,14 +72,11 @@ class FunctionInfo:
     path: str
     line: int
     is_generator: bool
-    yields: tuple[YieldPoint, ...]
+    #: Line of every ``yield`` / ``yield from`` in this frame.
+    yields: tuple[int, ...]
     calls: tuple[CallSite, ...] = field(default=())
     #: AST of the definition, for passes that re-walk the body.
     node: Optional[FunctionNode] = field(default=None, repr=False)
-
-    def has_origin_yield(self) -> bool:
-        """An unguarded ``yield PULSE`` in this frame."""
-        return any(y.yields_pulse and not y.guarded for y in self.yields)
 
 
 @dataclass
@@ -167,18 +147,6 @@ class CallGraph:
     def callers(self, qualname: str) -> list[str]:
         return list(self._callers.get(qualname, ()))
 
-    def methods_of(self, class_key: str) -> list[FunctionInfo]:
-        """All function frames attributed to a class, nested defs included."""
-        cls = self.classes.get(class_key)
-        if cls is None:
-            return []
-        prefix = class_key + "."
-        return [
-            info
-            for qualname, info in sorted(self.functions.items())
-            if qualname.startswith(prefix)
-        ]
-
     def witness_to_root(self, target: str, limit: int = 12) -> tuple[str, ...]:
         """Shortest caller chain from an entry point (a function nobody in
         the tree calls) down to ``target``, outermost first."""
@@ -223,7 +191,7 @@ class CallGraph:
 # collection (pass 1)
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -234,24 +202,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_pulse_expr(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == "PULSE"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "PULSE"
-    return False
-
-
-def _is_pulse_guard(test: ast.AST) -> bool:
-    """``<expr> is PULSE`` — the forwarding idiom's guard."""
-    return (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.Is)
-        and _is_pulse_expr(test.comparators[0])
-    )
-
-
 class _FrameScanner(ast.NodeVisitor):
     """Collects yields and raw call sites of one function frame only.
 
@@ -260,33 +210,10 @@ class _FrameScanner(ast.NodeVisitor):
     """
 
     def __init__(self) -> None:
-        self.yields: list[YieldPoint] = []
-        #: Per-yield: the plain Name yielded, if any (parallel to yields).
-        self.yield_names: list[Optional[str]] = []
-        #: Names the frame compares against PULSE (``row is PULSE``) —
-        #: a ``yield`` of such a name re-emits a pulse it received.
-        self.pulse_names: set[str] = set()
-        #: (line, dotted text or None, call node, is_yield_from)
-        self.raw_calls: list[tuple[int, Optional[str], ast.Call, bool]] = []
+        self.yields: list[int] = []
+        #: (line, dotted text or None)
+        self.raw_calls: list[tuple[int, Optional[str]]] = []
         self.nested: list[FunctionNode] = []
-        self._guard_depth = 0
-
-    def finish(self) -> None:
-        """Reclassify name-forwarding yields once the frame is fully
-        scanned (the pulse comparison may appear after the yield)."""
-        for i, point in enumerate(self.yields):
-            name = self.yield_names[i]
-            if (
-                not point.yields_pulse
-                and name is not None
-                and name in self.pulse_names
-            ):
-                self.yields[i] = YieldPoint(
-                    line=point.line,
-                    is_yield_from=point.is_yield_from,
-                    yields_pulse=True,
-                    guarded=True,
-                )
 
     # -- frame boundaries ----------------------------------------------
 
@@ -302,69 +229,18 @@ class _FrameScanner(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         return
 
-    # -- yields ---------------------------------------------------------
-
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        if _is_pulse_guard(node.test):
-            self._guard_depth += 1
-            for stmt in node.body:
-                self.visit(stmt)
-            self._guard_depth -= 1
-        else:
-            for stmt in node.body:
-                self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if len(node.ops) == 1 and isinstance(node.ops[0], (ast.Is, ast.IsNot)):
-            left, right = node.left, node.comparators[0]
-            if _is_pulse_expr(right) and isinstance(left, ast.Name):
-                self.pulse_names.add(left.id)
-            elif _is_pulse_expr(left) and isinstance(right, ast.Name):
-                self.pulse_names.add(right.id)
-        self.generic_visit(node)
+    # -- yields and calls ----------------------------------------------
 
     def visit_Yield(self, node: ast.Yield) -> None:
-        pulse = node.value is not None and _is_pulse_expr(node.value)
-        self.yields.append(
-            YieldPoint(
-                line=node.lineno,
-                is_yield_from=False,
-                yields_pulse=pulse,
-                guarded=self._guard_depth > 0,
-            )
-        )
-        self.yield_names.append(
-            node.value.id if isinstance(node.value, ast.Name) else None
-        )
-        if node.value is not None:
-            self.visit(node.value)
+        self.yields.append(node.lineno)
+        self.generic_visit(node)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.yields.append(
-            YieldPoint(
-                line=node.lineno,
-                is_yield_from=True,
-                yields_pulse=False,
-                guarded=self._guard_depth > 0,
-            )
-        )
-        self.yield_names.append(None)
-        if isinstance(node.value, ast.Call):
-            self.raw_calls.append(
-                (node.lineno, _dotted(node.value.func), node.value, True)
-            )
-            for arg in node.value.args:
-                self.visit(arg)
-            for kw in node.value.keywords:
-                self.visit(kw.value)
-        else:
-            self.visit(node.value)
+        self.yields.append(node.lineno)
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        self.raw_calls.append((node.lineno, _dotted(node.func), node, False))
+        self.raw_calls.append((node.lineno, dotted_name(node.func)))
         # Still walk the callee expression for nested calls like f(g(x)).
         if not isinstance(node.func, (ast.Name, ast.Attribute)):
             self.visit(node.func)
@@ -388,7 +264,7 @@ class _Collected:
     functions: dict[str, FunctionInfo]
     classes: dict[str, ClassInfo]
     #: function qualname -> raw call sites awaiting resolution.
-    raw: dict[str, list[tuple[int, Optional[str], ast.Call, bool]]]
+    raw: dict[str, list[tuple[int, Optional[str]]]]
     #: function qualname -> enclosing local def map (name -> qualname).
     local_defs: dict[str, dict[str, str]]
 
@@ -405,7 +281,6 @@ def _collect_function(
     scanner = _FrameScanner()
     for stmt in node.body:
         scanner.visit(stmt)
-    scanner.finish()
     info = FunctionInfo(
         qualname=qualname,
         module=module.name,
@@ -457,7 +332,7 @@ def _collect_module(tree: ast.Module, module: _ModuleIndex, out: _Collected) -> 
         elif isinstance(stmt, ast.ClassDef):
             key = f"{module.name}.{stmt.name}"
             bases = tuple(
-                b for b in (_dotted(base) for base in stmt.bases) if b is not None
+                b for b in (dotted_name(base) for base in stmt.bases) if b is not None
             )
             cls_info = ClassInfo(
                 key=key, module=module.name, name=stmt.name, bases=bases
@@ -636,21 +511,14 @@ class _Resolver:
             module = self.c.modules[info.module]
             locals_map = self.c.local_defs.get(qualname, {})
             sites: list[CallSite] = []
-            for line, dotted, _call, is_yield_from in raw_calls:
+            for line, dotted in raw_calls:
                 if dotted is None:
                     continue
                 if "." in dotted:
                     targets = self._resolve_attribute(module, info.cls, dotted)
                 else:
                     targets = self._resolve_bare(module, locals_map, dotted)
-                sites.append(
-                    CallSite(
-                        line=line,
-                        text=dotted,
-                        targets=targets,
-                        is_yield_from=is_yield_from,
-                    )
-                )
+                sites.append(CallSite(line=line, text=dotted, targets=targets))
             info.calls = tuple(sites)
 
 

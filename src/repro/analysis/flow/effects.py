@@ -22,13 +22,13 @@ call graph, and rejects any enforced function that can reach a source:
   cannot replay.
 
 Unresolved calls are assumed deterministic (the call graph's documented
-may-edge contract); the lint pass and the trace cross-check bound the
-damage of that assumption from the other side.
+may-edge contract); the per-file lint pass bounds the damage of that
+assumption from the other side.
 
 A transitive violation is reported at the point nondeterminism *enters*
 the enforced scope: an enforced function with no own sources is flagged
 only when none of its impure callees is itself enforced (otherwise the
-callee's own finding — or its baseline entry — already covers the path).
+callee's own finding — or its ``noqa`` — already covers the path).
 
 ``REPRO111`` (**set-iteration-order**) is frame-local: iterating a set
 display, a set comprehension, or a ``set(...)`` call in enforced code
@@ -43,8 +43,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, FunctionNode
-from repro.analysis.flow.findings import FlowFinding, sort_findings
+from repro.analysis.flow.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    FunctionNode,
+    dotted_name,
+)
+from repro.analysis.flow.findings import FlowFinding, rel_path, sort_findings
 
 _WALL_CLOCK_TIME_ATTRS = frozenset(
     {"time", "monotonic", "perf_counter", "process_time", "time_ns",
@@ -64,17 +69,6 @@ class EffectSource:
     line: int
     kind: str
     detail: str
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _SourceScanner(ast.NodeVisitor):
@@ -101,7 +95,7 @@ class _SourceScanner(ast.NodeVisitor):
         self.sources.append(EffectSource(line=line, kind=kind, detail=detail))
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             self._check_call(node, dotted)
         self.generic_visit(node)
@@ -139,7 +133,7 @@ class _SourceScanner(ast.NodeVisitor):
                     self._add(line, "unseeded-random", f"random.{dotted}")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if _dotted(node) == "os.environ":
+        if dotted_name(node) == "os.environ":
             self._add(node.lineno, "environment", "os.environ")
         self.generic_visit(node)
 
@@ -168,16 +162,6 @@ def _enforced(module: str) -> bool:
         module == prefix or module.startswith(prefix + ".")
         for prefix in _ENFORCED_PREFIXES
     )
-
-
-def _rel_path(path: str, repo_root: Optional[Path]) -> str:
-    p = Path(path)
-    if repo_root is not None:
-        try:
-            return p.relative_to(repo_root).as_posix()
-        except ValueError:
-            pass
-    return p.as_posix()
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +255,7 @@ def analyze_effects(
         info = graph.functions[qualname]
         if not _enforced(info.module):
             continue
-        path = _rel_path(info.path, repo_root)
+        path = rel_path(info.path, repo_root)
         if info.node is not None:
             for line in _set_iteration_hits(info.node):
                 findings.append(
@@ -306,7 +290,7 @@ def analyze_effects(
             continue
         # Transitive only: report where nondeterminism *enters* the
         # enforced scope; paths through enforced callees are covered by
-        # the callee's own finding (or its baseline entry).
+        # the callee's own finding (or its noqa).
         impure_callees = [
             c for c in graph.callees(qualname) if impure.get(c, False)
         ]

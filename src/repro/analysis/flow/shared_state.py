@@ -17,9 +17,9 @@ scheduler's task table, each query's work tracker.  Each entry names
   a yield inside the owner is one too (REPRO101/102).
 
 The alias convention is enforced socially, not mechanically: binding a
-``BufferPool`` to a name like ``x`` hides it from this analysis.  The
-hybrid trace cross-check (:mod:`~repro.analysis.flow.crosscheck`) exists
-precisely to catch the static story drifting from runtime behaviour.
+``BufferPool`` to a name like ``x`` hides it from this analysis.  What
+catches the static story drifting from runtime behaviour is the tier-1
+engine-equivalence and interleaving tests, not another static pass.
 """
 
 from __future__ import annotations
@@ -120,12 +120,5 @@ def owner_for_store(receiver_tail: str, attr: str) -> "SharedObject | None":
     touches, if any."""
     for obj in SHARED_STATE_REGISTRY:
         if receiver_tail in obj.aliases and attr in obj.attrs:
-            return obj
-    return None
-
-
-def registry_entry(class_key: str) -> "SharedObject | None":
-    for obj in SHARED_STATE_REGISTRY:
-        if obj.cls == class_key:
             return obj
     return None

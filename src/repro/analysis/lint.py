@@ -3,7 +3,8 @@
 The driver is rule-agnostic — all repo-specific logic lives in
 :mod:`repro.analysis.rules`.  Findings on lines carrying a ``# noqa``
 comment (bare, or naming the rule id) are suppressed, matching the
-convention other linters use.
+convention other linters use; the flow passes read the same comment
+through :func:`parse_noqa` and additionally insist on a written reason.
 """
 
 from __future__ import annotations
@@ -15,20 +16,37 @@ from typing import Iterable, Optional, Union
 
 from repro.analysis.rules import LINT_RULES, LintContext, LintFinding
 
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+_NOQA_CODE = r"[A-Za-z]+[0-9]+"
+_NOQA_RE = re.compile(
+    rf"#\s*noqa\b(?::\s*(?P<codes>{_NOQA_CODE}(?:\s*,\s*{_NOQA_CODE})*))?"
+    r"[\s:\-\u2013\u2014]*(?P<reason>.*)",
+    re.IGNORECASE,
+)
+
+
+def parse_noqa(line: str) -> Optional[tuple[frozenset[str], str]]:
+    """The ``# noqa`` comment on ``line`` as ``(rule codes, reason)``.
+
+    Codes are comma-separated ``LETTERS+DIGITS`` tokens right after
+    ``noqa:`` (none: a bare ``# noqa``); whatever follows them, with or
+    without a dash, is the reason.  ``None`` when the line has no noqa.
+    """
+    match = _NOQA_RE.search(line)
+    if match is None:
+        return None
+    codes = re.findall(_NOQA_CODE, match.group("codes") or "")
+    return frozenset(c.upper() for c in codes), match.group("reason").strip()
 
 
 def _suppressed(finding: LintFinding, lines: list[str]) -> bool:
     if not 1 <= finding.line <= len(lines):
         return False
-    match = _NOQA_RE.search(lines[finding.line - 1])
-    if match is None:
+    parsed = parse_noqa(lines[finding.line - 1])
+    if parsed is None:
         return False
-    codes = match.group("codes")
-    if codes is None:
-        return True  # bare "# noqa" silences everything on the line
-    wanted = {c.strip().upper() for c in codes.split(",")}
-    return finding.rule.upper() in wanted
+    codes = parsed[0]
+    # A bare "# noqa" silences everything on the line.
+    return not codes or finding.rule.upper() in codes
 
 
 def _package_parts(path: Path) -> tuple[str, ...]:

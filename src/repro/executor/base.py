@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - obs is imported lazily at emit time
     from repro.obs.bus import TraceBus
@@ -69,20 +69,6 @@ def pull(source: Iterator):
     return None
 
 
-class PulseProbe(Protocol):
-    """Observer of operator construction and pulse propagation.
-
-    Implemented by :mod:`repro.analysis.flow.crosscheck`; the executor
-    only duck-types against it (no analysis import on the hot path).
-    """
-
-    def on_build(self, op: "Operator") -> None:
-        """One operator was built (called innermost-first)."""
-
-    def on_pulse(self, op: "Operator") -> None:
-        """A PULSE emerged from ``op``'s row stream."""
-
-
 class ExecContext:
     """Everything an operator needs at run time."""
 
@@ -95,7 +81,6 @@ class ExecContext:
         tracker: Optional[WorkTracker] = None,
         count_rows: bool = False,
         trace: Optional["TraceBus"] = None,
-        pulse_probe: Optional[PulseProbe] = None,
     ):
         self.clock = clock
         self.disk = disk
@@ -110,9 +95,6 @@ class ExecContext:
         #: count is recorded in ``actual_rows`` keyed by plan-node identity.
         self.count_rows = count_rows
         self.actual_rows: dict[int, int] = {}
-        #: Optional pulse-propagation observer (the static/dynamic
-        #: cross-check); None is the zero-cost disabled path.
-        self.pulse_probe = pulse_probe
 
 
 class Operator:
@@ -135,34 +117,6 @@ class Operator:
 
     def close(self) -> None:
         """Release temp resources; default is a no-op."""
-
-
-class _PulseProbeOperator(Operator):
-    """Cross-check wrapper: reports pulse sightings to the probe.
-
-    Wrapped innermost (directly around each real operator, inside any
-    counting wrapper), so for one pulse propagating to the driver the
-    originating operator's wrapper reports first and every enclosing
-    wrapper after it — the ordering the probe's origin attribution
-    relies on.
-    """
-
-    def __init__(self, inner: Operator, ctx: ExecContext):
-        super().__init__(inner.node, ctx)
-        self._inner = inner
-        assert ctx.pulse_probe is not None
-        ctx.pulse_probe.on_build(inner)
-
-    def rows(self) -> Iterator[tuple]:
-        probe = self.ctx.pulse_probe
-        assert probe is not None
-        for item in self._inner.rows():
-            if item is PULSE:
-                probe.on_pulse(self._inner)
-            yield item
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 class _CountingOperator(Operator):
@@ -224,6 +178,4 @@ def build_operator(node: PhysicalNode, ctx: ExecContext) -> Operator:
         op = LimitOp(node, ctx)
     if op is None:
         raise ExecutionError(f"no operator for plan node {type(node).__name__}")
-    if ctx.pulse_probe is not None:
-        op = _PulseProbeOperator(op, ctx)
     return _CountingOperator(op, ctx) if ctx.count_rows else op

@@ -118,14 +118,10 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
             sub_op.close()
 
     # The fused batch engine compiles the whole plan into one loop nest
-    # (bit-identical charges; Batch items to the driver).  Paths that must
-    # observe per-operator streams — the analysis pulse probe and EXPLAIN
-    # ANALYZE row counting — always run the volcano row engine.
-    use_fused = (
-        ctx.config.progress.engine != "row"
-        and ctx.pulse_probe is None
-        and not ctx.count_rows
-    )
+    # (bit-identical charges; Batch items to the driver).  EXPLAIN ANALYZE
+    # row counting must observe per-operator streams, so it always runs
+    # the volcano row engine.
+    use_fused = ctx.config.progress.engine != "row" and not ctx.count_rows
     if use_fused:
         from repro.executor.fused import FusedQuery
 

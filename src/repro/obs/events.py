@@ -70,7 +70,10 @@ from typing import Any, Optional, Type
 #: service kinds ``admission_decided`` / ``query_shed`` /
 #: ``tenant_throttled``.  Both bumps are additive (new kinds only, new
 #: fields only with defaults), so version-1 and version-2 traces still
-#: replay through the defaults-fill path in :func:`_rebuild`.
+#: replay through the defaults-fill path in :func:`_rebuild`.  The two
+#: operator/pulse probe kinds of the deleted analysis cross-check went
+#: without a bump: only that tool ever emitted them, into traces nobody
+#: committed.
 TRACE_SCHEMA_VERSION = 3
 
 
@@ -573,44 +576,6 @@ class TenantThrottled(TraceEvent):
 
 
 # ----------------------------------------------------------------------
-# cooperative-execution probes (the static/dynamic pulse cross-check)
-
-
-@dataclass(frozen=True)
-class OperatorInstantiated(TraceEvent):
-    """The operator factory built one operator (pulse-probe runs only).
-
-    ``node`` is the probe's build index for the operator's plan node;
-    ``children`` are the build indexes of its child operators (children
-    are constructed before their parent), so a trace consumer can
-    re-derive the operator tree from the event stream alone.
-    """
-
-    op: str
-    node: int
-    children: tuple[int, ...]
-
-    kind = "operator_built"
-
-
-@dataclass(frozen=True)
-class PulseObserved(TraceEvent):
-    """A PULSE marker passed one operator's probe wrapper.
-
-    Every wrapper between the originating operator and the driver sees
-    the same pulse (innermost first), so an operator's *origin* count is
-    ``seen(node) - sum(seen(child) for child in children)`` — which is
-    what :mod:`repro.analysis.flow.crosscheck` compares against the
-    static may-yield summaries.
-    """
-
-    op: str
-    node: int
-
-    kind = "pulse"
-
-
-# ----------------------------------------------------------------------
 # wire format
 
 _EVENT_TYPES: tuple[Type[TraceEvent], ...] = (
@@ -642,8 +607,6 @@ _EVENT_TYPES: tuple[Type[TraceEvent], ...] = (
     BufferAccess,
     PageRead,
     PageWritten,
-    OperatorInstantiated,
-    PulseObserved,
 )
 
 #: kind string -> event class, for deserialization.
@@ -690,6 +653,4 @@ def event_from_dict(payload: dict[str, Any]) -> TraceEvent:
         raise ValueError(f"unknown trace event kind {kind!r}") from None
     for name, inner in _NESTED.get(kind, {}).items():
         data[name] = tuple(_rebuild(inner, v) for v in data[name])
-    if kind == "operator_built":
-        data["children"] = tuple(data["children"])
     return cls(**data)

@@ -6,12 +6,14 @@ and the refinement estimator; if any reachable plan shape violated it,
 either the builder or the verifier would be wrong.  The generator sweeps
 join counts, blocking operators, work_mem (forcing multi-batch joins and
 external sorts), merge-join forcing and limits — the same shape space the
-segmentation property tests cover.
+segmentation property tests cover.  Each plan is also compiled the two ways
+production runs it, and the generated program must pass its checks too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.cli import check_compiled
 from repro.analysis.invariants import verify_segments
 from repro.config import SystemConfig
 from repro.core.segments import build_segments
@@ -94,6 +96,7 @@ class TestVerifierAcceptsOptimizerPlans:
         plan = db.prepare(build_sql(shape))
         specs = build_segments(plan.root)
         violations = verify_segments(plan.root, specs)
+        violations += check_compiled(plan.root, specs, db)
         assert violations == [], "\n".join(v.format() for v in violations)
 
     @settings(max_examples=20, deadline=None)

@@ -1,18 +1,25 @@
 """Unit tests: the ``repro-analyze`` / ``python -m repro.analysis`` CLI.
 
-Covers both subcommands and their exit codes, and the console-script
+Covers the subcommands and their exit codes, and the console-script
 entry point registered in ``pyproject.toml``.
 """
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.analysis.cli import (
+    SYNTHETIC_STATEMENTS,
+    _synthetic_database,
+    build_parser,
+    main,
+)
+from repro.analysis.invariants import collect_nodes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -56,12 +63,89 @@ class TestLintCommand:
         assert main(["lint", str(REPO_ROOT / "src")]) == 0
 
 
+class TestNothingToAnalyzeExitsTwo:
+    """A typo in a CI step (``lint scr``) must not be a green gate."""
+
+    @pytest.mark.parametrize(
+        "argv", [["lint"], ["races", "--package"], ["effects", "--package"]],
+        ids=["lint", "races", "effects"],
+    )
+    def test_missing_path_and_empty_tree(self, argv, tmp_path, capsys):
+        assert main([*argv, str(tmp_path / "scr")]) == 2
+        assert "no such path" in capsys.readouterr().err
+        (tmp_path / "notes.txt").write_text("no python here\n")
+        assert main([*argv, str(tmp_path)]) == 2
+        assert "no .py file" in capsys.readouterr().err
+
+    def test_one_missing_path_among_good_ones(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        assert main(["lint", str(tmp_path), str(tmp_path / "scr")]) == 2
+
+
+class TestFlowCommands:
+    def fixture(self, tmp_path, comment):
+        core = tmp_path / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "m.py").write_text(
+            f"import time\ndef f():\n    return time.time()  {comment}\n"
+            f"def g():\n    return 1  # noqa: REPRO110 - nothing here any more\n"
+        )
+        return str(tmp_path / "repro")
+
+    def test_noqa_with_a_reason_suppresses_and_strict_polices_the_unused(
+        self, tmp_path, capsys
+    ):
+        package = self.fixture(tmp_path, "# noqa: REPRO110 - measured on purpose")
+        assert main(["effects", "--package", package]) == 0
+        assert "1 finding(s) suppressed by noqa" in capsys.readouterr().out
+        assert main(["effects", "--package", package, "--strict"]) == 1
+        assert "m.py:5: noqa for REPRO110 matches no finding" in capsys.readouterr().out
+        assert main(["races", "--package", package, "--strict"]) == 0  # not its rule
+
+    def test_noqa_without_a_reason_leaves_the_finding(self, tmp_path, capsys):
+        package = self.fixture(tmp_path, "# noqa: REPRO110")
+        assert main(["effects", "--package", package]) == 1
+        assert "REPRO110" in capsys.readouterr().out
+
+    def test_shipped_tree_is_strictly_clean(self, capsys):
+        assert main(["races", "--strict"]) == 0
+        assert main(["effects", "--strict"]) == 0
+
+    def test_the_surface_is_four_subcommands_and_two_flow_flags(self):
+        """No second suppression mechanism, no fifth command."""
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {"verify", "lint", "races", "effects"}
+        for name in ("races", "effects"):
+            flags = {
+                flag for a in sub.choices[name]._actions for flag in a.option_strings
+            }
+            assert flags == {"-h", "--help", "--package", "--strict"}
+        with pytest.raises(SystemExit) as exc:
+            main(["summaries"])  # an unknown subcommand is a usage error
+        assert exc.value.code == 2
+
+
 class TestVerifyCommand:
     def test_all_paper_queries_verify(self, capsys):
         assert main(["verify", "--scale", "0.002"]) == 0
         out = capsys.readouterr().out
-        for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+        for name in ("Q1", "Q2", "Q3", "Q4", "Q5", *SYNTHETIC_STATEMENTS):
             assert f"{name}: OK" in out
+
+    def test_synthetic_statements_cover_what_the_paper_plans_skip(self):
+        """An index range scan, a sort under ORDER BY and the unfused merge
+        join are compiled and checked by the default run."""
+        db = _synthetic_database(work_mem=24)
+        shapes = {
+            name: {type(n).__name__ for n in collect_nodes(db.prepare(sql).root)}
+            for name, sql in SYNTHETIC_STATEMENTS.items()
+        }
+        assert "IndexScanNode" in shapes["index-range"]
+        assert "SortNode" in shapes["external-sort"]
+        assert "MergeJoinNode" in shapes["merge-join"]
 
     def test_single_query(self, capsys):
         assert main(["verify", "--query", "Q1", "--scale", "0.002"]) == 0

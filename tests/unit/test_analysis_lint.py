@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.lint import lint_file, lint_paths, lint_source
+import pytest
+
+from repro.analysis.lint import lint_file, lint_paths, lint_source, parse_noqa
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -237,6 +239,26 @@ class TestDriver:
             "ok = x == 1.0  # noqa: REPRO001\n", "src/repro/core/x.py"
         )
         assert rules_of(findings) == {"REPRO002"}
+
+    @pytest.mark.parametrize(
+        "comment",
+        [
+            "# noqa: REPRO002 - compared on purpose",
+            "# noqa: REPRO002 compared on purpose",  # the dash is optional
+            "# noqa: REPRO001, REPRO002 compared on purpose",
+        ],
+    )
+    def test_reason_words_are_not_read_as_rule_codes(self, comment):
+        assert lint_source(f"ok = x == 1.0  {comment}\n", "src/repro/core/x.py") == []
+        assert parse_noqa(comment)[1] == "compared on purpose"
+
+    def test_parse_noqa_splits_codes_from_reason(self):
+        assert parse_noqa("x = 1") is None
+        assert parse_noqa("x  # noqa") == (frozenset(), "")
+        assert parse_noqa("x  # noqa: E731") == (frozenset({"E731"}), "")
+        assert parse_noqa("x  # noqa: repro110, REPRO007 - why") == (
+            frozenset({"REPRO110", "REPRO007"}), "why",
+        )
 
     def test_syntax_error_becomes_finding(self):
         findings = lint_source("def f(:\n", "x.py")

@@ -7,8 +7,12 @@ it under the right rule id.  A clean plan must produce zero violations.
 
 from __future__ import annotations
 
+import textwrap
+
 import pytest
 
+from repro.analysis.cli import check_compiled
+from repro.analysis.generated import check_program
 from repro.analysis.invariants import (
     INVARIANT_RULES,
     collect_nodes,
@@ -18,6 +22,7 @@ from repro.analysis.invariants import (
 from repro.config import SystemConfig
 from repro.core.segments import build_segments
 from repro.database import Database
+from repro.executor.fused import _Compiler
 from repro.planner.physical import HashJoinNode, SeqScanNode, SortNode
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
@@ -234,3 +239,177 @@ def test_every_registered_rule_has_a_rejection_test():
         assert any(c.startswith(slug) for c in covered), (
             f"no rejection test for invariant {rule_id!r}"
         )
+
+
+# ----------------------------------------------------------------------
+# generated-program checks (repro.analysis.generated)
+
+FLUSH = (
+    "if nout:\n"
+    "    yield _B(out)\n"
+    "    out = []\n"
+    "    out_append = out.append\n"
+    "    nout = 0\n"
+)
+
+
+def program(body: str) -> str:
+    """A generated-looking ``_fused_run`` around ``body`` (4-space units)."""
+    head = (
+        "out = []\nout_append = out.append\nnout = 0\n"
+        "h = _g_h0\nrows = _g_rows0\nsearch = _g_search0\n"
+    )
+    return "def _fused_run():\n" + textwrap.indent(head + body, "    ")
+
+
+#: One heap-scan page loop the way fused.py writes it: fetch, rows, pulse.
+PAGE_LOOP = (
+    "get1 = _g_get1\n"
+    "for pno2 in range(3):\n"
+    "    pg3 = get1(h, pno2, sequential=True)\n"
+    "    for r4 in pg3.rows:\n"
+    "        out_append(r4)\n"
+    "        nout += 1\n"
+    + textwrap.indent(FLUSH + "yield PULSE\n", "    ")
+)
+
+
+def generated_rules(body: str, monitored: bool = True) -> list[str]:
+    return [v.rule for v in check_program(program(body), monitored)]
+
+
+class TestEachGeneratedCheckRejects:
+    def test_the_fixture_itself_is_clean(self):
+        assert generated_rules(PAGE_LOOP) == []
+        assert generated_rules(PAGE_LOOP, monitored=False) == []
+        # A loop over spill partitions owns no fetch: its page loops do.
+        nested = "for b5 in range(2):\n" + textwrap.indent(PAGE_LOOP, "    ")
+        assert generated_rules(nested) == []
+
+    def test_pulse_flush(self):
+        assert generated_rules("yield PULSE\n") == ["pulse-flush"]
+        assert generated_rules(FLUSH + "x = 1\nyield PULSE\n") == ["pulse-flush"]
+        assert generated_rules("if nout:\n    nout = 0\nyield PULSE\n") == [
+            "pulse-flush"
+        ]
+
+    @pytest.mark.parametrize(
+        "loop, named",
+        [
+            ("get1 = _g_get1\nfor pno2 in range(3):\n"
+             "    pg3 = get1(h, pno2, sequential=True)\n", "seq-scan page loop"),
+            ("get1 = _g_get1\nfor k2, rid3 in search:\n"
+             "    pg4 = get1(h, rid3[0], sequential=False)\n", "index-scan page loop"),
+            ("dread1 = _g_dread1\nfor pno2 in range(h.num_pages):\n"
+             "    pg3 = dread1(h, pno2, sequential=True)\n", "spill-partition page loop"),
+        ],
+        ids=["seq-scan", "index-scan", "spill-partition"],
+    )
+    def test_page_loop_pulse(self, loop, named):
+        (violation,) = check_program(program(loop), monitored=True)
+        assert violation.rule == "page-loop-pulse" and named in violation.message
+        # A pulse that only a nested row loop reaches is not the page loop's.
+        inner = loop + "    for r in rows:\n" + textwrap.indent(
+            FLUSH + "yield PULSE\n", "        "
+        )
+        assert generated_rules(inner) == ["page-loop-pulse"]
+
+    def test_row_loop_counts(self):
+        row_loop = "seg0_1 = _g_seg0_1\nn2 = 0\nfor r3 in rows:\n"
+        assert generated_rules(row_loop + "    n2 += 1\n") == []
+        for store in ("seg0_1.output_rows += 1", "seg0_1.input_bytes[0] += 36",
+                      "seg0_1.started = True"):
+            assert generated_rules(row_loop + f"    {store}\n") == [
+                "row-loop-counts"
+            ], store
+        # Per page (a range() loop) the cold call sites do push.
+        assert generated_rules(
+            "seg0_1 = _g_seg0_1\nfor pno in range(3):\n    seg0_1.output_rows += 1\n"
+        ) == []
+
+    @pytest.mark.parametrize(
+        "line", ["seg0_1 = _g_seg0_1", "_g_trin5(0, 0, 1, 36)",
+                 "def _sync():\n    pass", "def f():\n    nonlocal nout"],
+        ids=["segment", "tracker-method", "sync", "nonlocal"],
+    )
+    def test_row_loop_counts_plain_program_has_no_tracker_code(self, line):
+        assert "row-loop-counts" in generated_rules(line + "\n", monitored=False)
+
+    @pytest.mark.parametrize(
+        "line", ["b = hash(k) % 4", "nm = id(node)", "import os", "from os import x",
+                 "f = open(p)", "eval(s)", "exec(s)", "m = __import__('os')",
+                 "t = time.time()"],
+    )
+    def test_closed_vocabulary(self, line):
+        assert generated_rules("k = node = p = s = 0\n" + line + "\n") == [
+            "closed-vocabulary"
+        ]
+
+    def test_closed_vocabulary_accepts_the_compilers_names(self):
+        body = (
+            "sh1 = _g_sh1\nrows = [(1,)]\n"
+            "for i, r in enumerate(rows, 1):\n"
+            "    b = sh1(r[0]) % 4 if len(r) else max(1, i)\n"
+            "    for _sk in _ONE:\n"
+            "        out_append(tuple(r))\n"
+            "for r in heapq.merge(rows, iter(rows)):\n"
+            "    raise _Stop\n"
+        )
+        assert generated_rules(body) == []
+
+
+def test_every_generated_check_has_a_rejection_test():
+    tests = [n for n in dir(TestEachGeneratedCheckRejects) if n.startswith("test_")]
+    for rule in ("pulse-flush", "page-loop-pulse", "row-loop-counts",
+                 "closed-vocabulary"):
+        assert any(t.startswith("test_" + rule.replace("-", "_")) for t in tests)
+
+
+class TestMutantsOfTheCompiler:
+    """The mutants no analyzer command noticed before ``verify`` read the
+    generated text: each is replayed by patching ``_Compiler._emit_pulse``."""
+
+    def violations(self, sql=RICH_SQL):
+        db = make_db(work_mem_pages=1)
+        planned = db.prepare(sql)
+        specs, violations = verify_plan(planned.root)
+        assert violations == []
+        return check_compiled(planned.root, specs, db)
+
+    def test_the_unpatched_compiler_is_clean(self):
+        assert self.violations() == []
+
+    def test_seq_scan_page_loop_without_its_pulse(self, monkeypatch):
+        """fused.py ``_seq_scan``: ``self._emit_pulse()`` -> ``pass``."""
+        real_scan, real_pulse = _Compiler._seq_scan, _Compiler._emit_pulse
+        in_scan = []
+
+        def seq_scan(self, node, consume):
+            in_scan.append(True)
+            real_scan(self, node, consume)
+
+        def emit_pulse(self):
+            # The scan's own pulse is the first one emitted after it starts
+            # (its consumers emit theirs only at their own page loops).
+            if in_scan and in_scan.pop():
+                return
+            real_pulse(self)
+
+        monkeypatch.setattr(_Compiler, "_seq_scan", seq_scan)
+        monkeypatch.setattr(_Compiler, "_emit_pulse", emit_pulse)
+        found = self.violations("select * from r")
+        assert [v.rule for v in found] == ["page-loop-pulse"] * 2  # both modes
+        assert all("seq-scan page loop `for pno" in v.message for v in found)
+
+    def test_every_pulse_dropped(self, monkeypatch):
+        monkeypatch.setattr(_Compiler, "_emit_pulse", lambda self: None)
+        found = self.violations("select r.a, t.c from r, t where r.a = t.a")
+        assert {v.rule for v in found} == {"page-loop-pulse"}
+        kinds = {v.message.split(": ")[1].split(" page loop")[0] for v in found}
+        assert kinds == {"seq-scan", "spill-partition"}
+
+    def test_pulse_without_the_batch_flush(self, monkeypatch):
+        monkeypatch.setattr(
+            _Compiler, "_emit_pulse", lambda self: self.line("yield PULSE")
+        )
+        assert {v.rule for v in self.violations()} == {"pulse-flush"}

@@ -55,65 +55,23 @@ class TestCollection:
         assert g.functions["pkg.m.outer.<locals>.inner"].is_generator
         assert not g.functions["pkg.m.outer"].is_generator
 
-    def test_methods_of_includes_nested_defs(self, tmp_path):
-        g = build_pkg(tmp_path, {"m": (
-            "class C:\n"
-            "    def m(self):\n"
-            "        def helper():\n"
-            "            return 1\n"
-            "        return helper()\n"
-        )})
-        names = {i.qualname for i in g.methods_of("pkg.m.C")}
-        assert names == {"pkg.m.C.m", "pkg.m.C.m.<locals>.helper"}
 
-
-class TestYieldClassification:
-    def test_unguarded_literal_pulse_is_origin(self, tmp_path):
-        g = build_pkg(tmp_path, {"m": (
-            "PULSE = object()\n"
-            "def gen():\n"
-            "    yield PULSE\n"
-        )})
-        info = g.functions["pkg.m.gen"]
-        assert info.has_origin_yield()
-
-    def test_guarded_pulse_is_forward(self, tmp_path):
-        g = build_pkg(tmp_path, {"m": (
-            "PULSE = object()\n"
-            "def gen(src):\n"
-            "    for item in src:\n"
-            "        if item is PULSE:\n"
-            "            yield PULSE\n"
-            "        else:\n"
-            "            yield item\n"
-        )})
-        info = g.functions["pkg.m.gen"]
-        assert not info.has_origin_yield()
-        assert any(y.yields_pulse and y.guarded for y in info.yields)
-
-    def test_name_forward_idiom_is_forward(self, tmp_path):
-        # ``yield item`` outside the guard, with ``item is PULSE``
-        # compared elsewhere in the frame, still forwards pulses.
-        g = build_pkg(tmp_path, {"m": (
-            "PULSE = object()\n"
-            "def gen(src):\n"
-            "    for item in src:\n"
-            "        if item is PULSE:\n"
-            "            note(item)\n"
-            "        yield item\n"
-        )})
-        info = g.functions["pkg.m.gen"]
-        assert not info.has_origin_yield()
-        assert any(y.yields_pulse and y.guarded for y in info.yields)
-
-    def test_plain_yield_is_not_pulse(self, tmp_path):
+class TestYieldLines:
+    def test_yields_belong_to_the_frame_that_contains_them(self, tmp_path):
         g = build_pkg(tmp_path, {"m": (
             "def gen(rows):\n"
-            "    for row in rows:\n"
+            "    def inner():\n"
+            "        yield from rows\n"
+            "    for row in inner():\n"
             "        yield row\n"
+            "def plain(rows):\n"
+            "    return list(rows)\n"
         )})
-        info = g.functions["pkg.m.gen"]
-        assert not any(y.yields_pulse for y in info.yields)
+        outer = g.functions["pkg.m.gen"]
+        inner = g.functions["pkg.m.gen.<locals>.inner"]
+        assert (outer.is_generator, outer.yields) == (True, (5,))
+        assert (inner.is_generator, inner.yields) == (True, (3,))
+        assert not g.functions["pkg.m.plain"].is_generator
 
 
 class TestResolution:

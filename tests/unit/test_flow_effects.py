@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.flow.baseline import Baseline, find_repo_root
 from repro.analysis.flow.callgraph import build_callgraph
 from repro.analysis.flow.effects import analyze_effects
+from repro.analysis.flow.findings import apply_noqa
 
 from tests.unit.test_flow_atomicity import build_repro_pkg, rules_of
 
@@ -174,19 +174,63 @@ class TestSetIterationOrder:
         assert findings == []
 
 
+def suppressed(tmp_path, body: str):
+    """``apply_noqa`` over a one-module fixture whose ``f`` reads the wall
+    clock on line 3; ``body`` is that line with its comment."""
+    graph = build_repro_pkg(tmp_path, {"core.m": (
+        "import time\n"
+        "def f():\n"
+        f"{body}\n"
+    )})
+    return apply_noqa(analyze_effects(graph), graph, None, "REPRO11")
+
+
+class TestNoqaSuppression:
+    def test_a_reasoned_noqa_on_the_line_suppresses(self, tmp_path):
+        kept, dropped, complaints = suppressed(
+            tmp_path, "    return time.time()  # noqa: REPRO110 - measured on purpose"
+        )
+        assert (kept, dropped, complaints) == ([], 1, [])
+
+    def test_a_noqa_without_a_reason_suppresses_nothing(self, tmp_path):
+        kept, dropped, complaints = suppressed(
+            tmp_path, "    return time.time()  # noqa: REPRO110"
+        )
+        assert rules_of(kept) == {"REPRO110"} and dropped == 0
+        assert len(complaints) == 1 and "states no reason" in complaints[0]
+
+    def test_bare_and_foreign_noqa_do_not_suppress(self, tmp_path):
+        for comment in ("# noqa", "# noqa: REPRO001 - lint's rule, not this one"):
+            kept, dropped, complaints = suppressed(
+                tmp_path, f"    return time.time()  {comment}"
+            )
+            assert rules_of(kept) == {"REPRO110"} and not complaints
+
+    def test_an_unused_noqa_is_a_complaint(self, tmp_path):
+        kept, dropped, complaints = suppressed(
+            tmp_path, "    return 1  # noqa: REPRO110 - was a clock read once"
+        )
+        assert kept == [] and dropped == 0
+        assert len(complaints) == 1 and "matches no finding" in complaints[0]
+        assert complaints[0].endswith("core/m.py:3: noqa for REPRO110 "
+                                      "matches no finding; remove it")
+
+    def test_only_comments_count_and_only_this_pass_family(self, tmp_path):
+        kept, dropped, complaints = suppressed(
+            tmp_path,
+            "    '# noqa: REPRO110 - quoted in a string'; "
+            "return 1  # noqa: REPRO100 - the races pass polices this one",
+        )
+        assert (kept, dropped, complaints) == ([], 0, [])
+
+
 class TestShippedTree:
-    def test_every_finding_is_baseline_suppressed(self):
-        """The merge gate: ``effects --strict`` lands green because every
-        remaining REPRO110 carries a justified suppression."""
+    def test_every_finding_is_noqa_suppressed(self):
+        """The merge gate: ``effects --strict`` lands green because the one
+        remaining REPRO110 carries a written justification where it is."""
         graph = build_callgraph(REPO_SRC / "repro")
-        findings = analyze_effects(graph, repo_root=REPO_ROOT)
+        findings = analyze_effects(graph, REPO_ROOT)
         assert findings, "the indicator's REPRO_VERIFY env read should show"
         assert rules_of(findings) == {"REPRO110"}
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
-        unsuppressed, suppressed, stale = baseline.filter(findings)
-        assert unsuppressed == []
-        assert len(suppressed) == len(findings)
-        assert stale == []
-
-    def test_find_repo_root_locates_pyproject(self):
-        assert find_repo_root(Path(__file__)) == REPO_ROOT
+        kept, dropped, complaints = apply_noqa(findings, graph, REPO_ROOT, "REPRO11")
+        assert (kept, dropped, complaints) == ([], len(findings), [])

@@ -17,6 +17,7 @@ import itertools
 
 import pytest
 
+from repro.analysis.generated import check_program, is_row_loop
 from repro.analysis.invariants import collect_nodes
 from repro.config import SystemConfig
 from repro.core.indicator import ProgressIndicator
@@ -200,63 +201,29 @@ def _plan_sources(monitored: bool) -> dict[str, str]:
     return sources
 
 
-def _is_row_loop(node: ast.AST) -> bool:
-    """A ``for`` over rows: anything but ``for page_no in range(...)``."""
-    if not isinstance(node, ast.For):
-        return False
-    it = node.iter
-    return not (
-        isinstance(it, ast.Call)
-        and isinstance(it.func, ast.Name)
-        and it.func.id == "range"
-    )
-
-
-def _stores_in_row_loops(source: str):
-    """Every assignment target nested inside a row loop of ``source``."""
-    run = next(
-        n for n in ast.parse(source).body
-        if isinstance(n, ast.FunctionDef) and n.name == "_fused_run"
-    )
-    for loop in ast.walk(run):
-        if not _is_row_loop(loop):
-            continue
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Assign):
-                yield from node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                yield node.target
-
-
-def _root_name(target: ast.AST) -> str:
-    while isinstance(target, (ast.Attribute, ast.Subscript)):
-        target = target.value
-    return target.id if isinstance(target, ast.Name) else ""
-
-
 class TestGeneratedSourceStructure:
+    """``repro.analysis.generated`` is the check (``verify`` runs it on every
+    plan); here it meets the programs these tests already compile."""
+
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q5", "sort_agg"])
     def test_row_loops_only_count_in_bare_names(self, name):
         source = _plan_sources(monitored=True)[name]
+        assert check_program(source, monitored=True) == []
         assert "def _sync():" in source and ".sync = _sync" in source
         nonlocal_line = next(
             line for line in source.splitlines() if "nonlocal " in line
         )
         cells = set(nonlocal_line.split("nonlocal ")[1].split(", "))
-        counted = set()
-        for target in _stores_in_row_loops(source):
-            if isinstance(target, ast.Name):
-                counted.add(target.id)
-                continue
-            # Hash tables, clock state and aggregate states are written
-            # per row; a tracker or one of its segments never is.
-            assert not _root_name(target).startswith(("seg", "tr")), (
-                ast.unparse(target)
-            )
+        counted = {
+            node.id
+            for loop in filter(is_row_loop, ast.walk(ast.parse(source)))
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
         assert counted & cells, "per-row tracker statements are `name += ...`"
 
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q5", "sort_agg"])
     def test_unmonitored_source_has_no_tracker_code(self, name):
         source = _plan_sources(monitored=False)[name]
-        for needle in ("_sync", "nonlocal", "seg", "_g_tr", "__length_hint__"):
-            assert needle not in source, needle
+        assert check_program(source, monitored=False) == []
+        assert "__length_hint__" not in source

@@ -114,7 +114,7 @@ class TestBusSubscribers:
 
 class TestEventWireFormat:
     def test_every_kind_is_registered_and_unique(self):
-        assert len(EVENT_KINDS) == 30
+        assert len(EVENT_KINDS) == 28
         assert "event" not in EVENT_KINDS  # base class is not wire-visible
 
     def test_v1_payload_replays_without_new_fields(self):
