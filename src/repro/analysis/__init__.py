@@ -1,6 +1,6 @@
 """Static analysis for the progress-indicator engine.
 
-Three pillars, all dependency-free (stdlib only):
+Two pillars, both dependency-free (stdlib only):
 
 * :mod:`repro.analysis.invariants` — a plan/segment **invariant
   verifier**: given an annotated physical plan and the
@@ -12,23 +12,22 @@ Three pillars, all dependency-free (stdlib only):
   verified plan compiles to — the code production actually runs.
 
 * :mod:`repro.analysis.lint` — a repo-specific **AST lint pass** built
-  on :mod:`ast` with rules that encode this codebase's conventions
-  (virtual clock only, no float-equality on progress fractions, no
-  mutable default arguments, one-way package layering, no unseeded
-  randomness).
+  on :mod:`ast`, one file at a time, with rules
+  (:mod:`repro.analysis.rules`) that encode this codebase's conventions:
+  no float-equality on progress fractions, no mutable default arguments,
+  one-way package layering, no unmediated store to shared engine state
+  (the ownership registry in :mod:`repro.analysis.flow.shared_state`),
+  no nondeterminism source — wall clock, unseeded randomness, the
+  environment — anywhere outside test code.
 
-* :mod:`repro.analysis.flow` — an **interprocedural flow analyzer** for
-  the cooperative engine: a call graph, yield-point atomicity
-  diagnostics over the shared-state ownership registry (REPRO10x) and a
-  determinism-effect checker for the engine core (REPRO11x), suppressed
-  the way lint findings are (a ``noqa`` comment, reason mandatory).
+Every monitored query imports this package for the gate, so the root
+re-exports only the gate and verifier names; the linter is imported by
+whoever lints (``from repro.analysis.lint import lint_paths``).
 
 Run them from the command line::
 
     python -m repro.analysis verify        # plans + generated programs
     python -m repro.analysis lint src      # lint the tree
-    python -m repro.analysis races --strict
-    python -m repro.analysis effects --strict
 """
 
 from repro.analysis.gate import (
@@ -45,22 +44,15 @@ from repro.analysis.invariants import (
     verify_plan,
     verify_segments,
 )
-from repro.analysis.lint import LintFinding, lint_file, lint_paths, lint_source
-from repro.analysis.rules import LINT_RULES
 
 __all__ = [
     "INVARIANT_RULES",
-    "LINT_RULES",
     "VERIFY_MODES",
-    "LintFinding",
     "PlanVerificationError",
     "PlanVerificationWarning",
     "Violation",
     "collect_nodes",
     "gate_segments",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "resolve_verify_mode",
     "verify_plan",
     "verify_segments",

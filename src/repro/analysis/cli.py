@@ -2,23 +2,19 @@
 
 Subcommands:
 
-* ``verify`` — plan the paper's built-in workload queries plus three
-  synthetic statements that cover the operators those plans skip (or any
-  SQL via ``--sql``), run the segment builder, check every plan/segment
-  invariant, then compile each plan the two ways production does
-  (monitored and plain) and check the generated program's text
-  (:mod:`repro.analysis.generated`).  Exit code 0 when all are clean,
-  1 otherwise.
+* ``verify`` — plan the paper's built-in workload queries, three
+  synthetic statements that cover the operators those plans skip and the
+  ``shapecheck`` statement templates (or any SQL via ``--sql``), run the
+  segment builder, check every plan/segment invariant, then compile each
+  plan the two ways production does (monitored and plain) and check the
+  generated program's text (:mod:`repro.analysis.generated`).  Exit code
+  0 when all are clean, 1 otherwise.
 * ``lint`` — run the repo-specific AST lint pass over files/directories
-  (default ``src``).  Exit code 0 when no findings, 1 otherwise.
-* ``races`` — interprocedural yield-point atomicity analysis (REPRO10x):
-  shared-state writes outside owner methods, read-modify-write spans
-  crossing a suspension point.  A finding is suppressed by a ``noqa``
-  comment naming its rule on the reported line, reason mandatory;
-  ``--strict`` also fails on such comments that match nothing.
-* ``effects`` — determinism-effect checker (REPRO11x): functions in the
-  engine core that reach a nondeterminism source (wall clock, unseeded
-  random, environment, ...).  Same ``noqa`` / ``--strict`` contract.
+  (default ``src``): conventions, yield-point atomicity over the
+  shared-state ownership registry, determinism.  A finding is suppressed
+  by a ``noqa`` comment naming its rule on the reported line, reason
+  mandatory; such a comment that matches nothing is itself a finding.
+  Exit code 0 when no findings, 1 otherwise.
 
 A path that does not exist, or a run that found no file to parse, exits 2:
 a typo in a CI step must not be a green gate.
@@ -27,8 +23,6 @@ Examples::
 
     python -m repro.analysis verify --query Q2 --scale 0.01
     repro-analyze lint --rule REPRO004 src
-    repro-analyze races --strict
-    repro-analyze effects --strict
 """
 
 from __future__ import annotations
@@ -94,17 +88,22 @@ def _synthetic_database(work_mem: int) -> "Database":
     return db
 
 
-def _build_database(query: str, scale: float, work_mem: int) -> "Database":
-    """The workload database a target is planned against (Q3 needs the
-    correlated generator; everything else named Q* uses plain TPC-R)."""
+def _build_database(name: str, scale: float, work_mem: int) -> "Database":
+    """The instance target ``name`` is planned against: the synthetic one,
+    the correlated generator for Q3, TPC-R with the ``shapecheck`` indexes
+    for its templates, plain TPC-R for everything else."""
+    from repro.bench.perf import SHAPE_TEMPLATES
     from repro.config import SystemConfig
     from repro.workloads import correlated, tpcr
 
-    if query in SYNTHETIC_STATEMENTS:
+    if name in SYNTHETIC_STATEMENTS:
         return _synthetic_database(work_mem)
     config = SystemConfig(work_mem_pages=work_mem)
-    builder = correlated if query == "Q3" else tpcr
-    return builder.build_database(scale=scale, config=config)
+    if name == "Q3":
+        return correlated.build_database(scale=scale, config=config)
+    return tpcr.build_database(
+        scale=scale, config=config, with_indexes=name in SHAPE_TEMPLATES
+    )
 
 
 def check_compiled(
@@ -133,6 +132,7 @@ def check_compiled(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify the built-in workloads' plans (or ad-hoc SQL)."""
+    from repro.bench.perf import SHAPE_TEMPLATES
     from repro.workloads import queries
 
     if args.sql is not None:
@@ -145,7 +145,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 2
         targets = {name: queries.PAPER_QUERIES[name]}
     else:
-        targets = {**queries.PAPER_QUERIES, **SYNTHETIC_STATEMENTS}
+        # One statement per shapecheck template: the short-query shapes
+        # (``hash_join_spill`` spills under ``--work-mem 1``).
+        shapes = {k: t.format(n=1) for k, t in SHAPE_TEMPLATES.items()}
+        targets = {**queries.PAPER_QUERIES, **SYNTHETIC_STATEMENTS, **shapes}
 
     results: dict[str, list[Violation]] = {}
     for name, sql in targets.items():
@@ -196,55 +199,19 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def cmd_flow(args: argparse.Namespace) -> int:
-    """``races`` (REPRO10x) and ``effects`` (REPRO11x): build the call
-    graph, run the pass, apply the ``noqa`` comments, render."""
-    from repro.analysis.flow import (
-        analyze_effects,
-        analyze_races,
-        apply_noqa,
-        build_callgraph,
-        render_flow_findings,
-    )
-
-    package: Optional[str] = args.package
-    if package is None:
-        import repro
-
-        assert repro.__file__ is not None
-        package = str(Path(repro.__file__).resolve().parent)
-    graph = build_callgraph(package)
-    if _no_input(args.command, [package], len(graph.module_imports)):
-        return 2
-    root = Path.cwd()  # report paths the way ``lint`` does
-    analyzer, family = analyze_effects, "REPRO11"
-    if args.command == "races":
-        analyzer, family = analyze_races, "REPRO10"
-    findings, suppressed, complaints = apply_noqa(
-        analyzer(graph, root), graph, root, family
-    )
-    print(render_flow_findings(findings))
-    if suppressed:
-        print(f"({suppressed} finding(s) suppressed by noqa)")
-    if not args.strict:
-        complaints = []
-    for complaint in complaints:
-        print(complaint)
-    return 1 if findings or complaints else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description="Static analysis: plan and generated-program verifier, "
-        "AST lint, flow analysis",
+        "AST lint",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="verify plan/segment invariants")
     verify.add_argument("--query", default=None,
                         help="one paper query (Q1..Q5); default: all, plus "
-                        "the synthetic operator-coverage statements")
+                        "the synthetic operator-coverage statements and the "
+                        "shapecheck templates")
     verify.add_argument("--sql", default=None,
                         help="verify an ad-hoc SELECT against the TPC-R data")
     verify.add_argument("--scale", type=float, default=0.005,
@@ -261,28 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="REPROxxx",
                       help="restrict to one rule id (repeatable)")
     lint.set_defaults(func=cmd_lint)
-
-    def _flow_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--package", default=None,
-                       help="package directory to analyze "
-                       "(default: the installed repro package)")
-        p.add_argument("--strict", action="store_true",
-                       help="also fail on a noqa comment of this pass that "
-                       "states no reason or matches no finding")
-
-    races = sub.add_parser(
-        "races",
-        help="interprocedural yield-point atomicity analysis (REPRO10x)",
-    )
-    _flow_args(races)
-    races.set_defaults(func=cmd_flow)
-
-    effects = sub.add_parser(
-        "effects",
-        help="determinism-effect analysis for the engine core (REPRO11x)",
-    )
-    _flow_args(effects)
-    effects.set_defaults(func=cmd_flow)
 
     return parser
 

@@ -13,8 +13,8 @@ scheduler's task table, each query's work tracker.  Each entry names
   ``self._clock``), which is how a purely syntactic analysis recognises
   a receiver as shared without type inference;
 * the **registered attributes** whose raw mutation from outside the
-  owner is an atomicity hazard (REPRO100) and whose read/write straddling
-  a yield inside the owner is one too (REPRO101/102).
+  owner is an atomicity hazard (REPRO100) and whose store inside a
+  generator method of the owner is one too (REPRO102).
 
 The alias convention is enforced socially, not mechanically: binding a
 ``BufferPool`` to a name like ``x`` hides it from this analysis.  What
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 class SharedObject:
     """One shared mutable engine object and its ownership contract."""
 
-    #: ClassInfo key of the owner ("repro.sim.clock.VirtualClock").
+    #: Dotted path of the owner class ("repro.sim.clock.VirtualClock").
     cls: str
     #: Receiver names an instance is conventionally bound to.
     aliases: frozenset[str]
@@ -100,19 +100,6 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         description="a query's work tracker: only its running program sets sync",
     ),
 )
-
-
-def receiver_type_map() -> dict[str, str]:
-    """alias -> owner ClassInfo key, for call-graph receiver resolution.
-
-    ``trace``/``bus`` style aliases are unambiguous; where two owners
-    could claim an alias the registry is constructed so they do not.
-    """
-    out: dict[str, str] = {}
-    for obj in SHARED_STATE_REGISTRY:
-        for alias in obj.aliases:
-            out.setdefault(alias, obj.cls)
-    return out
 
 
 def owner_for_store(receiver_tail: str, attr: str) -> "SharedObject | None":

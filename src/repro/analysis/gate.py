@@ -52,7 +52,11 @@ class PlanVerificationWarning(UserWarning):
 
 def resolve_verify_mode(config: Optional[SystemConfig] = None) -> str:
     """The effective gate mode for ``config`` (env var wins)."""
-    mode = os.environ.get(ENV_VAR, "").strip().lower()
+    # REPRO_VERIFY selects how strictly plan/segment invariants are gated
+    # (warn vs raise) as the indicator is built.  A test/debug knob that
+    # never influences estimates, progress arithmetic or execution: the same
+    # inputs give the same run at every setting that does not abort.
+    mode = os.environ.get(ENV_VAR, "").strip().lower()  # noqa: REPRO110 - gate strictness only
     if not mode and config is not None:
         mode = getattr(config.progress, "verify_mode", "warn")
     mode = mode or "warn"

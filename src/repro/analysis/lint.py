@@ -1,16 +1,21 @@
 """Lint driver: parse files, run every registered rule, honor ``noqa``.
 
 The driver is rule-agnostic — all repo-specific logic lives in
-:mod:`repro.analysis.rules`.  Findings on lines carrying a ``# noqa``
-comment (bare, or naming the rule id) are suppressed, matching the
-convention other linters use; the flow passes read the same comment
-through :func:`parse_noqa` and additionally insist on a written reason.
+:mod:`repro.analysis.rules`.  A finding is suppressed by a comment on the
+reported line that names its rule *and says why*:
+``# noqa: REPRO007 - degrade boundary``.  Only real comments are read
+(``noqa`` quoted in a string or docstring is text), a bare ``# noqa`` or
+one naming another linter's codes is not this driver's, and a ``REPROxxx``
+noqa that states no reason or matches no finding is itself reported under
+that rule id — the hazard was fixed, so the comment must go.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -38,15 +43,37 @@ def parse_noqa(line: str) -> Optional[tuple[frozenset[str], str]]:
     return frozenset(c.upper() for c in codes), match.group("reason").strip()
 
 
-def _suppressed(finding: LintFinding, lines: list[str]) -> bool:
-    if not 1 <= finding.line <= len(lines):
-        return False
-    parsed = parse_noqa(lines[finding.line - 1])
-    if parsed is None:
-        return False
-    codes = parsed[0]
-    # A bare "# noqa" silences everything on the line.
-    return not codes or finding.rule.upper() in codes
+def _honor_noqa(
+    findings: list[LintFinding], source: str, path: str
+) -> list[LintFinding]:
+    """Drop the findings a reasoned ``noqa`` comment on their line vouches
+    for; add one for every REPRO noqa with no reason or nothing to vouch for."""
+    if "noqa" not in source:
+        return findings
+    #: (line, rule id) -> (column, stated reason) of every REPRO noqa
+    comments: dict[tuple[int, str], tuple[int, str]] = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        codes, reason = parse_noqa(token.string) or (frozenset(), "")
+        for code in codes:
+            if code.startswith("REPRO"):
+                comments[token.start[0], code] = (token.start[1], reason)
+    reported = {(f.line, f.rule) for f in findings}
+    vouched = {key for key, (_, reason) in comments.items() if reason}
+    kept = [f for f in findings if (f.line, f.rule) not in vouched]
+    for (line, code), (col, reason) in comments.items():
+        if not reason:
+            problem = (
+                f"noqa states no reason and suppresses nothing; write "
+                f"'# noqa: {code} - why this is safe'"
+            )
+        elif (line, code) not in reported:
+            problem = "noqa matches no finding; remove it"
+        else:
+            continue
+        kept.append(LintFinding(code, path, line, col, problem))
+    return kept
 
 
 def _package_parts(path: Path) -> tuple[str, ...]:
@@ -90,8 +117,7 @@ def lint_source(
     findings: list[LintFinding] = []
     for _name, rule in LINT_RULES.values():
         findings.extend(rule(tree, ctx))
-    lines = source.splitlines()
-    findings = [f for f in findings if not _suppressed(f, lines)]
+    findings = _honor_noqa(findings, source, str(path))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

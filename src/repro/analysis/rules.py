@@ -8,13 +8,10 @@ ruff (configured in ``pyproject.toml``).
 Rules
 -----
 
-(Gaps in the numbering are retired IDs; they are not reused.)
-
-``REPRO001`` **no-wall-clock** — modules under ``core/`` or ``executor/``
-must never read the host's wall clock (``time.time()``,
-``time.monotonic()``, ``datetime.now()``, ...).  All timing flows through
-the virtual clock (:mod:`repro.sim.clock`); a single wall-clock read makes
-experiments non-deterministic and progress speeds meaningless.
+(Gaps in the numbering are retired IDs; they are not reused.  ``REPRO001``
+no-wall-clock and ``REPRO008`` no-unseeded-random retired into
+``REPRO110``; ``REPRO101`` rmw-across-yield into ``REPRO100`` /
+``REPRO102``, which between them report its every hit.)
 
 ``REPRO002`` **no-float-progress-eq** — no ``==`` / ``!=`` against float
 literals, or on names that look like progress fractions
@@ -50,16 +47,6 @@ machinery, the scheduler's containment boundary, or a test harness
 needed to see.  The few *deliberate* boundaries (the indicator's
 degrade-don't-die wrappers) carry an explanatory ``# noqa: REPRO007``.
 
-``REPRO008`` **no-unseeded-random** — outside ``sim/``, ``fault/`` and
-test code, no unseeded randomness: zero-argument ``random.Random()``
-(seeded from the OS), ``random.SystemRandom`` (always OS entropy), and
-module-level ``random.*`` calls (the hidden global stream, including
-``random.seed``).  Every stochastic component takes an explicit
-``random.Random(seed)`` so the same configuration replays the identical
-run — the determinism contract the effect checker
-(:mod:`repro.analysis.flow.effects`) enforces transitively for the
-engine core.  ``random.Random(seed)`` with an argument is fine anywhere.
-
 ``REPRO009`` **no-per-row-dispatch** — inside the *known-hot* driver
 loops (an explicit allowlist of functions that run once per output row:
 the single-query driver, the scheduler's slice loop), no
@@ -79,24 +66,90 @@ overload protection the service layer exists to provide.  Production
 code obtains a scheduler through :class:`repro.service.QueryService`
 (``db.service()``) or the :class:`repro.api.Session` facade; the
 ``sched`` package itself and test files are exempt.
+
+The cooperative engine is single-threaded, so the only way state can
+change "under" a function is across one of its *own* suspension points —
+a ``yield`` / ``yield from`` in its frame (generator semantics; a plain
+call never suspends the caller).  Two hazard shapes follow, both read off
+the ownership registry in :mod:`repro.analysis.flow.shared_state`:
+
+``REPRO100`` **unmediated-shared-write** — a raw attribute store to a
+registered shared object from outside its owner class.  Even when such a
+store is safe today, it bypasses the owner's invariants (restore
+pairing, monotonic timestamps, counter consistency) and the analyzer
+cannot see the pairing discipline; route it through a mediating owner
+method (``set_owner`` / ``set_trace`` / ``set_faults``) or carry a
+``noqa`` comment that says why it is safe.  This is also what a stale
+read-modify-write across a ``yield`` looks like from outside the owner:
+the write half is a store through a registered alias.
+
+``REPRO102`` **yield-in-owner** — a generator method of an owner class
+that stores to one of its own registered attributes: the owner's
+invariant window is held open across a suspension its callers cannot
+see.  Owner mutation must be atomic (plain methods).
+
+``REPRO110`` **nondeterministic-effect** — the one determinism rule.
+Outside test code, every module must be *deterministic*: given the same
+virtual-clock state and inputs it performs the same computation.  Any
+reference to a nondeterminism source is reported where it is written:
+
+* **wall-clock** — ``time.time`` / ``monotonic`` / ``perf_counter`` ...,
+  ``datetime.now`` / ``utcnow`` / ``today``.  All timing flows through
+  the virtual clock (:mod:`repro.sim.clock`); a single wall-clock read
+  makes experiments non-deterministic and progress speeds meaningless;
+* **unseeded-random** — anything on the :mod:`random` module's hidden
+  global stream (including ``random.seed``), ``random.SystemRandom``
+  (always OS entropy) and zero-argument ``random.Random()`` (seeded from
+  the OS).  Every stochastic component takes an explicit
+  ``random.Random(seed)`` so the same configuration replays the
+  identical run;
+* **environment** — ``os.environ`` / ``os.getenv`` / ``os.urandom``;
+* **uuid** / **secrets** — inherently nondeterministic stdlib modules;
+* **salted-hash** — the builtin ``hash``: ``PYTHONHASHSEED`` salts
+  ``str`` hashing per process, so any value derived from it (partition
+  routing, sampling) differs across runs.  A ``def __hash__`` frame is
+  exempt — that is the protocol, and a dict never outlives the process;
+* **threading** — OS scheduling decides interleavings the virtual clock
+  cannot replay;
+* **dynamic-import** — ``__import__(...)`` / ``importlib.import_module``:
+  a module reached by string is a module this rule cannot name, so
+  ``__import__("os").environ`` would otherwise read the environment
+  unseen.
+
+Names are resolved through the file's own imports (``import time as t``,
+``from time import monotonic``, ``from random import randint as r``), and
+importing a source by name is itself reported.  The rule is frame-local:
+a helper that reads ``os.environ`` is reported at the read, wherever in
+the tree it lives, not at its callers.
+
+``REPRO111`` **set-iteration-order** — in the engine core (``core/``,
+``executor/``, ``estimators/``), iterating a set display, a set
+comprehension, a ``set(...)`` call or a local bound to one feeds set
+ordering into results.  Set *membership* is fine; iterate
+``sorted(...)`` when order can matter.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Optional
+from pathlib import PurePath
+from typing import Callable, Iterator, Optional
 
-#: Wall-clock attributes of the ``time`` module that REPRO001 flags.
+from repro.analysis.flow.shared_state import SHARED_STATE_REGISTRY, owner_for_store
+
+#: Wall-clock attributes of the ``time`` module that REPRO110 flags.
 _WALL_CLOCK_TIME_ATTRS = frozenset(
     {"time", "monotonic", "perf_counter", "process_time", "time_ns",
-     "monotonic_ns", "perf_counter_ns"}
+     "monotonic_ns", "perf_counter_ns", "localtime", "gmtime"}
 )
 #: Wall-clock constructors of the ``datetime`` module.
 _WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-#: Packages REPRO001 applies to (the simulated-time core of the engine;
-#: ``estimators`` runs inside the indicator's tick path, so the same
-#: no-wall-clock / silent / typed-errors contracts apply).
+#: Environment reads of the ``os`` module.
+_ENV_OS_ATTRS = frozenset({"environ", "getenv", "urandom"})
+#: The simulated-time core of the engine, which REPRO005/007/111 police
+#: (``estimators`` runs inside the indicator's tick path, so the same
+#: silent / typed-errors / ordered contracts apply).
 _CLOCKED_PACKAGES = frozenset({"core", "executor", "estimators"})
 
 #: Name fragments that mark a value as a progress fraction for REPRO002.
@@ -137,6 +190,17 @@ class LintContext:
                 return _LAYER_RANK[part]
         return None
 
+    def module(self) -> str:
+        """The dotted module name, as the ownership registry spells it."""
+        return ".".join(("repro", *self.packages, PurePath(self.path).stem))
+
+    def is_test_code(self) -> bool:
+        """Under a ``tests/`` directory or named ``test_*.py``."""
+        parts = PurePath(self.path).parts
+        return any(p in ("tests", "test") for p in parts) or parts[-1].startswith(
+            "test_"
+        )
+
 
 RuleFn = Callable[[ast.AST, LintContext], list[LintFinding]]
 
@@ -162,49 +226,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-# ----------------------------------------------------------------------
-# REPRO001 — no wall-clock in core/ and executor/
-
-
-@_rule("REPRO001", "no-wall-clock")
-def _check_wall_clock(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
-    if not any(p in _CLOCKED_PACKAGES for p in ctx.packages):
-        return []
-    out = []
-
-    def flag(node: ast.AST, what: str) -> None:
-        out.append(
-            LintFinding(
-                rule="REPRO001",
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=f"wall-clock read {what!r}; use the virtual clock "
-                f"(sim.clock) instead",
-            )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "time":
-                for alias in node.names:
-                    if alias.name in _WALL_CLOCK_TIME_ATTRS:
-                        flag(node, f"time.{alias.name}")
-        elif isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.rpartition(".")
-            if head == "time" and tail in _WALL_CLOCK_TIME_ATTRS:
-                flag(node, dotted)
-            elif (
-                tail in _WALL_CLOCK_DATETIME_ATTRS
-                and head.split(".")[-1] in ("datetime", "date")
-            ):
-                flag(node, dotted)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +404,7 @@ def _check_import_layering(tree: ast.AST, ctx: LintContext) -> list[LintFinding]
 # ----------------------------------------------------------------------
 # REPRO005 — no print / ad-hoc logging in core/ and executor/
 
-#: Packages REPRO005 applies to (same silent-engine core as REPRO001).
+#: Packages REPRO005 applies to (the silent engine core).
 _SILENT_PACKAGES = _CLOCKED_PACKAGES
 
 
@@ -428,7 +449,7 @@ def _check_adhoc_logging(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
 # ----------------------------------------------------------------------
 # REPRO007 — no bare / blanket except in core/ and executor/
 
-#: Packages REPRO007 applies to (same engine core as REPRO001/REPRO005).
+#: Packages REPRO007 applies to (same engine core as REPRO005).
 _TAXONOMY_PACKAGES = _CLOCKED_PACKAGES
 #: Exception names that catch everything (or nearly so).
 _BLANKET_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
@@ -479,77 +500,6 @@ def _check_blanket_except(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
             name = _blanket_name(clause)
             if name is not None:
                 flag(node, f"'except {name}'")
-    return out
-
-
-# ----------------------------------------------------------------------
-# REPRO008 — no unseeded randomness outside sim/, fault/ and tests
-
-#: Packages allowed to own randomness (always behind explicit seeds).
-_RANDOM_EXEMPT_PACKAGES = frozenset({"sim", "fault"})
-
-
-def _random_exempt(ctx: LintContext) -> bool:
-    if any(p in _RANDOM_EXEMPT_PACKAGES for p in ctx.packages):
-        return True
-    path = ctx.path.replace("\\", "/")
-    parts = path.split("/")
-    return any(p in ("tests", "test") for p in parts) or parts[-1].startswith(
-        "test_"
-    )
-
-
-@_rule("REPRO008", "no-unseeded-random")
-def _check_unseeded_random(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
-    if _random_exempt(ctx):
-        return []
-    out = []
-
-    def flag(node: ast.AST, what: str) -> None:
-        out.append(
-            LintFinding(
-                rule="REPRO008",
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=f"unseeded randomness {what!r}; draw from an "
-                f"explicitly seeded random.Random(seed) so runs replay "
-                f"deterministically",
-            )
-        )
-
-    #: local name -> original name, for ``from random import ...``.
-    from_random: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.ImportFrom)
-            and node.level == 0
-            and node.module == "random"
-        ):
-            for alias in node.names:
-                if alias.name != "*":
-                    from_random[alias.asname or alias.name] = alias.name
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = _dotted(node.func)
-        if dotted is None:
-            continue
-        head, _, tail = dotted.rpartition(".")
-        if head == "random":
-            origin = tail
-        elif head == "" and tail in from_random:
-            origin = from_random[tail]
-        else:
-            continue
-        if origin == "Random":
-            if not node.args and not node.keywords:
-                flag(node, f"{dotted}() with no seed")
-        elif origin == "SystemRandom":
-            flag(node, dotted)
-        else:
-            flag(node, f"{dotted}() on the global stream")
     return out
 
 
@@ -651,19 +601,11 @@ def _check_hot_loop_dispatch(
 _SCHEDULER_OWNER_PACKAGES = frozenset({"sched", "service"})
 
 
-def _scheduler_exempt(ctx: LintContext) -> bool:
-    if any(p in _SCHEDULER_OWNER_PACKAGES for p in ctx.packages):
-        return True
-    path = ctx.path.replace("\\", "/")
-    parts = path.split("/")
-    return any(p in ("tests", "test") for p in parts) or parts[-1].startswith(
-        "test_"
-    )
-
-
 @_rule("REPRO011", "no-raw-scheduler")
 def _check_raw_scheduler(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
-    if _scheduler_exempt(ctx):
+    if ctx.is_test_code() or any(
+        p in _SCHEDULER_OWNER_PACKAGES for p in ctx.packages
+    ):
         return []
     out = []
     for node in ast.walk(tree):
@@ -686,4 +628,272 @@ def _check_raw_scheduler(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
                     "db.service() / Session (repro.service, repro.api)",
                 )
             )
+    return out
+
+
+# ----------------------------------------------------------------------
+# Frames — what the atomicity and set-order rules reason about
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of one frame: ``scope``'s subtree with nested scopes
+    yielded but not entered (their bodies run in frames of their own)."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _frames(tree: ast.AST) -> Iterator[tuple[ast.AST, Optional[str]]]:
+    """Every frame of the module — its body, each class body, def and
+    lambda — with the name of the class it is defined in (a def nested in
+    a method still belongs to the method's class)."""
+    todo: list[tuple[ast.AST, Optional[str]]] = [(tree, None)]
+    while todo:
+        frame, cls = todo.pop()
+        yield frame, cls
+        if isinstance(frame, ast.ClassDef):
+            cls = frame.name
+        todo.extend((n, cls) for n in _own_nodes(frame) if isinstance(n, _SCOPES))
+
+
+def _stored_attributes(frame: ast.AST) -> Iterator[ast.Attribute]:
+    """The attributes a frame assigns, augments or deletes — also through
+    one subscript (``X.attr[k] = v`` mutates the container behind attr)."""
+    for node in _own_nodes(frame):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(
+            node.ctx, ast.Load
+        ):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if isinstance(target, ast.Attribute):
+                yield target
+
+
+# ----------------------------------------------------------------------
+# REPRO100 / REPRO102 — yield-point atomicity over the ownership registry
+
+
+@_rule("REPRO100", "unmediated-shared-write")
+def _check_unmediated_stores(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
+    out = []
+    for frame, cls in _frames(tree):
+        for node in _stored_attributes(frame):
+            chain = (_dotted(node) or "").split(".")
+            if len(chain) < 2:
+                continue
+            owner = owner_for_store(chain[-2], chain[-1])
+            if owner is None or (
+                cls == owner.class_name and ctx.module() == owner.module
+            ):
+                continue
+            out.append(
+                LintFinding(
+                    rule="REPRO100",
+                    path=ctx.path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    message=f"unmediated store to shared "
+                    f"{owner.class_name}.{chain[-1]} (via "
+                    f"{'.'.join(chain[:-1])!r}) from outside its owner; use "
+                    f"the owner's mediating API",
+                )
+            )
+    return out
+
+
+@_rule("REPRO102", "yield-in-owner")
+def _check_yield_in_owner(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
+    owners = {
+        o.class_name: o for o in SHARED_STATE_REGISTRY if o.module == ctx.module()
+    }
+    if not owners:
+        return []
+    out = []
+    for frame, cls in _frames(tree):
+        owner = owners.get(cls or "")
+        if owner is None or not isinstance(
+            frame, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        if not any(
+            isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(frame)
+        ):
+            continue
+        touched = sorted(
+            {
+                node.attr
+                for node in _stored_attributes(frame)
+                if isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr in owner.attrs
+            }
+        )
+        if touched:
+            out.append(
+                LintFinding(
+                    rule="REPRO102",
+                    path=ctx.path,
+                    line=frame.lineno,
+                    col=frame.col_offset,
+                    message=f"generator method of owner {owner.class_name} "
+                    f"stores to registered state ({', '.join(touched)}) "
+                    f"across its own suspension points; owner mutation must "
+                    f"be atomic",
+                )
+            )
+    return out
+
+
+# ----------------------------------------------------------------------
+# REPRO110 — no nondeterminism source outside test code
+
+
+def _import_origins(tree: ast.AST) -> dict[str, str]:
+    """local name -> dotted origin, for every name the module's imports
+    rebind (``import time as t``, ``from random import randint as r``)."""
+    origins: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    origins[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return origins
+
+
+def _nondeterminism(dotted: str) -> Optional[str]:
+    """The kind of source the canonical reference ``dotted`` names, if any."""
+    head, _, tail = dotted.rpartition(".")
+    if head == "time" and tail in _WALL_CLOCK_TIME_ATTRS:
+        return "wall-clock"
+    if tail in _WALL_CLOCK_DATETIME_ATTRS and head.rpartition(".")[2] in (
+        "datetime", "date"
+    ):
+        return "wall-clock"
+    if head == "random" and tail != "Random":  # Random: only when unseeded
+        return "unseeded-random"
+    if head == "os" and tail in _ENV_OS_ATTRS:
+        return "environment"
+    if head in ("uuid", "secrets", "threading"):
+        return head
+    if dotted == "hash":
+        return "salted-hash"
+    if dotted in ("__import__", "importlib.import_module"):
+        return "dynamic-import"
+    return None
+
+
+@_rule("REPRO110", "nondeterministic-effect")
+def _check_nondeterminism(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
+    if ctx.is_test_code():
+        return []
+    out = []
+
+    def flag(node: ast.AST, kind: str, what: str) -> None:
+        out.append(
+            LintFinding(
+                rule="REPRO110",
+                path=ctx.path,
+                line=node.lineno,
+                col=node.col_offset,
+                message=f"nondeterminism source: {kind} ({what}); a replay "
+                f"must not depend on the host — use the virtual clock "
+                f"(sim.clock), a seeded random.Random(seed), or configuration",
+            )
+        )
+
+    origins = _import_origins(tree)
+
+    def canonical(dotted: str) -> str:
+        first, dot, rest = dotted.partition(".")
+        return origins.get(first, first) + dot + rest
+
+    hash_protocol = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__hash__"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                imported = f"{node.module}.{alias.name}"
+                kind = _nondeterminism(imported)
+                if kind is not None:
+                    flag(node, kind, imported)
+        elif isinstance(node, ast.Call):
+            dotted = _dotted(node.func)
+            if (
+                dotted is not None
+                and canonical(dotted) == "random.Random"
+                and not (node.args or node.keywords)
+            ):
+                flag(node, "unseeded-random", f"{dotted}() with no seed")
+        elif isinstance(node, (ast.Attribute, ast.Name)) and isinstance(
+            node.ctx, ast.Load
+        ):
+            dotted = _dotted(node)
+            kind = _nondeterminism(canonical(dotted)) if dotted else None
+            if kind is not None and not (
+                kind == "salted-hash" and id(node) in hash_protocol
+            ):
+                flag(node, kind, dotted or "")
+    return out
+
+
+# ----------------------------------------------------------------------
+# REPRO111 — no set-iteration order in the engine core
+
+
+def _is_set_expr(node: ast.AST, set_locals: frozenset[str]) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    ):
+        return True
+    return isinstance(node, ast.Name) and node.id in set_locals
+
+
+@_rule("REPRO111", "set-iteration-order")
+def _check_set_iteration(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
+    if not any(p in _CLOCKED_PACKAGES for p in ctx.packages):
+        return []
+    out = []
+    for frame, _cls in _frames(tree):
+        nodes = list(_own_nodes(frame))
+        set_locals = frozenset(
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Assign) and _is_set_expr(node.value, frozenset())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        )
+        for node in nodes:
+            if isinstance(node, ast.For):
+                iterables = [node.iter]
+            elif isinstance(node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)):
+                iterables = [comp.iter for comp in node.generators]
+            else:
+                continue
+            for iterable in iterables:
+                if _is_set_expr(iterable, set_locals):
+                    out.append(
+                        LintFinding(
+                            rule="REPRO111",
+                            path=ctx.path,
+                            line=iterable.lineno,
+                            col=iterable.col_offset,
+                            message="iteration over a set feeds its ordering "
+                            "into results; iterate sorted(...) or a list/dict",
+                        )
+                    )
     return out

@@ -119,9 +119,8 @@ class ProgressConfig:
     #: one tuple per generator hop).  Both engines charge the identical
     #: sequence of virtual-clock costs and tracker updates, so results,
     #: ProgressLog and U totals are bit-identical; "batch" only changes
-    #: real (wall-clock) time.  Paths that must observe individual
-    #: operator pulses (the analysis cross-check probe, EXPLAIN ANALYZE
-    #: row counting) always use the row engine regardless of this knob.
+    #: real (wall-clock) time.  EXPLAIN ANALYZE, which counts rows per
+    #: operator, always uses the row engine regardless of this knob.
     engine: str = "batch"
     #: Rows per :class:`~repro.executor.batch.Batch` handed to the driver
     #: by the batch engine.  Batches also flush at every PULSE boundary

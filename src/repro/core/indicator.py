@@ -90,12 +90,7 @@ DECAY_ALPHA = 0.3
 class ProgressIndicator:
     """Monitors one query execution on a virtual clock."""
 
-    def __init__(  # noqa: REPRO110 - reaches os.environ only through
-        # analysis.gate.resolve_verify_mode: REPRO_VERIFY selects how strictly
-        # plan/segment invariants are gated (warn vs raise) as the indicator
-        # is built.  A test/debug knob that never influences estimates,
-        # progress arithmetic or execution: the same inputs give the same run
-        # at every setting that does not abort.
+    def __init__(
         self,
         planned: PlannedQuery,
         clock: VirtualClock,

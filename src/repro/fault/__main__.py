@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
 
     seeds = list(args.seeds) if args.seeds else list(CI_SEEDS)
     for _ in range(args.random):
-        fresh = random.SystemRandom().randrange(2**31)
+        fresh = random.SystemRandom().randrange(2**31)  # noqa: REPRO110 - a fresh seed on request, printed for replay
         print(f"random seed drawn: {fresh}  (replay: python -m repro.fault {fresh})")
         seeds.append(fresh)
 

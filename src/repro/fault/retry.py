@@ -3,7 +3,7 @@
 All waiting happens on the **virtual clock** (``clock.advance_wall``), so
 backoff is visible to the progress indicator exactly the way a stalled
 disk would be: the speed monitor records the dip, the estimate adjusts,
-and nothing reads the host's wall clock (lint rule REPRO001).
+and nothing reads the host's wall clock (lint rule REPRO110).
 """
 
 from __future__ import annotations

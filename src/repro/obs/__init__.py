@@ -50,7 +50,7 @@ _ON_VALUES = frozenset({"1", "on", "true", "yes"})
 
 def resolve_trace_enabled() -> bool:
     """Is tracing on by default?  Only when ``REPRO_TRACE`` says so."""
-    env = os.environ.get("REPRO_TRACE")
+    env = os.environ.get("REPRO_TRACE")  # noqa: REPRO110 - a bus observes, it changes no result
     return env is not None and env.strip().lower() not in _OFF_VALUES
 
 
@@ -71,7 +71,7 @@ def trace_artifact_dir() -> Optional[Path]:
     taken as a directory path: tracing is enabled *and* the bench harness
     writes ``<name>.trace.jsonl`` / ``<name>.trace.json`` artifacts there.
     """
-    env = os.environ.get("REPRO_TRACE")
+    env = os.environ.get("REPRO_TRACE")  # noqa: REPRO110 - where artifacts go, not what they hold
     if env is None:
         return None
     token = env.strip()

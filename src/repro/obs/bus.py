@@ -11,7 +11,7 @@ Design constraints, in order:
 2. **Virtual time only.**  Events are stamped by their emitters with the
    virtual-clock instant they describe; the bus enforces that the stream
    is non-decreasing in ``t`` (a wall-clock read sneaking in would break
-   this immediately under REPRO001 anyway).
+   this immediately under REPRO110 anyway).
 3. **Replayability.**  The bus records every event in order; the JSONL
    exporter and the estimator-accuracy audit consume that list.
 """

@@ -1,7 +1,7 @@
 """Typed trace events: the vocabulary of the observability subsystem.
 
 Every event carries ``t``, the **virtual-clock** instant it describes —
-never wall-clock time (lint rule REPRO001 applies to the emitters, and the
+never wall-clock time (lint rule REPRO110 applies to the emitters, and the
 audit tooling depends on virtual timestamps being reproducible).  The
 taxonomy mirrors the paper's moving parts:
 

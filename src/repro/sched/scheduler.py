@@ -378,7 +378,7 @@ class CooperativeScheduler:
                     task.row_count += 1
                     if keep and (cap is None or len(rows) < cap):
                         rows.append(item)
-        except Exception as exc:  # noqa: REPRO007 - containment boundary:
+        except Exception as exc:  # containment boundary:
             # one query's failure (e.g. an injected I/O fault past its
             # retry budget) must not take down its siblings; the error is
             # stored and re-raised by QueryHandle.result().

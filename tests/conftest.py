@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +53,17 @@ def tiny_tpcr() -> Database:
 @pytest.fixture(scope="session")
 def tpcr_queries() -> dict[str, str]:
     return queries.PAPER_QUERIES
+
+
+@pytest.fixture(scope="session")
+def shipped_lint() -> tuple[int, str]:
+    """``(exit status, report)`` of ``repro-analyze lint src examples``: the
+    shipped tree is parsed and linted once per session, through the command
+    CI runs, and every shipped-tree assertion reads this."""
+    from repro.analysis.cli import main
+
+    root = Path(__file__).resolve().parents[1]
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        status = main(["lint", str(root / "src"), str(root / "examples")])
+    return status, report.getvalue()

@@ -20,6 +20,7 @@ from repro.analysis.cli import (
     main,
 )
 from repro.analysis.invariants import collect_nodes
+from repro.bench.perf import SHAPE_TEMPLATES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -47,34 +48,31 @@ class TestLintCommand:
     def test_violations_exit_nonzero(self, fixture_tree, capsys):
         assert main(["lint", str(fixture_tree)]) == 1
         out = capsys.readouterr().out
-        for rule in ("REPRO001", "REPRO002", "REPRO003", "REPRO004"):
+        for rule in ("REPRO110", "REPRO002", "REPRO003", "REPRO004"):
             assert rule in out
 
     def test_rule_filter(self, fixture_tree, capsys):
         assert main(["lint", "--rule", "REPRO004", str(fixture_tree)]) == 1
         out = capsys.readouterr().out
         assert "REPRO004" in out
-        assert "REPRO001" not in out
+        assert "REPRO110" not in out
 
     def test_unknown_rule_exits_two(self, fixture_tree, capsys):
         assert main(["lint", "--rule", "REPRO999", str(fixture_tree)]) == 2
 
-    def test_shipped_tree_exits_zero(self, capsys):
-        assert main(["lint", str(REPO_ROOT / "src")]) == 0
+    def test_shipped_tree_exits_zero(self, shipped_lint):
+        assert shipped_lint == (0, "no problems found\n")
 
 
 class TestNothingToAnalyzeExitsTwo:
     """A typo in a CI step (``lint scr``) must not be a green gate."""
 
-    @pytest.mark.parametrize(
-        "argv", [["lint"], ["races", "--package"], ["effects", "--package"]],
-        ids=["lint", "races", "effects"],
-    )
-    def test_missing_path_and_empty_tree(self, argv, tmp_path, capsys):
-        assert main([*argv, str(tmp_path / "scr")]) == 2
+    @pytest.mark.parametrize("command", ["lint"])
+    def test_missing_path_and_empty_tree(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path / "scr")]) == 2
         assert "no such path" in capsys.readouterr().err
         (tmp_path / "notes.txt").write_text("no python here\n")
-        assert main([*argv, str(tmp_path)]) == 2
+        assert main([command, str(tmp_path)]) == 2
         assert "no .py file" in capsys.readouterr().err
 
     def test_one_missing_path_among_good_ones(self, tmp_path, capsys):
@@ -83,6 +81,9 @@ class TestNothingToAnalyzeExitsTwo:
 
 
 class TestFlowCommands:
+    """What ``races`` / ``effects --strict`` enforced is ``lint``'s one
+    contract now; the two commands and their flags are gone."""
+
     def fixture(self, tmp_path, comment):
         core = tmp_path / "repro" / "core"
         core.mkdir(parents=True)
@@ -96,35 +97,38 @@ class TestFlowCommands:
         self, tmp_path, capsys
     ):
         package = self.fixture(tmp_path, "# noqa: REPRO110 - measured on purpose")
-        assert main(["effects", "--package", package]) == 0
-        assert "1 finding(s) suppressed by noqa" in capsys.readouterr().out
-        assert main(["effects", "--package", package, "--strict"]) == 1
-        assert "m.py:5: noqa for REPRO110 matches no finding" in capsys.readouterr().out
-        assert main(["races", "--package", package, "--strict"]) == 0  # not its rule
+        assert main(["lint", package]) == 1
+        out = capsys.readouterr().out
+        assert "m.py:5:14: REPRO110 noqa matches no finding; remove it" in out
+        assert "found 1 problem(s)" in out  # the reasoned one on line 3 held
 
     def test_noqa_without_a_reason_leaves_the_finding(self, tmp_path, capsys):
         package = self.fixture(tmp_path, "# noqa: REPRO110")
-        assert main(["effects", "--package", package]) == 1
-        assert "REPRO110" in capsys.readouterr().out
+        assert main(["lint", package]) == 1
+        out = capsys.readouterr().out
+        assert "m.py:3:11: REPRO110 nondeterminism source: wall-clock" in out
+        assert "m.py:3:24: REPRO110 noqa states no reason" in out
 
-    def test_shipped_tree_is_strictly_clean(self, capsys):
-        assert main(["races", "--strict"]) == 0
-        assert main(["effects", "--strict"]) == 0
+    def test_shipped_tree_is_strictly_clean(self, shipped_lint):
+        assert shipped_lint[0] == 0
 
-    def test_the_surface_is_four_subcommands_and_two_flow_flags(self):
-        """No second suppression mechanism, no fifth command."""
+    def test_the_surface_is_two_subcommands_and_no_strictness_flag(self):
+        """No second suppression mechanism, no third command."""
         (sub,) = (
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        assert set(sub.choices) == {"verify", "lint", "races", "effects"}
-        for name in ("races", "effects"):
-            flags = {
-                flag for a in sub.choices[name]._actions for flag in a.option_strings
-            }
-            assert flags == {"-h", "--help", "--package", "--strict"}
+        assert set(sub.choices) == {"verify", "lint"}
+        flags = {
+            flag for a in sub.choices["lint"]._actions for flag in a.option_strings
+        }
+        assert flags == {"-h", "--help", "--rule"}
+
+    @pytest.mark.parametrize("command", ["races", "effects", "summaries"])
+    def test_retired_subcommand_exits_two(self, command):
+        """...like one that never existed (``summaries``): a usage error."""
         with pytest.raises(SystemExit) as exc:
-            main(["summaries"])  # an unknown subcommand is a usage error
+            main([command])
         assert exc.value.code == 2
 
 
@@ -132,7 +136,9 @@ class TestVerifyCommand:
     def test_all_paper_queries_verify(self, capsys):
         assert main(["verify", "--scale", "0.002"]) == 0
         out = capsys.readouterr().out
-        for name in ("Q1", "Q2", "Q3", "Q4", "Q5", *SYNTHETIC_STATEMENTS):
+        for name in (
+            "Q1", "Q2", "Q3", "Q4", "Q5", *SYNTHETIC_STATEMENTS, *SHAPE_TEMPLATES
+        ):
             assert f"{name}: OK" in out
 
     def test_synthetic_statements_cover_what_the_paper_plans_skip(self):
@@ -183,4 +189,4 @@ class TestEntryPoints:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 1
-        assert "REPRO001" in proc.stdout
+        assert "REPRO110" in proc.stdout

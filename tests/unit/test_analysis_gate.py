@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,21 @@ class TestResolveVerifyMode:
         monkeypatch.setenv("REPRO_VERIFY", "loud")
         with pytest.raises(ProgressError):
             resolve_verify_mode(SystemConfig())
+
+
+def test_importing_the_gate_does_not_load_the_linter():
+    """Every monitored query imports ``repro.analysis.gate``; the lint
+    driver and its rules are for whoever lints."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.analysis.gate; "
+         "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+    ).stdout
+    assert loaded.strip() == str(
+        ["repro.analysis", "repro.analysis.gate", "repro.analysis.invariants"]
+    )
 
 
 class TestGateSegments:
