@@ -111,10 +111,25 @@ def check_compiled(
 ) -> list[Violation]:
     """Compile ``root`` the two ways production does — with a tracker and
     without — and check both generated programs' text."""
+    from repro.analysis.invariants import collect_nodes
     from repro.executor.base import ExecContext
-    from repro.executor.fused import FusedQuery
+    from repro.executor.fused import _SAFE_LITERALS, FusedQuery
     from repro.executor.work import WorkTracker
+    from repro.expr.bound import BoundExpr, InSubqueryExpr, LiteralExpr
 
+    # The two shapes the compiler keeps as closures: an IN-subquery, a
+    # literal outside _SAFE_LITERALS (found anywhere under any plan node).
+    seen: list = collect_nodes(root)
+    for item in seen:  # grows as it is walked
+        for value in vars(item).values():
+            parts = value if isinstance(value, list) else [value]
+            seen += [v for v in parts if isinstance(v, BoundExpr)]
+    closures = any(
+        isinstance(e, InSubqueryExpr)
+        or (isinstance(e, LiteralExpr)
+            and type(e.value) not in (*_SAFE_LITERALS, type(None)))
+        for e in seen
+    )
     out: list[Violation] = []
     for monitored in (True, False):
         tracker = None
@@ -126,7 +141,7 @@ def check_compiled(
         )
         query = FusedQuery(root, ctx)
         query.close()
-        out.extend(check_program(query.source, monitored))
+        out.extend(check_program(query.source, monitored, closures))
     return out
 
 
@@ -146,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         targets = {name: queries.PAPER_QUERIES[name]}
     else:
         # One statement per shapecheck template: the short-query shapes
-        # (``hash_join_spill`` spills under ``--work-mem 1``).
+        # (the two joins spill under ``--work-mem 1``).
         shapes = {k: t.format(n=1) for k, t in SHAPE_TEMPLATES.items()}
         targets = {**queries.PAPER_QUERIES, **SYNTHETIC_STATEMENTS, **shapes}
 

@@ -3,16 +3,16 @@
 Production executes the *text* :mod:`repro.executor.fused` generates, which
 no pass over ``src/`` can see; ``python -m repro.analysis verify`` compiles
 every plan it verifies, monitored and plain, and holds ``FusedQuery.source``
-to what that module's docstring promises.  The four checks are defined
-exactly in docs/static_analysis.md ("Generated-program checks"); the last
-one is REPRO110's vocabulary, applied to the code that runs.
+to what that module's docstring promises.  The six checks are defined
+exactly in docs/static_analysis.md ("Generated-program checks");
+``closed-vocabulary`` is REPRO110's vocabulary, applied to the code that runs.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.analysis.invariants import Violation
 
@@ -24,6 +24,9 @@ _BUILTINS = {"enumerate", "iter", "len", "max", "range", "set", "tuple", "zip"}
 _PAGE_FETCH = re.compile(r"(get|dread)\d+$")
 #: ...and the tracker, its bound methods and its segments' counters.
 _TRACKER = re.compile(r"(_g_)?(seg|tr(st|in)?\d)")
+#: A row ``_Compiler._tuple`` named; a ``compile_expr``/``compile_predicate``
+#: closure (filter, projection, aggregate argument).
+_ROW, _CLOSURE = re.compile(r"o\d+$"), re.compile(r"(p|a?fn)\d+$")
 
 _Found = Iterator[tuple[str, int, str]]
 
@@ -117,6 +120,48 @@ def _row_loop_counts(nodes: list[ast.AST], monitored: bool) -> _Found:
             )
 
 
+def _built(node: ast.AST) -> Optional[tuple[str, ast.Tuple]]:
+    """``(name, display)`` when ``node`` is ``o<N> = (...)``."""
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+        target = node.targets[0]
+        if isinstance(target, ast.Name) and _ROW.match(target.id):
+            return target.id, node.value
+    return None
+
+
+def _row_built_once(nodes: list[ast.AST]) -> _Found:
+    read = {
+        n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for name, display in filter(None, map(_built, nodes)):
+        if name not in read:
+            yield "row-built-once", display.lineno, f"`{name}` is built and never read"
+    for loop in nodes:
+        if not (isinstance(loop, ast.For) and is_row_loop(loop)):
+            continue
+        own = dict(filter(None, map(_built, _own(loop))))
+        for name, display in own.items():
+            picked = {
+                isinstance(e, ast.Subscript) and ast.unparse(e.value)
+                for e in display.elts
+            }
+            if len(picked) == 1 and picked <= own.keys():
+                yield "row-built-once", display.lineno, (
+                    f"`{name}` only permutes `{picked.pop()}`, built in the "
+                    f"same loop body: one row, two tuples"
+                )
+
+
+def _row_loop_closures(nodes: list[ast.AST]) -> _Found:
+    for node in (n for loop in filter(is_row_loop, nodes) for n in ast.walk(loop)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and _CLOSURE.match(func.id):
+            yield "row-loop-closures", func.lineno, (
+                f"a row loop calls the expression closure `{func.id}`; "
+                f"the plan has no IN-subquery or unsafe literal"
+            )
+
+
 def _closed_vocabulary(nodes: list[ast.AST]) -> _Found:
     names = [n for n in nodes if isinstance(n, ast.Name)]
     known = {n.id for n in names if not isinstance(n.ctx, ast.Load)}
@@ -132,13 +177,19 @@ def _closed_vocabulary(nodes: list[ast.AST]) -> _Found:
             )
 
 
-def check_program(source: str, monitored: bool) -> list[Violation]:
-    """Every broken promise in one generated program's text."""
+def check_program(
+    source: str, monitored: bool, closures: bool = False
+) -> list[Violation]:
+    """Every broken promise in one generated program's text (``closures``:
+    the plan holds an IN-subquery or a literal outside
+    ``fused._SAFE_LITERALS``, which keep their ``compile_expr`` closures)."""
     nodes = list(ast.walk(ast.parse(source)))
     found = {
         *_pulse_flush(nodes),
         *_page_loop_pulse(nodes),
         *_row_loop_counts(nodes, monitored),
+        *_row_built_once(nodes),
+        *(() if closures else _row_loop_closures(nodes)),
         *_closed_vocabulary(nodes),
     }
     mode = "monitored" if monitored else "plain"

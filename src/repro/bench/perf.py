@@ -16,8 +16,9 @@ from repro.workloads import tpcr
 #: plan shape for every ``n`` of the loop (the literals stay in a narrow
 #: range so the optimizer's choice cannot flip); between them they cover
 #: the places a run-time value once leaked into generated source —
-#: predicate and projection literals, LIMIT, and the ``id()``-named
-#: partition files of a multi-batch hash join (work_mem is one page).
+#: predicate and projection literals, LIMIT, the ``id()``-named
+#: partition files of a multi-batch hash join (work_mem is one page), and
+#: the scalar function and LIKE pattern the compiler binds inline.
 SHAPE_TEMPLATES: dict[str, str] = {
     "index_lookup": "select custkey, acctbal from customer where custkey = {n}",
     "scan_filter": (
@@ -27,6 +28,11 @@ SHAPE_TEMPLATES: dict[str, str] = {
     "hash_join_spill": (
         "select c.custkey, o.orderkey from customer c, orders o "
         "where c.custkey = o.custkey and o.totalprice > {n}.0"
+    ),
+    "function_like_join": (
+        "select c.name, o.orderkey from customer c, orders o "
+        "where c.custkey = o.custkey and absolute(o.totalprice) > {n}.0 "
+        "and c.name like 'Customer%{n}'"
     ),
 }
 

@@ -33,7 +33,12 @@ The compiler therefore follows four rules:
   write) keeps its exact order, because fault injection draws one RNG
   value per charged I/O;
 * only *silent* computation (predicate evaluation, tuple construction,
-  width arithmetic) is restructured into straight-line code.
+  width arithmetic, partition routing) is restructured into straight-line
+  code: comparisons, arithmetic, scalar functions and LIKE are inline
+  source (a NULL first operand skips evaluating the second, as ``and``
+  already does), a row is built once, where a consumer takes it whole —
+  slot readers read the row it was copied from — and a row loop calls a
+  ``compile_expr`` closure only for an IN-subquery or an unsafe literal.
 
 ``PULSE`` placement is likewise preserved: the generated code yields
 :data:`~repro.executor.base.PULSE` at exactly the volcano engine's
@@ -59,7 +64,7 @@ from repro.errors import ExecutionError
 from repro.executor.base import PULSE, ExecContext
 from repro.executor.batch import Batch
 from repro.executor.hash_join import _spill_schema, _stable_hash
-from repro.executor.rowops import layout_of
+from repro.executor.rowops import concat_layout, layout_of, row_width_fn
 from repro.executor.scans import _projector, _scan_layout
 from repro.executor.sort import _CPU_CHUNK, make_sort_key
 from repro.expr.bound import (
@@ -67,12 +72,14 @@ from repro.expr.bound import (
     ArithmeticExpr,
     ColumnExpr,
     ComparisonExpr,
+    FunctionExpr,
+    LikeExpr,
     LiteralExpr,
     LogicalExpr,
     NegativeExpr,
     NotExpr,
 )
-from repro.expr.compiler import compile_expr, compile_predicate
+from repro.expr.compiler import compile_expr, compile_predicate, like_matcher
 from repro.planner.physical import (
     DistinctNode,
     FilterNode,
@@ -90,7 +97,7 @@ from repro.planner.physical import (
 from repro.sim.load import CPU, IO
 from repro.storage.heap import HeapFile
 from repro.storage.schema import TUPLE_HEADER_BYTES, Column, Schema
-from repro.storage.types import StringType
+from repro.storage.types import IntegerType, StringType
 
 #: Pulse cadence of sort stream/merge phases (mirrors repro.executor.sort).
 _MERGE_PULSE_ROWS = 256
@@ -101,6 +108,10 @@ _ARITH_SRC = {"+": "+", "-": "-", "*": "*", "/": "/"}
 #: Literal types fused expressions bind as hoisted locals (NULL stays
 #: inline); anything else keeps its ``compile_expr`` closure.
 _SAFE_LITERALS = (int, float, str, bool)
+
+
+#: Indentation by block depth (``_Compiler.line`` runs ~200x per program).
+_PADS = ["    " * depth for depth in range(64)]
 
 
 def _nonnull_literal(expr) -> bool:
@@ -290,6 +301,10 @@ class _Compiler:
         #: Row variable -> per-slot ``(source row, slot)`` for tuples built
         #: from slots of other rows (None where a slot is computed).
         self._origin: dict[str, list] = {}
+        #: Rows no consumer has taken whole yet -> emit them where defined.
+        self._unbuilt: dict[str, Callable[[], None]] = {}
+        #: Segments the enclosing page iteration has already started.
+        self._started: set[int] = set()
         #: Source row -> ``slots -> name`` binding those slots' string-length
         #: sum once, where the source row is bound (see _emit_width).
         self._hoist: dict[str, Callable[[List[int]], str]] = {}
@@ -309,12 +324,12 @@ class _Compiler:
         return name
 
     def line(self, text: str) -> None:
-        self.body.append("    " * self.depth + text)
+        self.body.append(_PADS[self.depth] + text)
 
     def hole(self) -> Callable[[str], None]:
         """Reserve this spot in the body; the result emits a line there later."""
         lines: List[str] = []
-        pad = "    " * self.depth
+        pad = _PADS[self.depth]
         self._holes.append((len(self.body), lines))
         return lambda text: lines.append(pad + text)
 
@@ -405,13 +420,16 @@ class _Compiler:
         slow = self._slow
         rloc = "_rcpu" if res == "_CPU" else "_rio"
 
-        def emit_body() -> None:
-            self.line(f"{cch}[{rloc}] += {c}")
-            self.line(f"_end = {clk}.now + {c} * {clk}._factors[{rloc}]")
-            with self.block(f"if _end < {clk}._next_event:"):
-                self.line(f"{clk}.now = _end")
-            with self.block("else:"):
-                self.line(f"{slow}({c}, {rloc})")
+        def emit_body() -> None:  # the commonest block: appended in one go
+            pad, deeper = _PADS[self.depth], _PADS[self.depth + 1]
+            self.body += (
+                f"{pad}{cch}[{rloc}] += {c}",
+                f"{pad}_end = {clk}.now + {c} * {clk}._factors[{rloc}]",
+                f"{pad}if _end < {clk}._next_event:",
+                f"{deeper}{clk}.now = _end",
+                f"{pad}else:",
+                f"{deeper}{slow}({c}, {rloc})",
+            )
 
         if guard:
             with self.block(f"if {c}:"):
@@ -426,6 +444,8 @@ class _Compiler:
 
     def _emit_start(self, seg_id: int) -> None:
         """``tracker._start`` at the segment's first row, as the row engine."""
+        if seg_id in self._started:
+            return
         seg = self._seg(seg_id)
         with self.block(f"if not {seg}st:"):
             self.line(f"{seg}st = True")
@@ -465,7 +485,7 @@ class _Compiler:
         self.line("yield PULSE")
 
     def _driver(self, rowvar: str) -> None:
-        self.line(f"out_append({rowvar})")
+        self.line(f"out_append({self._whole(rowvar)})")
         self.line("nout += 1")
         with self.block(f"if nout >= {self.batch_rows}:"):
             self.line("yield _B(out)")
@@ -498,34 +518,54 @@ class _Compiler:
         return " + ".join(f"len({rowvar}[{i}] or '')" for i in slots)
 
     def _src(self, rowvar: str, slot: int) -> tuple[str, int]:
-        """Where ``rowvar[slot]`` was copied from (a hoistable row at most)."""
-        origin = None if rowvar in self._hoist else self._origin.get(rowvar)
+        """The row ``rowvar[slot]`` was copied from (itself: scanned, computed)."""
+        origin = self._origin.get(rowvar)
         return (origin and origin[slot]) or (rowvar, slot)
 
+    def _slot(self, rowvar: str, slot: int) -> str:
+        """``rowvar[slot]``, read from the row it was copied from."""
+        return "%s[%d]" % self._src(rowvar, slot)
+
     def _tuple(self, parts: list) -> str:
-        """Emit a tuple of ``(row, slot)`` picks and computed-value sources."""
+        """Name a row of ``(row, slot)`` picks and computed-value sources.  A
+        pick of a pick reads the source row.  The row is built — here — only
+        if a consumer takes it whole (_whole); with a computed slot at once,
+        so what may raise runs exactly when the row engine runs it."""
         o = self.fresh("o")
-        self.line(f"{o} = " + _tuple_display(
-            [p if isinstance(p, str) else f"{p[0]}[{p[1]}]" for p in parts]
-        ))
-        self._origin[o] = [
-            None if isinstance(p, str) else self._src(*p) for p in parts
-        ]
+        picks = [p if isinstance(p, str) else self._src(*p) for p in parts]
+        text = f"{o} = " + _tuple_display(
+            [p if isinstance(p, str) else "%s[%d]" % p for p in picks]
+        )
+        self._origin[o] = origin = [None if isinstance(p, str) else p for p in picks]
+        if None in origin:
+            self.line(text)
+        else:
+            at = self.hole()
+            self._unbuilt[o] = lambda: at(text)
         return o
+
+    def _whole(self, rowvar: str) -> str:
+        """``rowvar`` for a consumer that takes the row as one object."""
+        build = self._unbuilt.pop(rowvar, None)
+        if build is not None:
+            build()
+        return rowvar
 
     @contextlib.contextmanager
     def _hoisting(self, rowvar: str) -> Iterator[None]:
-        """While the loop about to open is emitted, widths take ``rowvar``'s
-        string lengths from a name bound here: once per row, not per pair."""
+        """While the loop about to open is emitted, widths take the string
+        lengths of the rows ``rowvar`` is made of from names bound here: once
+        per row, not per pair (a row hoisted further out stays out there)."""
         at = self.hole()
 
-        def bind(slots: List[int]) -> str:
+        def bind(src: str, slots: List[int]) -> str:
             name = self.fresh("pw")
-            at(f"{name} = {self._lens(rowvar, slots)}")
+            at(f"{name} = {self._lens(src, slots)}")
             return name
 
+        made_of = [(p or (rowvar,))[0] for p in self._origin.get(rowvar) or [None]]
         outer = self._hoist
-        self._hoist = {**outer, rowvar: bind}
+        self._hoist = {**{s: functools.partial(bind, s) for s in made_of}, **outer}
         yield
         self._hoist = outer
 
@@ -560,8 +600,8 @@ class _Compiler:
     def _key_expr(self, columns, keys, rowvar: str) -> str:
         slots = [layout_of(columns)[k] for k in keys]
         if len(slots) == 1:
-            return f"{rowvar}[{slots[0]}]"
-        return _tuple_display([f"{rowvar}[{s}]" for s in slots])
+            return self._slot(rowvar, slots[0])
+        return _tuple_display([self._slot(rowvar, s) for s in slots])
 
     def _combine(self, left_cols, right_cols, out_cols, lvar, rvar) -> str:
         """Emit a join's output tuple; return its name."""
@@ -582,12 +622,28 @@ class _Compiler:
     # value (including SQL NULL propagation) is identical.  Shapes the
     # source compiler does not cover fall back to the compiled closures.
 
+    def _operands(self, exprs, slot, layout, test: str):
+        """``(sources, checks)`` of ``exprs`` (None if one does not fuse): an
+        operand that can be NULL is walrus-bound inside its ``{test}`` check."""
+        sources, checks = [], []
+        for e in exprs:
+            src = self._value_src(e, slot, layout)
+            if src is None:
+                return None
+            if not _nonnull_literal(e):
+                t = self.fresh("t")
+                checks.append(f"({t} := {src}) {test}")
+                src = t
+            sources.append(src)
+        return sources, checks
+
     def _value_src(self, expr, slot: Callable[[int], str], layout) -> Optional[str]:
         """Source computing ``compile_expr(expr, layout)(row)``, or None.
 
         ``slot`` maps a layout slot index to the source of that slot's
         value.  NULL propagation matches the closures exactly: any NULL
-        operand of a comparison/arithmetic node yields None.
+        operand of a comparison/arithmetic/function/LIKE node yields None
+        (and skips evaluating the operands after it: the checks are ``or``).
         """
         if isinstance(expr, ColumnExpr):
             s = layout.get(expr.coordinate)
@@ -603,32 +659,28 @@ class _Compiler:
             return None
         if isinstance(expr, (ComparisonExpr, ArithmeticExpr)):
             table = _CMP_SRC if isinstance(expr, ComparisonExpr) else _ARITH_SRC
-            op = table[expr.op]
-            left = self._value_src(expr.left, slot, layout)
-            right = self._value_src(expr.right, slot, layout)
-            if left is None or right is None:
-                return None
-            checks = []
-            if not _nonnull_literal(expr.left):
-                t = self.fresh("t")
-                checks.append(f"({t} := {left}) is None")
-                left = t
-            if not _nonnull_literal(expr.right):
-                t = self.fresh("t")
-                checks.append(f"({t} := {right}) is None")
-                right = t
-            if not checks:
-                return f"({left} {op} {right})"
-            return f"(None if {' or '.join(checks)} else {left} {op} {right})"
-        if isinstance(expr, NegativeExpr):
-            inner = self._value_src(expr.operand, slot, layout)
-            if inner is None:
-                return None
-            if _nonnull_literal(expr.operand):
-                return f"(-{inner})"
-            t = self.fresh("t")
-            return f"(None if ({t} := {inner}) is None else -{t})"
-        return None
+            operands = [expr.left, expr.right]
+            form = f"{{}} {table[expr.op]} {{}}".format
+        elif isinstance(expr, NegativeExpr):
+            operands, form = [expr.operand], "-{}".format
+        elif isinstance(expr, FunctionExpr):
+            # The raw callable: the checks around it are the NULL-safety.
+            operands = expr.args
+            holes = ", ".join(["{}"] * len(operands))
+            form = f"{self.local(expr.func.fn, 'sf')}({holes})".format
+        elif isinstance(expr, LikeExpr):
+            hit = "" if expr.negated else "not "  # of the pattern's bound match
+            match = self.local(like_matcher(expr.pattern), "like")
+            operands, form = [expr.operand], f"{match}({{}}) is {hit}None".format
+        else:
+            return None
+        got = self._operands(operands, slot, layout, "is None")
+        if got is None:
+            return None
+        sources, checks = got
+        if not checks:
+            return f"({form(*sources)})"
+        return f"(None if {' or '.join(checks)} else {form(*sources)})"
 
     def _pred_src(self, expr, slot: Callable[[int], str], layout) -> Optional[str]:
         """Boolean source equal to ``compile_predicate(expr, layout)(row)``.
@@ -638,21 +690,11 @@ class _Compiler:
         False both reject the row), mirroring ``fn(row) is True``.
         """
         if isinstance(expr, ComparisonExpr):
-            left = self._value_src(expr.left, slot, layout)
-            right = self._value_src(expr.right, slot, layout)
-            if left is None or right is None:
+            got = self._operands([expr.left, expr.right], slot, layout, "is not None")
+            if got is None:
                 return None
-            op = _CMP_SRC[expr.op]
-            conds = []
-            if not _nonnull_literal(expr.left):
-                t = self.fresh("t")
-                conds.append(f"({t} := {left}) is not None")
-                left = t
-            if not _nonnull_literal(expr.right):
-                t = self.fresh("t")
-                conds.append(f"({t} := {right}) is not None")
-                right = t
-            conds.append(f"{left} {op} {right}")
+            (left, right), conds = got
+            conds.append(f"{left} {_CMP_SRC[expr.op]} {right}")
             return "(" + " and ".join(conds) + ")"
         if isinstance(expr, LogicalExpr):
             # Conjunction is True iff every arg is True; disjunction iff
@@ -690,19 +732,16 @@ class _Compiler:
         built only if some predicate needs the closure fallback.
         Predicates run in plan order, exactly like the volcano chain.
         """
+        mvar = rowvar
+        slot = functools.partial(self._slot, rowvar)
         if split is not None:
             lvar, rvar, nleft = split
 
             def slot(s: int) -> str:
-                return f"{lvar}[{s}]" if s < nleft else f"{rvar}[{s - nleft}]"
+                if s < nleft:
+                    return self._slot(lvar, s)
+                return self._slot(rvar, s - nleft)
 
-            mvar = None
-        else:
-
-            def slot(s: int) -> str:
-                return f"{rowvar}[{s}]"
-
-            mvar = rowvar
         for f in filters:
             src = self._pred_src(f, slot, layout)
             if src is not None:
@@ -711,9 +750,9 @@ class _Compiler:
                 continue
             if mvar is None:
                 mvar = self.fresh("m")
-                self.line(f"{mvar} = {split[0]} + {split[1]}")
+                self.line(f"{mvar} = {self._whole(lvar)} + {self._whole(rvar)}")
             pv = self.local(compile_predicate(f, layout), "p")
-            with self.block(f"if not {pv}({mvar}):"):
+            with self.block(f"if not {pv}({self._whole(mvar)}):"):
                 self.line("continue")
 
     # ------------------------------------------------------------------
@@ -737,7 +776,8 @@ class _Compiler:
         lines.append("    _rio = _IO")
         lines.extend("    " + p for p in self.pre + sync)
         for at, late in reversed(self._holes):  # back to front: positions hold
-            self.body[at:at] = late
+            if late:
+                self.body[at:at] = late
         lines.extend(self.body)
         lines.append("    if out:")
         lines.append("        yield _B(out)")
@@ -836,6 +876,8 @@ class _Compiler:
                         f"{self._tr_input}"
                         f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
                     )
+                if per_row:  # this page iteration has run the start test
+                    self._started.add(ref[0])
                 with self.block(f"for {r} in {it if per_row else rows}:"):
                     self._emit_predicates(node.filters, layout, r)
                     if slots is None:
@@ -843,6 +885,7 @@ class _Compiler:
                     else:
                         consume(self._tuple([(r, i) for i in slots]))
                 if per_row:
+                    self._started.discard(ref[0])
                     self.line(f"{dr} += {n}; {db} += {pb}; {it} = 0")
                 self._emit_pulse()
             with self.block("finally:"):
@@ -946,13 +989,13 @@ class _Compiler:
         closures: dict[int, str] = {}
 
         def part_src(i, e, rowvar: str) -> str:
-            src = self._value_src(e, lambda s: f"{rowvar}[{s}]", layout)
+            src = self._value_src(e, functools.partial(self._slot, rowvar), layout)
             if src is not None:
                 return src
             name = closures.get(i)
             if name is None:
                 name = closures[i] = self.local(compile_expr(e, layout), "fn")
-            return f"{name}({rowvar})"
+            return f"{name}({self._whole(rowvar)})"
 
         def stage(rowvar: str) -> None:
             self._emit_advance(per_row, "_CPU")
@@ -992,7 +1035,7 @@ class _Compiler:
 
         def stage(rowvar: str) -> None:
             self._emit_advance(per_row, "_CPU")
-            with self.block(f"if {rowvar} in {seen}:"):
+            with self.block(f"if {self._whole(rowvar)} in {seen}:"):
                 self.line("continue")
             self.line(f"{add}({rowvar})")
             consume(rowvar)
@@ -1030,6 +1073,7 @@ class _Compiler:
         self, rowvar: str, key_expr: str, table: str, tget: str
     ) -> None:
         """Shared build-side hash-table insert (NULL keys never join)."""
+        self._whole(rowvar)
         k = self.fresh("k")
         bkt = self.fresh("bkt")
         self.line(f"{k} = {key_expr}")
@@ -1047,8 +1091,6 @@ class _Compiler:
         cost = self.cost
         layout = None
         if node.extra_filters:
-            from repro.executor.rowops import concat_layout
-
             layout = concat_layout(node.build.columns, node.probe.columns)
         per_match = cost.cpu_tuple + len(node.extra_filters) * cost.cpu_operator
         k = self.fresh("k")
@@ -1132,11 +1174,14 @@ class _Compiler:
         mk = self.local(_make_partitions, "mkparts")
         ctxv = self.local(ctx, "ctx")
         temps = self.local(self.temps, "temps")
-        sh = self.local(_stable_hash, "sh")
 
         def partition(child, columns, keys, segment, name: str) -> str:
             monitored = self.tracker is not None and segment is not None
             fixed, var_slots = self._width_parts([c.type for c in columns])
+            # _stable_hash is the identity on an integer column's values.
+            key_type = columns[layout_of(columns)[keys[0]]].type
+            plain_int = len(keys) == 1 and isinstance(key_type, IntegerType)
+            sh = None if plain_int else self.local(_stable_hash, "sh")
             cols = self.local(columns, "cols")
             parts = self.fresh("parts")
             apps = self.fresh("apps")
@@ -1147,16 +1192,14 @@ class _Compiler:
             def sink(rowvar: str) -> None:
                 self._emit_advance(cost.cpu_hash, "_CPU")
                 k = self.fresh("k")
-                self.line(
-                    f"{k} = " + self._key_expr(columns, keys, rowvar)
-                )
+                self.line(f"{k} = " + self._key_expr(columns, keys, rowvar))
                 b = self.fresh("b")
-                self.line(
-                    f"{b} = {sh}({k}) % {nb} if {k} is not None else 0"
-                )
-                self.line(f"{apps}[{b}]({rowvar})")
+                route = k if sh is None else f"{sh}({k})"
+                self.line(f"{b} = {route} % {nb} if {k} is not None else 0")
+                # This width *is* the spill schema's row_width of the row.
+                w = self._emit_width(rowvar, fixed, var_slots, named=monitored)
+                self.line(f"{apps}[{b}]({self._whole(rowvar)}, {w})")
                 if monitored:
-                    w = self._emit_width(rowvar, fixed, var_slots)
                     self._emit_count(segment, None, w)
 
             self._node(child, sink)
@@ -1250,8 +1293,6 @@ class _Compiler:
         )
         layout = None
         if node.predicates:
-            from repro.executor.rowops import concat_layout
-
             layout = concat_layout(node.outer.columns, node.inner.columns)
 
         inner = self.fresh("inner")
@@ -1265,7 +1306,7 @@ class _Compiler:
             self._emit_advance(cost.cpu_tuple, "_CPU")
             w = self._emit_width(rowvar, fixed, var_slots)
             self.line(f"{ibytes} += {w}")
-            self.line(f"{iapp}({rowvar})")
+            self.line(f"{iapp}({self._whole(rowvar)})")
 
         self._node(node.inner, inner_sink)
         if self.tracker is not None and inner_ref is not None:
@@ -1356,7 +1397,7 @@ class _Compiler:
             w = self._emit_width(rowvar, fixed, var_slots, named=mon_out)
             if mon_out:
                 self._emit_count(segment, None, w)
-            self.line(f"{bapp}({rowvar})")
+            self.line(f"{bapp}({self._whole(rowvar)})")
             self.line(f"{bbytes} += {w}")
             with self.block(f"if {bbytes} > {_lit(ctx.work_mem_bytes)}:"):
                 self.line(f"yield from {hv}.spill({buf})")
@@ -1418,7 +1459,6 @@ class _Compiler:
 
     def _aggregate(self, node: HashAggregateNode, consume) -> None:
         from repro.executor.aggregate import HashAggregateOp, _AggState
-        from repro.executor.rowops import row_width_fn
 
         cost = self.cost
         segment = getattr(node, "pi_agg_segment", None)
@@ -1444,7 +1484,7 @@ class _Compiler:
             if arg is None:
                 return None
             src = self._value_src(
-                arg, lambda s: f"{rowvar}[{s}]", child_layout
+                arg, functools.partial(self._slot, rowvar), child_layout
             )
             if src is not None:
                 return src
@@ -1453,7 +1493,7 @@ class _Compiler:
                 name = arg_closures[i] = self.local(
                     compile_expr(arg, child_layout), "afn"
                 )
-            return f"{name}({rowvar})"
+            return f"{name}({self._whole(rowvar)})"
 
         groups = self.fresh("groups")
         gget = self.fresh("gget")
@@ -1467,13 +1507,6 @@ class _Compiler:
             # instead of hashing the empty key per row (silent work).
             self.line(f"{st0} = None")
 
-        def key_expr(rowvar: str) -> str:
-            if not key_slots:
-                return "()"
-            if len(key_slots) == 1:
-                return f"{rowvar}[{key_slots[0]}]"
-            return _tuple_display([f"{rowvar}[{s}]" for s in key_slots])
-
         def absorb(rowvar: str) -> None:
             self._emit_advance(per_row, "_CPU")
             if not node.group_keys:
@@ -1481,16 +1514,19 @@ class _Compiler:
                 with self.block(f"if {st} is None:"):
                     self.line(f"{st} = {statev}({na})")
                     self.line(f"{groups}[()] = {st}")
-                    self.line(f"{grows}[()] = {rowvar}")
+                    self.line(f"{grows}[()] = {self._whole(rowvar)}")
             else:
                 k = self.fresh("k")
                 st = self.fresh("st")
-                self.line(f"{k} = {key_expr(rowvar)}")
+                self.line(
+                    f"{k} = "
+                    + self._key_expr(node.child.columns, node.group_keys, rowvar)
+                )
                 self.line(f"{st} = {gget}({k})")
                 with self.block(f"if {st} is None:"):
                     self.line(f"{st} = {statev}({na})")
                     self.line(f"{groups}[{k}] = {st}")
-                    self.line(f"{grows}[{k}] = {rowvar}")
+                    self.line(f"{grows}[{k}] = {self._whole(rowvar)}")
             for i in range(na):
                 src = arg_src(i, rowvar)
                 if src is None:  # count(*)

@@ -95,44 +95,48 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
     within the first resumption — their time is visible to the indicator
     only through the clock, matching PostgreSQL InitPlans, which the
     paper's prototype also does not model.
+
+    A division by zero in an expression leaves here as an
+    :class:`ExecutionError` chained from the ``ZeroDivisionError``.
     """
-    if ctx.tracker is not None:
-        check_tracker_alignment(planned.root, ctx.tracker)
-    if ctx.trace is not None:
-        from repro.obs.events import ExecutionStarted
-
-        ctx.trace.emit(
-            ExecutionStarted(t=ctx.clock.now, num_subplans=len(planned.subplans))
-        )
-
-    for expr, subplan in planned.subplans:
-        sub_ctx = ExecContext(
-            ctx.clock, ctx.disk, ctx.buffer_pool, ctx.config, tracker=None
-        )
-        sub_op = build_operator(subplan.root, sub_ctx)
-        try:
-            expr.set_result(
-                row[0] for row in sub_op.rows() if row is not PULSE
-            )
-        finally:
-            sub_op.close()
-
-    # The fused batch engine compiles the whole plan into one loop nest
-    # (bit-identical charges; Batch items to the driver).  EXPLAIN ANALYZE
-    # row counting must observe per-operator streams, so it always runs
-    # the volcano row engine.
-    use_fused = ctx.config.progress.engine != "row" and not ctx.count_rows
-    if use_fused:
-        from repro.executor.fused import FusedQuery
-
-        fq = FusedQuery(planned.root, ctx)
-        stream, close = fq.run(), fq.close
-    else:
-        op = build_operator(planned.root, ctx)
-        stream, close = op.rows(), op.close
+    close = None
     produced = 0
     completed = False
     try:
+        if ctx.tracker is not None:
+            check_tracker_alignment(planned.root, ctx.tracker)
+        if ctx.trace is not None:
+            from repro.obs.events import ExecutionStarted
+
+            ctx.trace.emit(
+                ExecutionStarted(t=ctx.clock.now, num_subplans=len(planned.subplans))
+            )
+
+        for expr, subplan in planned.subplans:
+            sub_ctx = ExecContext(
+                ctx.clock, ctx.disk, ctx.buffer_pool, ctx.config, tracker=None
+            )
+            sub_op = build_operator(subplan.root, sub_ctx)
+            try:
+                expr.set_result(
+                    row[0] for row in sub_op.rows() if row is not PULSE
+                )
+            finally:
+                sub_op.close()
+
+        # The fused batch engine compiles the whole plan into one loop nest
+        # (bit-identical charges; Batch items to the driver).  EXPLAIN
+        # ANALYZE row counting must observe per-operator streams, so it
+        # always runs the volcano row engine.
+        use_fused = ctx.config.progress.engine != "row" and not ctx.count_rows
+        if use_fused:
+            from repro.executor.fused import FusedQuery
+
+            fq = FusedQuery(planned.root, ctx)
+            stream, close = fq.run(), fq.close
+        else:
+            op = build_operator(planned.root, ctx)
+            stream, close = op.rows(), op.close
         if ctx.trace is None:
             yield from stream
         else:
@@ -142,8 +146,11 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
                     produced += len(item) if use_fused else 1
                 yield item
         completed = True
+    except ZeroDivisionError as exc:
+        raise ExecutionError("division by zero") from exc
     finally:
-        close()
+        if close is not None:
+            close()
         if completed:
             if ctx.tracker is not None:
                 ctx.tracker.finish_all()

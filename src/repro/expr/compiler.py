@@ -70,11 +70,11 @@ def compile_expr(expr: BoundExpr, layout: Layout) -> Callable:
         return lambda row: value
 
     if isinstance(expr, FunctionExpr):
-        fn = expr.func.evaluate
         arg_fns = [compile_expr(a, layout) for a in expr.args]
         if len(arg_fns) == 1:
-            arg0 = arg_fns[0]
-            return lambda row: fn(arg0(row))
+            raw, arg0 = expr.func.fn, arg_fns[0]
+            return lambda row: None if (v := arg0(row)) is None else raw(v)
+        fn = expr.func.evaluate
         return lambda row: fn(*(g(row) for g in arg_fns))
 
     if isinstance(expr, ComparisonExpr):
@@ -144,14 +144,14 @@ def compile_expr(expr: BoundExpr, layout: Layout) -> Callable:
 
     if isinstance(expr, LikeExpr):
         inner = compile_expr(expr.operand, layout)
-        regex = re.compile(like_pattern_to_regex(expr.pattern), re.DOTALL)
+        match = like_matcher(expr.pattern)
         negated = expr.negated
 
         def like(row):
             v = inner(row)
             if v is None:
                 return None
-            matched = regex.match(v) is not None
+            matched = match(v) is not None
             return (not matched) if negated else matched
 
         return like
@@ -188,6 +188,11 @@ def like_pattern_to_regex(pattern: str) -> str:
         else:
             out.append(re.escape(ch))
     return "".join(out) + r"\Z"
+
+
+def like_matcher(pattern: str) -> Callable:
+    """The bound ``match`` of a LIKE pattern's regular expression."""
+    return re.compile(like_pattern_to_regex(pattern), re.DOTALL).match
 
 
 def compile_predicate(expr: BoundExpr, layout: Layout) -> Callable:

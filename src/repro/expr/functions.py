@@ -25,9 +25,12 @@ class SqlFunction:
 
     name: str
     arity: int
+    #: NULL-safe form: any NULL argument yields NULL without calling ``fn``.
     evaluate: Callable
     #: Result type given argument types (None in the mapping = "same as arg 0").
     result_type: Optional[DataType]
+    #: The raw callable, for evaluators that test for NULL themselves.
+    fn: Callable
     #: Whether the optimizer can estimate selectivities through this call.
     estimatable: bool = False
 
@@ -53,7 +56,7 @@ FUNCTIONS: dict[str, SqlFunction] = {}
 
 
 def _register(name: str, arity: int, fn: Callable, result_type: Optional[DataType]) -> None:
-    FUNCTIONS[name] = SqlFunction(name, arity, _null_safe(fn), result_type)
+    FUNCTIONS[name] = SqlFunction(name, arity, _null_safe(fn), result_type, fn)
 
 
 # The paper's queries use absolute(); abs() is a convenience alias.

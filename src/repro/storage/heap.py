@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.storage.disk import FileHandle, SimulatedDisk
 from repro.storage.page import Page
@@ -28,6 +28,8 @@ class HeapFile:
     ):
         self.name = name
         self.schema = schema
+        #: ``schema.row_width``'s two parts, read by :meth:`append`.
+        self._fixed_width, self._varying = schema.width_parts()
         self._disk = disk
         self._page_size = page_size
         self.handle: FileHandle = disk.allocate(name, temp=temp)
@@ -40,18 +42,24 @@ class HeapFile:
     # ------------------------------------------------------------------
     # writing
 
-    def append(self, row: Sequence[Any]) -> None:
-        """Append one row, flushing the open page when it fills."""
-        width = self.schema.row_width(row)
+    def append(self, row: Sequence[Any], width: Optional[int] = None) -> None:
+        """Append one row (of ``schema.row_width`` ``width``, when the caller
+        has it), flushing the open page when it fills.  Per-row cost of every
+        spill and bulk load, so one frame: ``Schema.row_width``, ``Page.fits``
+        and ``Page.append`` inlined, the fit test evaluated once."""
+        if width is None:
+            width = self._fixed_width
+            for i in self._varying:
+                value = row[i]
+                width += 1 if value is None else 1 + len(value)
         page = self._open_page
-        if page is None:
-            page = Page(self._page_size)
-            self._open_page = page
-        elif not page.fits(width):
-            self._disk.append_page(self.handle, page, charge_io=self.charge_io)
-            page = Page(self._page_size)
-            self._open_page = page
-        page.append(row, width)
+        # (a page never stays empty: a fresh one takes a row of any width)
+        if page is None or (page.rows and page.bytes_used + width > page.capacity):
+            if page is not None:
+                self._disk.append_page(self.handle, page, charge_io=self.charge_io)
+            page = self._open_page = Page(self._page_size)
+        page.rows.append(tuple(row))
+        page.bytes_used += width
         self.num_tuples += 1
         self.total_bytes += width
 

@@ -105,6 +105,11 @@ class Schema:
             width += 1 if value is None else 1 + len(value)
         return width
 
+    def width_parts(self) -> tuple[int, list[int]]:
+        """``row_width`` as data: fixed bytes, and the slots that add
+        ``1 + len(value)`` (NULL: 1) each — for callers inlining the sum."""
+        return self._fixed_total, self._varying
+
     def min_width(self) -> int:
         """Smallest possible row width (all strings empty/null)."""
         return self._fixed_total + len(self._varying)

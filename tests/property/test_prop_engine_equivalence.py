@@ -134,3 +134,36 @@ def test_oversized_batch_rows_still_flushes_at_pulses():
     row_result, row_log = _run_fresh(variant, "batchrows-huge-row", engine="row")
     assert huge_result.rows == row_result.rows
     assert huge_log == row_log
+
+
+def test_compiled_width_is_the_spill_schemas_row_width():
+    """A partition sink hands ``HeapFile.append`` the width the compiler
+    derives for ``output_bytes`` instead of letting it measure the row:
+    on both inputs of every hash join the tier-1 grid plans, that sum is
+    ``_spill_schema(columns).row_width(row)`` for NULL, empty, short and
+    long strings alike."""
+    from repro.analysis.invariants import collect_nodes
+    from repro.executor.hash_join import _spill_schema
+    from repro.planner.physical import HashJoinNode
+    from repro.storage.types import StringType
+
+    fills = (None, "", "x", "y" * 37)
+    sides = 0
+    for name in grid.TIER1_NAMES:
+        variant = grid.variants_by_name()[name]
+        root = _database("batch", variant).prepare(variant.sql).root
+        for node in collect_nodes(root):
+            if not isinstance(node, HashJoinNode):
+                continue
+            for columns in (node.build.columns, node.probe.columns):
+                types = [c.type for c in columns]
+                fixed, var_slots = fused._Compiler._width_parts(types)
+                schema = _spill_schema(columns)
+                for fill in fills:
+                    row = tuple(
+                        fill if isinstance(t, StringType) else 7 for t in types
+                    )
+                    compiled = fixed + sum(len(row[i] or "") for i in var_slots)
+                    assert compiled == schema.row_width(row), (name, columns)
+                sides += 1
+    assert sides >= 20

@@ -345,6 +345,37 @@ class TestEachGeneratedCheckRejects:
             "closed-vocabulary"
         ]
 
+    def test_row_built_once(self):
+        loop = "for r1 in rows:\n    for br2 in rows:\n"
+        pad = " " * 8
+        once = loop + pad + "o3 = (br2[0], r1[1])\n" + pad + "out_append(o3)\n"
+        assert generated_rules(once) == []
+        # Built, and only ever read slot by slot from its sources: dead.
+        assert generated_rules(loop + pad + "o3 = (br2[0], r1[1])\n") == [
+            "row-built-once"
+        ]
+        # The join's tuple exists only to be permuted into the projection's.
+        twice = once.replace("out_append(o3)", "o4 = (o3[1], o3[0])\n" + pad + "out_append(o4)")
+        assert generated_rules(twice) == ["row-built-once"]
+        # Picks from a row built by an *enclosing* loop body are one tuple
+        # per row of this loop.
+        outer = "for r1 in rows:\n    o2 = (r1[0], r1[0] * 2)\n    out_append(o2)\n"
+        assert generated_rules(
+            outer + "    for br3 in rows:\n        o4 = (o2[1],)\n        out_append(o4)\n"
+        ) == []
+
+    @pytest.mark.parametrize("call", ["p2(r1)", "fn2(r1)", "afn2(r1)"])
+    def test_row_loop_closures(self, call):
+        body = f"p2 = fn2 = afn2 = _g_p2\nfor r1 in rows:\n    x = {call}\n"
+        assert generated_rules(body) == ["row-loop-closures"]
+        # ...unless the plan holds a shape the compiler does not inline.
+        assert check_program(program(body), True, closures=True) == []
+        # Bound functions and a partition's methods are not closures.
+        assert generated_rules(
+            "sf2 = like3 = _g_sf2\nfor p4 in rows:\n    p4.flush()\n"
+            "    x = sf2(p4[0]) if like3(p4[1]) else 0\n"
+        ) == []
+
     def test_closed_vocabulary_accepts_the_compilers_names(self):
         body = (
             "sh1 = _g_sh1\nrows = [(1,)]\n"
@@ -361,7 +392,7 @@ class TestEachGeneratedCheckRejects:
 def test_every_generated_check_has_a_rejection_test():
     tests = [n for n in dir(TestEachGeneratedCheckRejects) if n.startswith("test_")]
     for rule in ("pulse-flush", "page-loop-pulse", "row-loop-counts",
-                 "closed-vocabulary"):
+                 "row-built-once", "row-loop-closures", "closed-vocabulary"):
         assert any(t.startswith("test_" + rule.replace("-", "_")) for t in tests)
 
 
@@ -407,6 +438,45 @@ class TestMutantsOfTheCompiler:
         assert {v.rule for v in found} == {"page-loop-pulse"}
         kinds = {v.message.split(": ")[1].split(" page loop")[0] for v in found}
         assert kinds == {"seq-scan", "spill-partition"}
+
+    JOIN_SQL = "select r.a, t.c from r, t where r.a = t.a and absolute(r.b) > 0"
+
+    def test_a_tuple_per_operator(self, monkeypatch):
+        """fused.py ``_tuple``: defer nothing — build every row where it is
+        named; then also ``_src``: a pick of a pick reads the pick (together
+        the text as it was before rows were built once)."""
+        real = _Compiler._tuple
+        assert self.violations(self.JOIN_SQL) == []
+        monkeypatch.setattr(
+            _Compiler, "_tuple", lambda self, parts: self._whole(real(self, parts))
+        )
+        found = self.violations(self.JOIN_SQL)
+        assert {v.rule for v in found} == {"row-built-once"}
+        assert all("built and never read" in v.message for v in found)
+        monkeypatch.setattr(_Compiler, "_src", lambda self, row, slot: (row, slot))
+        found = self.violations(self.JOIN_SQL)
+        assert {v.rule for v in found} == {"row-built-once"}
+        assert all("only permutes" in v.message for v in found)
+
+    def test_function_predicate_left_to_its_closure(self, monkeypatch):
+        """fused.py ``_value_src``: no ``FunctionExpr`` case."""
+        from repro.expr.bound import FunctionExpr
+
+        real = _Compiler._value_src
+
+        def value_src(self, expr, slot, layout):
+            if isinstance(expr, FunctionExpr):
+                return None
+            return real(self, expr, slot, layout)
+
+        monkeypatch.setattr(_Compiler, "_value_src", value_src)
+        found = self.violations(self.JOIN_SQL)
+        assert {v.rule for v in found} == {"row-loop-closures"}
+        # With an IN-subquery in the plan the same call is the fallback.
+        monkeypatch.undo()
+        assert self.violations(
+            "select a from r where b in (select c from t where c < 3)"
+        ) == []
 
     def test_pulse_without_the_batch_flush(self, monkeypatch):
         monkeypatch.setattr(
