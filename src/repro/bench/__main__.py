@@ -4,10 +4,10 @@ One subcommand::
 
     python -m repro.bench shapecheck [--statements N]
 
-It runs N same-shape statements per template and mode and fails if any
-fused program was compiled more than once — the guard against a literal
-or ``id()`` leaking into generated source.  Real-time numbers come from
-``python3 benchmarks/e2e/run.py``.
+It runs N same-shape statements per template and mode, prints compiles
+and cache hits of each, and fails if any fused program was compiled more
+than once — the guard against a literal or ``id()`` in the plan-shape
+key.  Real-time numbers come from ``python3 benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    problems = perf.check_shape_compiles(args.statements)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    print(f"shape gate: {'FAIL' if problems else 'PASS'}")
-    return 1 if problems else 0
+    failed = False
+    for name, mode, compiles, hits in perf.shape_counts(args.statements):
+        verdict = "FAIL" if compiles > 1 else "ok"
+        failed |= compiles > 1
+        print(f"{verdict}: {name} [{mode}]: {compiles} compiles, {hits} hits")
+    print(f"shape gate: {'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

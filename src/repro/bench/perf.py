@@ -3,22 +3,27 @@
 Real (wall-clock) time is measured in one place, ``benchmarks/e2e/``
 (``executor.row_engine_ratio``, ``executor.compile_us``).  What stays
 here is the one property that benchmark does not check: every statement
-of a plan shape must reuse one cached code object.  CI gates it through
-``python -m repro.bench shapecheck``.
+of a plan shape must reuse one cached program.  CI gates it through
+``python -m repro.bench shapecheck``, once more under
+``REPRO_VERIFY=strict`` so every hit also regenerates and compares its text.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.config import SystemConfig
 from repro.workloads import tpcr
 
-#: Statement templates of :func:`check_shape_compiles`.  Each yields one
-#: plan shape for every ``n`` of the loop (the literals stay in a narrow
-#: range so the optimizer's choice cannot flip); between them they cover
-#: the places a run-time value once leaked into generated source —
-#: predicate and projection literals, LIMIT, the ``id()``-named
-#: partition files of a multi-batch hash join (work_mem is one page), and
-#: the scalar function and LIKE pattern the compiler binds inline.
+#: Statement templates of :func:`shape_counts`.  Each yields one plan shape
+#: for every ``n`` of the loop (the literals stay where the optimizer's
+#: choice cannot flip); between them they cover what a program must be
+#: keyed on and bound to without its value — predicate and projection
+#: literals, LIMIT, the ``id()``-named partition files of a multi-batch hash
+#: join (work_mem is one page), scalar function and LIKE pattern — and the
+#: short shapes ``benchmarks/e2e`` runs: ``count(*)`` over a filtered scan,
+#: an index range (its bounds are bound, not keyed; the low end of the key
+#: domain keeps the index plan), an external sort, a negated literal.
 SHAPE_TEMPLATES: dict[str, str] = {
     "index_lookup": "select custkey, acctbal from customer where custkey = {n}",
     "scan_filter": (
@@ -34,17 +39,20 @@ SHAPE_TEMPLATES: dict[str, str] = {
         "where c.custkey = o.custkey and absolute(o.totalprice) > {n}.0 "
         "and c.name like 'Customer%{n}'"
     ),
+    "count_filtered": "select count(*) from customer_subset1 where nationkey < {n}",
+    "index_between": (
+        "select orderkey, totalprice from orders where custkey between -{n} and 2"
+    ),
+    "external_sort": (
+        "select custkey, acctbal from customer where acctbal > {n}.5 order by acctbal"
+    ),
+    "negative_literal": "select custkey, acctbal from customer where acctbal > -{n}.5",
 }
 
 
-def check_shape_compiles(statements: int = 50) -> list[str]:
-    """Run ``statements`` same-shape queries per (template, mode); report
-    every pair that compiled its fused program more than once.
-
-    A literal or ``id()`` formatted into generated source is otherwise
-    silent: the query still runs, it just pays Python's ``compile`` on
-    every execution (about half of a short query's real time).
-    """
+def shape_counts(statements: int = 50) -> Iterator[tuple[str, str, int, int]]:
+    """``(template, mode, compiles, hits)`` of ``statements`` same-shape
+    queries per template, plain then monitored, on one small database."""
     from repro.executor import fused
 
     config = SystemConfig(work_mem_pages=1)
@@ -52,10 +60,9 @@ def check_shape_compiles(statements: int = 50) -> list[str]:
         scale=0.002, subset_rows=60, config=config, with_indexes=True
     )
     session = db.connect()
-    problems = []
     for name, template in SHAPE_TEMPLATES.items():
         for monitor in (False, True):
-            before = fused.code_cache_info().misses
+            before = fused.code_cache_info()
             for n in range(1, statements + 1):
                 session.submit(
                     template.format(n=n),
@@ -63,12 +70,24 @@ def check_shape_compiles(statements: int = 50) -> list[str]:
                     monitor=monitor,
                     keep_rows=False,
                 ).result()
-            compiles = fused.code_cache_info().misses - before
-            if compiles > 1:
-                mode = "monitored" if monitor else "plain"
-                problems.append(
-                    f"{name} [{mode}]: {compiles} compiles for {statements} "
-                    f"same-shape statements (a run-time value is in the "
-                    f"generated source)"
-                )
-    return problems
+            after = fused.code_cache_info()
+            yield (
+                name,
+                "monitored" if monitor else "plain",
+                after.misses - before.misses,
+                after.hits - before.hits,
+            )
+
+
+def check_shape_compiles(statements: int = 50) -> list[str]:
+    """Report every (template, mode) that compiled its fused program more
+    than once: a per-query value is in the plan-shape key.  That is
+    otherwise silent — the query still runs, it just pays the compiler and
+    Python's ``compile`` (a quarter of a short query) on every execution.
+    """
+    return [
+        f"{name} [{mode}]: {compiles} compiles for {statements} same-shape "
+        f"statements (a per-query value is in the plan-shape key)"
+        for name, mode, compiles, _hits in shape_counts(statements)
+        if compiles > 1
+    ]

@@ -50,6 +50,19 @@ Merge join is the one operator the compiler does not fuse: it is a
 pull-based two-cursor streamer whose volcano implementation is already
 dominated by its children; the compiler embeds the volcano operator as a
 row source and fuses everything above it.
+
+One program per plan shape
+--------------------------
+The text is a pure function of what the emitters read: plan shape, the
+frozen config, monitored or plain.  :func:`_plan_key` computes exactly
+that, as values, in one walk, and :class:`FusedQuery` keeps one bounded
+cache of programs under it; a shape met before runs no emitter.  What
+differs between two queries of one shape (clock, tracker, heap handles,
+literals, index bounds, sort state) never reaches an emitter: a call site
+states where the query being bound finds its own (``local(bind, hint)``),
+the ordered bindings are stored with the code object, and they are the
+only way ``env`` is filled, on a miss as on a hit.  ``REPRO_VERIFY=strict``
+regenerates the text on every hit and raises if the key hid a difference.
 """
 
 from __future__ import annotations
@@ -57,16 +70,21 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+from collections import OrderedDict
+from operator import attrgetter
 from types import CodeType
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
+from repro.analysis.gate import resolve_verify_mode
+from repro.config import SystemConfig
 from repro.errors import ExecutionError
 from repro.executor.base import PULSE, ExecContext
 from repro.executor.batch import Batch
 from repro.executor.hash_join import _spill_schema, _stable_hash
 from repro.executor.rowops import concat_layout, layout_of, row_width_fn
 from repro.executor.scans import _projector, _scan_layout
-from repro.executor.sort import _CPU_CHUNK, make_sort_key
+from repro.executor.sort import _MERGE_PULSE_ROWS, SortRuns
+from repro.executor.work import check_tracker_alignment
 from repro.expr.bound import (
     AggregateExpr,
     ArithmeticExpr,
@@ -96,11 +114,8 @@ from repro.planner.physical import (
 )
 from repro.sim.load import CPU, IO
 from repro.storage.heap import HeapFile
-from repro.storage.schema import TUPLE_HEADER_BYTES, Column, Schema
+from repro.storage.schema import TUPLE_HEADER_BYTES
 from repro.storage.types import IntegerType, StringType
-
-#: Pulse cadence of sort stream/merge phases (mirrors repro.executor.sort).
-_MERGE_PULSE_ROWS = 256
 
 #: Comparison / arithmetic operator spellings for fused expression source.
 _CMP_SRC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -143,108 +158,6 @@ def _tuple_display(parts: List[str]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-class _FusedSort:
-    """Run-time state of one fused sort: spill runs and their helpers.
-
-    The generator methods replicate ``repro.executor.sort.SortOp``'s
-    private phases verbatim (same charges, same PULSE cadence, same temp
-    file handling); the fused absorb/stream loops live in generated code
-    and call into these only for the cold spill paths.
-    """
-
-    def __init__(self, node: SortNode, ctx: ExecContext):
-        self.node = node
-        self.ctx = ctx
-        self.key = make_sort_key(node)
-        self.segment = getattr(node, "pi_sort_segment", None)
-        self.merge_ref = getattr(node, "pi_merge_input_ref", None)
-        self.runs: List[HeapFile] = []
-
-    def sort_buffer(self, buffer: list) -> Iterator[tuple]:
-        n = len(buffer)
-        if n <= 1:
-            return
-        comparisons = n * max(1.0, (n).bit_length() - 1)
-        cost = self.ctx.config.cost.cpu_compare
-        remaining = comparisons
-        while remaining > 0:
-            step = min(remaining, _CPU_CHUNK)
-            self.ctx.clock.advance(step * cost, CPU)
-            remaining -= step
-            yield PULSE
-        buffer.sort(key=self.key)
-
-    def spill(self, buffer: list) -> Iterator[tuple]:
-        yield from self.sort_buffer(buffer)
-        ctx = self.ctx
-        schema = Schema(
-            Column(f"s{i}_{c.name.replace('.', '_')}", c.type)
-            for i, c in enumerate(self.node.columns)
-        )
-        run = HeapFile(
-            f"sortrun_{id(self)}_{len(self.runs)}",
-            schema,
-            ctx.disk,
-            ctx.config.page_size,
-            temp=True,
-        )
-        run.extend(buffer)
-        run.flush()
-        self.runs.append(run)
-
-    def collapse(self) -> Iterator[tuple]:
-        ctx = self.ctx
-        segment = self.segment
-        fanout = max(2, ctx.config.work_mem_pages)
-        while len(self.runs) > fanout:
-            group = self.runs[:fanout]
-            merged_rows = list(
-                heapq.merge(*(run.iter_rows() for run in group), key=self.key)
-            )
-            nbytes = sum(run.total_bytes for run in group)
-            npages = sum(run.handle.num_pages for run in group)
-            cost = ctx.config.cost
-            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
-            if ctx.tracker is not None and segment is not None:
-                ctx.tracker.extra_pass(segment, 2.0 * nbytes)
-            schema = group[0].schema
-            merged = HeapFile(
-                f"sortrun_{id(self)}_m{len(self.runs)}",
-                schema,
-                ctx.disk,
-                ctx.config.page_size,
-                temp=True,
-            )
-            previous = merged.charge_io
-            merged.charge_io = False  # I/O charged in bulk above
-            merged.extend(merged_rows)
-            merged.flush()
-            merged.charge_io = previous
-            for run in group:
-                run.drop()
-            self.runs = self.runs[fanout:] + [merged]
-            yield PULSE
-
-    def read_run(self, run: HeapFile) -> Iterator[tuple]:
-        ctx = self.ctx
-        tracker = ctx.tracker
-        ref = self.merge_ref
-        cost = ctx.config.cost
-        for page_no in range(run.handle.num_pages):
-            page = ctx.disk.read_page(run.handle, page_no, sequential=True)
-            n = len(page.rows)
-            if n:
-                ctx.clock.advance(n * cost.cpu_tuple, CPU)
-            if tracker is not None and ref is not None:
-                tracker.input_rows(ref[0], ref[1], n, page.bytes_used)
-            yield from page.rows
-
-    def drop(self) -> None:
-        for run in self.runs:
-            run.drop()
-        self.runs.clear()
-
-
 def _make_partitions(
     ctx: ExecContext, temps: List[HeapFile], columns, nbatches: int, name: str
 ) -> List[HeapFile]:
@@ -268,31 +181,23 @@ class _Compiler:
     their child followed by a new production phase for their output.
     """
 
-    def __init__(self, ctx: ExecContext, batch_rows: int):
-        self.ctx = ctx
-        self.cost = ctx.config.cost
-        self.tracker = ctx.tracker
-        self.batch_rows = max(1, batch_rows)
-        self.env: dict = {
-            "PULSE": PULSE,
-            "_B": Batch,
-            "_Stop": _StopPipeline,
-            "_CPU": CPU,
-            "_IO": IO,
-            "_ONE": (0,),
-            "heapq": heapq,
-        }
+    def __init__(self, config: SystemConfig, monitored: bool, nodes, exprs):
+        self.config = config
+        self.cost = config.cost
+        self.monitored = monitored
+        self.batch_rows = max(1, config.progress.batch_rows)
+        self.work_mem_bytes = config.work_mem_pages * config.page_size
+        #: ``(env name, query -> value)`` in preamble order: how a query
+        #: binds its own objects to this program (see :meth:`local`).
+        self.bindings: List[tuple[str, Callable[["FusedQuery"], object]]] = []
+        #: Where the key walk met each node / expression of the exemplar.
+        self._node_at = {id(n): i for i, n in enumerate(nodes)}
+        self._expr_at = {id(e): k for k, e in enumerate(exprs)}
         self.pre: List[str] = []
         self.body: List[str] = []
         #: (position in ``body``, lines to splice in there) — see hole().
         self._holes: List[tuple[int, List[str]]] = []
         self.depth = 1
-        #: Embedded volcano operators (merge join) to close with the query.
-        self.ops: list = []
-        #: Fused sort states whose spill runs need dropping.
-        self.sorts: List[_FusedSort] = []
-        #: Temp files the generated code creates (hash partitions).
-        self.temps: List[HeapFile] = []
         self._n = 0
         self._seg_names: dict[int, str] = {}
         #: The program's tracker state: names shared with ``_sync``; its body.
@@ -316,12 +221,24 @@ class _Compiler:
         self._n += 1
         return f"{hint}{self._n}"
 
-    def local(self, value, hint: str) -> str:
-        """Bind ``value`` as a function-local name (hoisted in the preamble)."""
+    def local(self, bind: Callable[["FusedQuery"], object], hint: str) -> str:
+        """A function-local name (hoisted in the preamble) for a per-query
+        object.  An emitter never holds one: it says where a query being
+        bound finds its own — ``bind(query)`` — and only that is cached."""
         name = self.fresh(hint)
-        self.env[f"_g_{name}"] = value
+        self.bindings.append((f"_g_{name}", bind))
         self.pre.append(f"{name} = _g_{name}")
         return name
+
+    def node_local(self, node: PhysicalNode, get: Callable, hint: str) -> str:
+        """``get`` of the bound query's node at ``node``'s place in the walk."""
+        i = self._node_at[id(node)]
+        return self.local(lambda q: get(q.nodes[i]), hint)
+
+    def expr_local(self, expr, get: Callable, hint: str) -> str:
+        """``get`` of the bound query's expression at ``expr``'s place."""
+        k = self._expr_at[id(expr)]
+        return self.local(lambda q: get(q.exprs[k]), hint)
 
     def line(self, text: str) -> None:
         self.body.append(_PADS[self.depth] + text)
@@ -347,40 +264,40 @@ class _Compiler:
 
     @functools.cached_property
     def _adv(self) -> str:
-        return self.local(self.ctx.clock.advance, "adv")
+        return self.local(lambda q: q.ctx.clock.advance, "adv")
 
     @functools.cached_property
     def _clk(self) -> str:
-        return self.local(self.ctx.clock, "clk")
+        return self.local(lambda q: q.ctx.clock, "clk")
 
     @functools.cached_property
     def _cch(self) -> str:
         """The clock's ``cost_charged`` dict (mutated in place, never rebound)."""
-        return self.local(self.ctx.clock.cost_charged, "cch")
+        return self.local(lambda q: q.ctx.clock.cost_charged, "cch")
 
     @functools.cached_property
     def _slow(self) -> str:
-        return self.local(self.ctx.clock._advance_slow, "slow")
+        return self.local(lambda q: q.ctx.clock._advance_slow, "slow")
 
     @functools.cached_property
     def _tr_start(self) -> str:
-        return self.local(self.tracker._start, "trst")
+        return self.local(lambda q: q.tracker._start, "trst")
 
     @functools.cached_property
     def _tr_segfin(self) -> str:
-        return self.local(self.tracker.segment_finished, "segfin")
+        return self.local(lambda q: q.tracker.segment_finished, "segfin")
 
     @functools.cached_property
     def _tr_input(self) -> str:
         """The bound ``input_rows`` method, for cold per-page call sites."""
-        return self.local(self.tracker.input_rows, "trin")
+        return self.local(lambda q: q.tracker.input_rows, "trin")
 
     def _seg(self, seg_id: int) -> str:
         """One segment's counters; ``<name>st``: the program saw it started."""
         name = self._seg_names.get(seg_id)
         if name is None:
             name = self._seg_names[seg_id] = self.local(
-                self.tracker.segments[seg_id], f"seg{seg_id}_"
+                lambda q: q.tracker.segments[seg_id], f"seg{seg_id}_"
             )
             self.pre.append(f"{name}st = False")
         return name
@@ -655,7 +572,7 @@ class _Compiler:
                 return "None"  # NULL-ness shapes the checks around it
             if type(expr.value) in _SAFE_LITERALS:
                 # Bound, not formatted: the text must not depend on values.
-                return self.local(expr.value, "k")
+                return self.expr_local(expr, attrgetter("value"), "k")
             return None
         if isinstance(expr, (ComparisonExpr, ArithmeticExpr)):
             table = _CMP_SRC if isinstance(expr, ComparisonExpr) else _ARITH_SRC
@@ -667,10 +584,10 @@ class _Compiler:
             # The raw callable: the checks around it are the NULL-safety.
             operands = expr.args
             holes = ", ".join(["{}"] * len(operands))
-            form = f"{self.local(expr.func.fn, 'sf')}({holes})".format
+            form = f"{self.expr_local(expr, attrgetter('func.fn'), 'sf')}({holes})".format
         elif isinstance(expr, LikeExpr):
             hit = "" if expr.negated else "not "  # of the pattern's bound match
-            match = self.local(like_matcher(expr.pattern), "like")
+            match = self.expr_local(expr, lambda e: like_matcher(e.pattern), "like")
             operands, form = [expr.operand], f"{match}({{}}) is {hit}None".format
         else:
             return None
@@ -751,7 +668,7 @@ class _Compiler:
             if mvar is None:
                 mvar = self.fresh("m")
                 self.line(f"{mvar} = {self._whole(lvar)} + {self._whole(rvar)}")
-            pv = self.local(compile_predicate(f, layout), "p")
+            pv = self.expr_local(f, lambda e: compile_predicate(e, layout), "p")
             with self.block(f"if not {pv}({self._whole(mvar)}):"):
                 self.line("continue")
 
@@ -759,6 +676,7 @@ class _Compiler:
     # top-level
 
     def compile(self, root: PhysicalNode) -> str:
+        """The program's text; ``bindings`` then holds what it reads by name."""
         self._node(root, self._driver)
         sync: List[str] = []
         if self._sync:
@@ -767,7 +685,7 @@ class _Compiler:
             sync.append("def _sync():")
             sync.append("    nonlocal " + ", ".join(self._cells))
             sync.extend("    " + s for s in self._sync)
-            sync.append(f"{self.local(self.tracker, 'tr')}.sync = _sync")
+            sync.append(f"{self.local(lambda q: q.tracker, 'tr')}.sync = _sync")
         lines = ["def _fused_run():"]
         lines.append("    out = []")
         lines.append("    out_append = out.append")
@@ -787,51 +705,26 @@ class _Compiler:
     # dispatch
 
     def _node(self, node: PhysicalNode, consume: Callable[[str], None]) -> None:
-        if isinstance(node, HashAggregateNode):
-            self._aggregate(node, consume)
-        elif isinstance(node, DistinctNode):
-            self._distinct(node, consume)
-        elif isinstance(node, FilterNode):
-            self._filter(node, consume)
-        elif isinstance(node, SeqScanNode):
-            self._seq_scan(node, consume)
-        elif isinstance(node, IndexScanNode):
-            self._index_scan(node, consume)
-        elif isinstance(node, HashJoinNode):
-            self._hash_join(node, consume)
-        elif isinstance(node, NestLoopNode):
-            self._nest_loop(node, consume)
-        elif isinstance(node, MergeJoinNode):
-            self._merge_join(node, consume)
-        elif isinstance(node, SortNode):
-            self._sort(node, consume)
-        elif isinstance(node, ProjectNode):
-            self._project(node, consume)
-        elif isinstance(node, LimitNode):
-            self._limit(node, consume)
-        else:
-            raise ExecutionError(
-                f"no fused pipeline for plan node {type(node).__name__}"
-            )
+        """Emit ``node`` (its class is known: ``_node_key`` met it first)."""
+        getattr(self, _SHAPES[type(node)][0])(node, consume)
 
     # ------------------------------------------------------------------
     # sources
 
     def _seq_scan(self, node: SeqScanNode, consume) -> None:
-        ctx = self.ctx
         cost = self.cost
         ref = getattr(node, "pi_input_ref", None)
-        monitored = self.tracker is not None and ref is not None
-        per_row = monitored and ctx.config.progress.scan_granularity != "page"
-        handle = node.table.heap.handle
+        monitored = self.monitored and ref is not None
+        per_row = monitored and self.config.progress.scan_granularity != "page"
+        num_pages = node.table.heap.handle.num_pages
         layout = _scan_layout(node)
         slots = _projector(node)
         cpu_per_row = cost.cpu_tuple + len(node.filters) * cost.cpu_operator
 
-        h = self.local(handle, "h")
-        get = self.local(ctx.buffer_pool.get_page, "get")
-        pin = self.local(ctx.buffer_pool.pin, "pin")
-        unpin = self.local(ctx.buffer_pool.unpin, "unpin")
+        h = self.node_local(node, lambda n: n.table.heap.handle, "h")
+        get = self.local(lambda q: q.ctx.buffer_pool.get_page, "get")
+        pin = self.local(lambda q: q.ctx.buffer_pool.pin, "pin")
+        unpin = self.local(lambda q: q.ctx.buffer_pool.unpin, "unpin")
         pno = self.fresh("pno")
         pg = self.fresh("pg")
         rows = self.fresh("rows")
@@ -855,7 +748,7 @@ class _Compiler:
                 f"{segv}.input_bytes[{ref[1]}] += {db} + {share}",
                 f"{dr} = -{k}; {db} = -{share}",
             ]
-        with self.block(f"for {pno} in range({handle.num_pages}):"):
+        with self.block(f"for {pno} in range({num_pages}):"):
             self.line(f"{pg} = {get}({h}, {pno}, sequential=True)")
             self.line(f"{rows} = {pg}.rows")
             self.line(f"{n} = len({rows})")
@@ -892,13 +785,11 @@ class _Compiler:
                 self.line(f"{unpin}({h}, {pno})")
 
     def _index_scan(self, node: IndexScanNode, consume) -> None:
-        ctx = self.ctx
         cost = self.cost
         ref = getattr(node, "pi_input_ref", None)
-        monitored = self.tracker is not None and ref is not None
+        monitored = self.monitored and ref is not None
         index = node.index
-        heap_handle = node.table.heap.handle
-        schema = node.table.schema
+        bounds = node.low_inclusive, node.high_inclusive
         layout = _scan_layout(node)
         slots = _projector(node)
         per_row_cpu = cost.cpu_tuple + len(node.filters) * cost.cpu_operator
@@ -906,17 +797,14 @@ class _Compiler:
         self._emit_advance(index.height * cost.random_page_read, "_IO")
         self._emit_advance(index.height * cost.cpu_index_level, "_CPU")
 
-        search = self.local(
-            index.search_range(
-                node.low, node.high, node.low_inclusive, node.high_inclusive
-            ),
-            "search",
+        search = self.node_local(
+            node, lambda n: n.index.search_range(n.low, n.high, *bounds), "search"
         )
-        hh = self.local(heap_handle, "hh")
-        get = self.local(ctx.buffer_pool.get_page, "get")
-        pin = self.local(ctx.buffer_pool.pin, "pin")
-        unpin = self.local(ctx.buffer_pool.unpin, "unpin")
-        rw = self.local(schema.row_width, "rw")
+        hh = self.node_local(node, lambda n: n.table.heap.handle, "hh")
+        get = self.local(lambda q: q.ctx.buffer_pool.get_page, "get")
+        pin = self.local(lambda q: q.ctx.buffer_pool.pin, "pin")
+        unpin = self.local(lambda q: q.ctx.buffer_pool.unpin, "unpin")
+        rw = self.node_local(node, lambda n: n.table.schema.row_width, "rw")
         seen = self.fresh("seen")
         k = self.fresh("k")
         rid = self.fresh("rid")
@@ -953,9 +841,13 @@ class _Compiler:
         # operators too (built by MergeJoinOp itself).
         from repro.executor.merge_join import MergeJoinOp
 
-        op = MergeJoinOp(node, self.ctx)
-        self.ops.append(op)
-        opv = self.local(op, "mj")
+        i = self._node_at[id(node)]
+
+        def bind(q: "FusedQuery") -> MergeJoinOp:
+            q.ops.append(MergeJoinOp(q.nodes[i], q.ctx))
+            return q.ops[-1]
+
+        opv = self.local(bind, "mj")
         it = self.fresh("it")
         with self.block(f"for {it} in {opv}.rows():"):
             with self.block(f"if {it} is PULSE:"):
@@ -969,7 +861,7 @@ class _Compiler:
     def _project(self, node: ProjectNode, consume) -> None:
         cost = self.cost
         segment = getattr(node, "pi_output_segment", None)
-        monitored = self.tracker is not None and segment is not None
+        monitored = self.monitored and segment is not None
         layout = {c.coordinate: i for i, c in enumerate(node.child.columns)}
         computed = sum(1 for e in node.exprs if not isinstance(e, ColumnExpr))
         per_row = cost.cpu_tuple + computed * cost.cpu_operator
@@ -994,7 +886,9 @@ class _Compiler:
                 return src
             name = closures.get(i)
             if name is None:
-                name = closures[i] = self.local(compile_expr(e, layout), "fn")
+                name = closures[i] = self.expr_local(
+                    e, lambda x: compile_expr(x, layout), "fn"
+                )
             return f"{name}({self._whole(rowvar)})"
 
         def stage(rowvar: str) -> None:
@@ -1047,7 +941,7 @@ class _Compiler:
             # The volcano LimitOp never pulls its child; emit nothing.
             return
         rem = self.fresh("rem")
-        self.line(f"{rem} = {self.local(node.limit, 'lim')}")
+        self.line(f"{rem} = {self.node_local(node, attrgetter('limit'), 'lim')}")
 
         def stage(rowvar: str) -> None:
             consume(rowvar)
@@ -1124,7 +1018,7 @@ class _Compiler:
         cost = self.cost
         build_segment = getattr(node, "pi_build_segment", None)
         hash_ref = getattr(node, "pi_hash_input_ref", None)
-        mon_build = self.tracker is not None and build_segment is not None
+        mon_build = self.monitored and build_segment is not None
         fixed, var_slots = self._width_parts(
             [c.type for c in node.build.columns]
         )
@@ -1154,7 +1048,7 @@ class _Compiler:
         self._node(node.build, build_sink)
         if mon_build:
             self.line(f"{self._tr_segfin}({build_segment})")
-        if self.tracker is not None and hash_ref is not None:
+        if self.monitored and hash_ref is not None:
             # The probe segment "handles" the hash table once as it starts.
             self.line(
                 f"{self._tr_input}"
@@ -1168,24 +1062,24 @@ class _Compiler:
         self._node(node.probe, probe_stage)
 
     def _hash_join_partitioned(self, node: HashJoinNode, consume) -> None:
-        ctx = self.ctx
         cost = self.cost
         nb = node.num_batches
-        mk = self.local(_make_partitions, "mkparts")
-        ctxv = self.local(ctx, "ctx")
-        temps = self.local(self.temps, "temps")
+        mk = self.local(lambda q: _make_partitions, "mkparts")
+        ctxv = self.local(lambda q: q.ctx, "ctx")
+        temps = self.local(lambda q: q.temps, "temps")
 
-        def partition(child, columns, keys, segment, name: str) -> str:
-            monitored = self.tracker is not None and segment is not None
+        def partition(child, columns, keys, segment, side: str) -> str:
+            monitored = self.monitored and segment is not None
             fixed, var_slots = self._width_parts([c.type for c in columns])
             # _stable_hash is the identity on an integer column's values.
             key_type = columns[layout_of(columns)[keys[0]]].type
             plain_int = len(keys) == 1 and isinstance(key_type, IntegerType)
-            sh = None if plain_int else self.local(_stable_hash, "sh")
-            cols = self.local(columns, "cols")
+            sh = None if plain_int else self.local(lambda q: _stable_hash, "sh")
+            cols = self.node_local(child, attrgetter("columns"), "cols")
             parts = self.fresh("parts")
             apps = self.fresh("apps")
-            namev = self.local(name, "nm")  # id()-derived: bound, not formatted
+            # The file name is id()-derived: made per query, never formatted.
+            namev = self.node_local(node, lambda n: f"hj_{side}_{id(n)}", "nm")
             self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {namev})")
             self.line(f"{apps} = [p.append for p in {parts}]")
 
@@ -1215,19 +1109,19 @@ class _Compiler:
             node.build.columns,
             node.build_keys,
             getattr(node, "pi_build_segment", None),
-            f"hj_build_{id(node)}",
+            "build",
         )
         probe_parts = partition(
             node.probe,
             node.probe.columns,
             node.probe_keys,
             getattr(node, "pi_probe_segment", None),
-            f"hj_probe_{id(node)}",
+            "probe",
         )
 
         pa_ref = getattr(node, "pi_pa_input_ref", None)
         pb_ref = getattr(node, "pi_pb_input_ref", None)
-        dread = self.local(ctx.disk.read_page, "dread")
+        dread = self.local(lambda q: q.ctx.disk.read_page, "dread")
 
         def read_partition(handle_expr: str, ref, per_row) -> None:
             """Page loop over one spilled partition; ``per_row`` emits the
@@ -1248,7 +1142,7 @@ class _Compiler:
                             "_CPU",
                             maybe_zero=False,
                         )
-                if self.tracker is not None and ref is not None:
+                if self.monitored and ref is not None:
                     self.line(
                         f"{self._tr_input}"
                         f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
@@ -1285,7 +1179,6 @@ class _Compiler:
     # nested loops join
 
     def _nest_loop(self, node: NestLoopNode, consume) -> None:
-        ctx = self.ctx
         cost = self.cost
         inner_ref = getattr(node, "pi_inner_input_ref", None)
         fixed, var_slots = self._width_parts(
@@ -1309,7 +1202,7 @@ class _Compiler:
             self.line(f"{iapp}({self._whole(rowvar)})")
 
         self._node(node.inner, inner_sink)
-        if self.tracker is not None and inner_ref is not None:
+        if self.monitored and inner_ref is not None:
             self.line(
                 f"{self._tr_input}({inner_ref[0]}, {inner_ref[1]}, "
                 f"len({inner}), {ibytes})"
@@ -1326,9 +1219,9 @@ class _Compiler:
             f" * {max(1, len(node.predicates))}"
         )
         self.line(f"{rio} = 0.0")
-        with self.block(f"if {ibytes} > {_lit(ctx.work_mem_bytes)}:"):
+        with self.block(f"if {ibytes} > {_lit(self.work_mem_bytes)}:"):
             self.line(
-                f"{rio} = ({ibytes} / {ctx.config.page_size})"
+                f"{rio} = ({ibytes} / {self.config.page_size})"
                 f" * {_lit(cost.seq_page_read)}"
             )
         self.line(f"{first} = True")
@@ -1373,16 +1266,19 @@ class _Compiler:
     # sort
 
     def _sort(self, node: SortNode, consume) -> None:
-        ctx = self.ctx
         cost = self.cost
-        helper = _FusedSort(node, ctx)
-        self.sorts.append(helper)
-        hv = self.local(helper, "sort")
-        keyv = self.local(helper.key, "skey")
-        segment = helper.segment
-        ref = helper.merge_ref
-        mon_out = self.tracker is not None and segment is not None
-        mon_in = self.tracker is not None and ref is not None
+        i = self._node_at[id(node)]
+
+        def bind(q: "FusedQuery") -> SortRuns:
+            q.sorts.append(SortRuns(q.nodes[i], q.ctx))
+            return q.sorts[-1]
+
+        hv = self.local(bind, "sort")
+        keyv = self.local(lambda q: q.sorts[-1].key, "skey")  # of the one just made
+        segment = getattr(node, "pi_sort_segment", None)
+        ref = getattr(node, "pi_merge_input_ref", None)
+        mon_out = self.monitored and segment is not None
+        mon_in = self.monitored and ref is not None
         fixed, var_slots = self._width_parts([c.type for c in node.columns])
 
         buf = self.fresh("buf")
@@ -1399,7 +1295,7 @@ class _Compiler:
                 self._emit_count(segment, None, w)
             self.line(f"{bapp}({self._whole(rowvar)})")
             self.line(f"{bbytes} += {w}")
-            with self.block(f"if {bbytes} > {_lit(ctx.work_mem_bytes)}:"):
+            with self.block(f"if {bbytes} > {_lit(self.work_mem_bytes)}:"):
                 self.line(f"yield from {hv}.spill({buf})")
                 self.line(f"{buf} = []")
                 self.line(f"{bapp} = {buf}.append")
@@ -1463,8 +1359,8 @@ class _Compiler:
         cost = self.cost
         segment = getattr(node, "pi_agg_segment", None)
         groups_ref = getattr(node, "pi_groups_input_ref", None)
-        mon_seg = self.tracker is not None and segment is not None
-        mon_ref = self.tracker is not None and groups_ref is not None
+        mon_seg = self.monitored and segment is not None
+        mon_ref = self.monitored and groups_ref is not None
         child_layout = layout_of(node.child.columns)
         key_slots = [child_layout[k] for k in node.group_keys]
         for agg in node.aggregates:
@@ -1473,9 +1369,9 @@ class _Compiler:
         kinds = [a.kind for a in node.aggregates]
         na = len(node.aggregates)
         per_row = cost.cpu_hash + na * cost.cpu_operator
-        statev = self.local(_AggState, "AggState")
-        finv = self.local(HashAggregateOp._finalize, "aggfin")
-        wfv = self.local(row_width_fn(node.columns), "aggw")
+        statev = self.local(lambda q: _AggState, "AggState")
+        finv = self.local(lambda q: HashAggregateOp._finalize, "aggfin")
+        wfv = self.node_local(node, lambda n: row_width_fn(n.columns), "aggw")
         arg_closures: dict[int, str] = {}
 
         def arg_src(i: int, rowvar: str) -> Optional[str]:
@@ -1490,8 +1386,8 @@ class _Compiler:
                 return src
             name = arg_closures.get(i)
             if name is None:
-                name = arg_closures[i] = self.local(
-                    compile_expr(arg, child_layout), "afn"
+                name = arg_closures[i] = self.expr_local(
+                    arg, lambda x: compile_expr(x, child_layout), "afn"
                 )
             return f"{name}({self._whole(rowvar)})"
 
@@ -1599,43 +1495,215 @@ class _Compiler:
         stream()
 
 
-@functools.lru_cache(maxsize=256)
-def _compiled(source: str) -> CodeType:
-    """The code object of a generated program, compiled once per text.
+# ----------------------------------------------------------------------
+# the plan-shape key and the program cache
 
-    Everything a program was specialized on (plan shape, cost constants,
-    ``batch_rows``, tracker) is *in* the text and every per-query
-    object reaches it through ``env``, so equal text is the same program.
-    """
-    return compile(source, "<fused-plan>", "exec")
+#: Node class -> (its emitter, the ``pi_*`` annotations it can carry).
+_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {
+    SeqScanNode: ("_seq_scan", ("pi_input_ref",)),
+    IndexScanNode: ("_index_scan", ("pi_input_ref",)),
+    ProjectNode: ("_project", ("pi_output_segment",)),
+    HashJoinNode: ("_hash_join", (
+        "pi_build_segment", "pi_hash_input_ref", "pi_probe_segment",
+        "pi_pa_input_ref", "pi_pb_input_ref",
+    )),
+    NestLoopNode: ("_nest_loop", ("pi_inner_input_ref",)),
+    SortNode: ("_sort", ("pi_sort_segment", "pi_merge_input_ref")),
+    HashAggregateNode: ("_aggregate", ("pi_agg_segment", "pi_groups_input_ref")),
+    MergeJoinNode: ("_merge_join", ()),
+    FilterNode: ("_filter", ()),
+    DistinctNode: ("_distinct", ()),
+    LimitNode: ("_limit", ()),
+}
 
 
-#: ``functools``-style (hits, misses, maxsize, currsize) / reset of that cache.
-code_cache_info = _compiled.cache_info
-code_cache_clear = _compiled.cache_clear
+def _expr_key(expr, exprs: list):
+    """The shape of ``expr``: classes, operators, column coordinates and, of
+    a literal, what its type decides (None: NULL, else whether it is bound
+    inline) — never its value.  Whatever is not a column joins ``exprs``,
+    where bindings find this query's own."""
+    if isinstance(expr, ColumnExpr):
+        return (expr.table_index, expr.column_index)
+    exprs.append(expr)
+    cls = type(expr)
+    if isinstance(expr, LiteralExpr):
+        return None if expr.value is None else type(expr.value) in _SAFE_LITERALS
+    if isinstance(expr, (ComparisonExpr, ArithmeticExpr)):
+        return (cls, expr.op, _expr_key(expr.left, exprs), _expr_key(expr.right, exprs))
+    if isinstance(expr, LogicalExpr):
+        return (cls, expr.op, *[_expr_key(a, exprs) for a in expr.args])
+    if isinstance(expr, FunctionExpr):
+        return (cls, *[_expr_key(a, exprs) for a in expr.args])
+    if isinstance(expr, LikeExpr):
+        return (cls, expr.negated, _expr_key(expr.operand, exprs))
+    if isinstance(expr, (NotExpr, NegativeExpr)):
+        return (cls, _expr_key(expr.operand, exprs))
+    if isinstance(expr, AggregateExpr):
+        return (cls, expr.kind, expr.arg is not None and _expr_key(expr.arg, exprs))
+    return cls  # runs as a compile_expr closure, made per query of the whole
+
+
+def _node_key(node: PhysicalNode, nodes: list, exprs: list) -> tuple:
+    """``(class, columns, annotations, facts, expressions, children)`` of a
+    plan node: what the emitters read off it, as values.  Estimates, index
+    bounds, LIMIT counts and sort keys are not read but bound, so not here;
+    a catalog fact that changes (pages, index height) is a different key."""
+    nodes.append(node)
+    cls = type(node)
+    if cls not in _SHAPES:
+        raise ExecutionError(f"no fused pipeline for plan node {cls.__name__}")
+    facts: object = ()
+    own: list = []
+    if cls is SeqScanNode:
+        table = node.table
+        facts = (node.table_index, len(table.schema), table.heap.handle.num_pages)
+        own = node.filters
+    elif cls is IndexScanNode:
+        facts = (
+            node.table_index, len(node.table.schema),
+            node.index.height, node.index.fanout,
+            node.low_inclusive, node.high_inclusive,
+        )
+        own = node.filters
+    elif cls is HashJoinNode:
+        facts = (node.num_batches, tuple(node.build_keys), tuple(node.probe_keys))
+        own = node.extra_filters
+    elif cls is NestLoopNode or cls is FilterNode:
+        own = node.predicates
+    elif cls is ProjectNode:
+        facts = tuple([e.type for e in node.exprs])
+        own = node.exprs
+    elif cls is HashAggregateNode:
+        facts = tuple(node.group_keys)
+        own = node.aggregates
+    elif cls is LimitNode:
+        facts = node.limit > 0
+    return (
+        cls,
+        tuple([(c.coordinate, c.type) for c in node.columns]),
+        (node.segment_id, *[getattr(node, a, None) for a in _SHAPES[cls][1]]),
+        facts,
+        tuple([_expr_key(e, exprs) for e in own]),
+        tuple([_node_key(c, nodes, exprs) for c in node.children]),
+    )
+
+
+def _plan_key(root: PhysicalNode, ctx: ExecContext, nodes: list, exprs: list) -> tuple:
+    """What a program is specialized on: the frozen config, monitored or
+    plain, and the plan's shape.  Values only — no estimate, literal,
+    ``id()`` or object of a database — so an entry pins nothing."""
+    return (ctx.config, ctx.tracker is not None, _node_key(root, nodes, exprs))
+
+
+class _Program:
+    """One cached shape: text, code object, and how a query binds to it."""
+
+    __slots__ = ("source", "code", "bindings", "layouts")
+
+    def __init__(self, compiler: _Compiler, root: PhysicalNode):
+        self.source = compiler.compile(root)
+        self.code: CodeType = compile(self.source, "<fused-plan>", "exec")
+        self.bindings = compiler.bindings
+        #: Tracker layouts (inputs per segment) ``check_tracker_alignment``
+        #: passed: the annotations are in the key, so the verdict holds.
+        self.layouts: set[tuple[int, ...]] = set()
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+_CACHE_SIZE = 256
+#: Plan-shape key -> program, least recently used first.
+_programs: "OrderedDict[tuple, _Program]" = OrderedDict()
+_counts = [0, 0]  # hits, misses
+
+
+def code_cache_info() -> CacheInfo:
+    """``functools``-style counters of the program cache."""
+    return CacheInfo(_counts[0], _counts[1], _CACHE_SIZE, len(_programs))
+
+
+def code_cache_clear() -> None:
+    _programs.clear()
+    _counts[:] = 0, 0
+
+
+#: What every program's ``env`` holds besides its bindings.
+_ENV = {
+    "PULSE": PULSE,
+    "_B": Batch,
+    "_Stop": _StopPipeline,
+    "_CPU": CPU,
+    "_IO": IO,
+    "_ONE": (0,),
+    "heapq": heapq,
+}
 
 
 class FusedQuery:
-    """A fused program for one plan, plus its cleanup state.
+    """One query bound to the fused program of its plan's shape.
 
-    The generated source is a pure function of plan shape, config and
-    monitored mode — literals, temp-file names and every other
-    per-query object are ``env`` bindings — so Python compiles each
-    distinct shape once; only ``exec`` of the cached code object, which
-    binds this query's ``env``, runs per query.
+    Construction walks the plan once for its key (:func:`_plan_key`).  A
+    shape met before runs no emitter: the cached program's bindings fill
+    ``env`` with this query's own objects and ``exec`` of the cached code
+    object defines the generator.  A new shape is compiled first and then
+    bound the same way.  Under ``REPRO_VERIFY=strict`` every hit also
+    regenerates the text and raises if the key hid a difference.
     """
 
     def __init__(self, root: PhysicalNode, ctx: ExecContext):
-        compiler = _Compiler(ctx, ctx.config.progress.batch_rows)
-        source = compiler.compile(root)
+        self.ctx = ctx
+        self.tracker = tracker = ctx.tracker
+        #: The plan's nodes / non-column expressions in key-walk order.
+        self.nodes: List[PhysicalNode] = []
+        self.exprs: list = []
+        #: Made by the bindings, released by close(): embedded volcano
+        #: operators (merge join), sort states, hash-partition temp files.
+        self.ops: list = []
+        self.sorts: List[SortRuns] = []
+        self.temps: List[HeapFile] = []
+        key = _plan_key(root, ctx, self.nodes, self.exprs)
+        program = _programs.get(key)
+        if program is None:
+            _counts[1] += 1
+            compiler = self._compiler()
+            program = _Program(compiler, root)
+            # An expression object in two places has one place in the walk
+            # for two binding sites: right for this plan only, so not kept.
+            if len(compiler._expr_at) == len(self.exprs):
+                _programs[key] = program
+                if len(_programs) > _CACHE_SIZE:
+                    _programs.popitem(last=False)
+        else:
+            _counts[0] += 1
+            _programs.move_to_end(key)
+            if resolve_verify_mode(ctx.config) == "strict":
+                if self._compiler().compile(root) != program.source:
+                    raise ExecutionError(
+                        "fused program cache: this plan's text differs from "
+                        "the program cached under its shape key"
+                    )
+        if tracker is not None:
+            layout = tuple([len(s.input_rows) for s in tracker.segments])
+            if layout not in program.layouts:
+                check_tracker_alignment(root, tracker)
+                program.layouts.add(layout)
         #: Generated source, kept for debugging / inspection.
-        self.source = source
-        self._ops = compiler.ops
-        self._sorts = compiler.sorts
-        self._temps = compiler.temps
-        env = compiler.env
-        exec(_compiled(source), env)  # noqa: S102 - engine-generated source, no user input
+        self.source = program.source
+        env = dict(_ENV)
+        for name, bind in program.bindings:  # the only way env is filled
+            env[name] = bind(self)
+        exec(program.code, env)  # noqa: S102 - engine-generated source, no user input
         self._gen = env["_fused_run"]()
+
+    def _compiler(self) -> _Compiler:
+        return _Compiler(
+            self.ctx.config, self.tracker is not None, self.nodes, self.exprs
+        )
 
     def run(self) -> Iterator:
         """The program's item stream: Batch objects and PULSE markers."""
@@ -1644,13 +1712,13 @@ class FusedQuery:
     def close(self) -> None:
         """Release resources: pins (via generator unwind), temps, operators."""
         self._gen.close()
-        for op in self._ops:
+        for op in self.ops:
             op.close()
-        for sort in self._sorts:
+        for sort in self.sorts:
             sort.drop()
-        for f in self._temps:
+        for f in self.temps:
             f.drop()
-        self._temps.clear()
+        self.temps.clear()
 
 
 class _Block:

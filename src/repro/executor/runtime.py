@@ -8,53 +8,8 @@ from typing import Iterator, Optional
 from repro.errors import ExecutionError
 from repro.executor.base import PULSE, ExecContext, build_operator
 from repro.executor.batch import Batch
-from repro.executor.work import WorkTracker
+from repro.executor.work import check_tracker_alignment
 from repro.planner.optimizer import PlannedQuery
-from repro.planner.physical import PhysicalNode
-
-
-def check_tracker_alignment(root: PhysicalNode, tracker: WorkTracker) -> None:
-    """Pre-execution guard: the tracker must cover every segment and input
-    slot the plan's progress annotations reference.
-
-    Operators index ``tracker.segments`` by the ``segment_id`` /
-    ``pi_*`` annotations the segment builder wrote into the plan; running
-    a plan against a tracker built for a *different* plan (stale indicator,
-    re-prepared query) would corrupt counters or crash mid-query.  The
-    full structural invariants are checked by :mod:`repro.analysis`; this
-    cheap, dependency-free check only pins the plan to its tracker.
-    """
-    nseg = len(tracker.segments)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        for attr, value in vars(node).items():
-            if attr == "segment_id" or (
-                attr.startswith("pi_") and attr.endswith("_segment")
-            ):
-                if value is None:
-                    continue
-                if not (isinstance(value, int) and 0 <= value < nseg):
-                    raise ExecutionError(
-                        f"{type(node).__name__}.{attr} = {value!r} does not "
-                        f"match the attached tracker ({nseg} segments)"
-                    )
-            elif attr.startswith("pi_") and attr.endswith("_ref"):
-                if value is None:
-                    continue
-                if not (
-                    isinstance(value, tuple)
-                    and len(value) == 2
-                    and isinstance(value[0], int)
-                    and isinstance(value[1], int)
-                    and 0 <= value[0] < nseg
-                    and 0 <= value[1] < len(tracker.segments[value[0]].input_rows)
-                ):
-                    raise ExecutionError(
-                        f"{type(node).__name__}.{attr} = {value!r} does not "
-                        f"match the attached tracker ({nseg} segments)"
-                    )
 
 
 @dataclass
@@ -103,7 +58,19 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
     produced = 0
     completed = False
     try:
-        if ctx.tracker is not None:
+        # The fused batch engine compiles the whole plan into one loop nest
+        # (bit-identical charges; Batch items to the driver).  EXPLAIN
+        # ANALYZE row counting must observe per-operator streams, so it
+        # always runs the volcano row engine.
+        use_fused = ctx.config.progress.engine != "row" and not ctx.count_rows
+        if use_fused:
+            from repro.executor.fused import FusedQuery
+
+            # Binds the query to its shape's cached program; the alignment
+            # guard runs once per program and tracker layout, not per query.
+            fq = FusedQuery(planned.root, ctx)
+            close = fq.close
+        elif ctx.tracker is not None:
             check_tracker_alignment(planned.root, ctx.tracker)
         if ctx.trace is not None:
             from repro.obs.events import ExecutionStarted
@@ -124,16 +91,8 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
             finally:
                 sub_op.close()
 
-        # The fused batch engine compiles the whole plan into one loop nest
-        # (bit-identical charges; Batch items to the driver).  EXPLAIN
-        # ANALYZE row counting must observe per-operator streams, so it
-        # always runs the volcano row engine.
-        use_fused = ctx.config.progress.engine != "row" and not ctx.count_rows
         if use_fused:
-            from repro.executor.fused import FusedQuery
-
-            fq = FusedQuery(planned.root, ctx)
-            stream, close = fq.run(), fq.close
+            stream = fq.run()
         else:
             op = build_operator(planned.root, ctx)
             stream, close = op.rows(), op.close

@@ -67,13 +67,116 @@ def make_sort_key(node: SortNode):
     )
 
 
+class SortRuns:
+    """The spill runs of one external sort and its cold phases: sorting a
+    buffer, spilling it, cascading merges, reading a run back.  Both engines
+    run these (same charges, same PULSE cadence, same temp files); each
+    keeps its own absorb and stream loops."""
+
+    def __init__(self, node: SortNode, ctx: ExecContext):
+        self.node = node
+        self.ctx = ctx
+        self.key = make_sort_key(node)
+        self.runs: list[HeapFile] = []
+
+    def sort_buffer(self, buffer: list[tuple]) -> Iterator[tuple]:
+        n = len(buffer)
+        if n <= 1:
+            return
+        comparisons = n * max(1.0, (n).bit_length() - 1)
+        cost = self.ctx.config.cost.cpu_compare
+        remaining = comparisons
+        while remaining > 0:
+            step = min(remaining, _CPU_CHUNK)
+            self.ctx.clock.advance(step * cost, CPU)
+            remaining -= step
+            yield PULSE
+        buffer.sort(key=self.key)
+
+    def spill(self, buffer: list[tuple]) -> Iterator[tuple]:
+        yield from self.sort_buffer(buffer)
+        ctx = self.ctx
+        schema = Schema(
+            Column(f"s{i}_{c.name.replace('.', '_')}", c.type)
+            for i, c in enumerate(self.node.columns)
+        )
+        run = HeapFile(
+            f"sortrun_{id(self)}_{len(self.runs)}",
+            schema,
+            ctx.disk,
+            ctx.config.page_size,
+            temp=True,
+        )
+        run.extend(buffer)
+        run.flush()
+        self.runs.append(run)
+
+    def collapse(self) -> Iterator[tuple]:
+        """Cascade-merge runs until they fit the merge fanout.
+
+        Each extra pass re-reads and re-writes every byte; those bytes are
+        the paper's multi-stage costs, reported via ``extra_pass``.  One
+        PULSE is yielded per merged group (a bounded unit of work).
+        """
+        ctx = self.ctx
+        segment = getattr(self.node, "pi_sort_segment", None)
+        fanout = max(2, ctx.config.work_mem_pages)
+        while len(self.runs) > fanout:
+            group = self.runs[:fanout]
+            merged_rows = list(
+                heapq.merge(*(run.iter_rows() for run in group), key=self.key)
+            )
+            nbytes = sum(run.total_bytes for run in group)
+            npages = sum(run.handle.num_pages for run in group)
+            cost = ctx.config.cost
+            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
+            if ctx.tracker is not None and segment is not None:
+                ctx.tracker.extra_pass(segment, 2.0 * nbytes)
+            schema = group[0].schema
+            merged = HeapFile(
+                f"sortrun_{id(self)}_m{len(self.runs)}",
+                schema,
+                ctx.disk,
+                ctx.config.page_size,
+                temp=True,
+            )
+            previous = merged.charge_io
+            merged.charge_io = False  # I/O charged in bulk above
+            merged.extend(merged_rows)
+            merged.flush()
+            merged.charge_io = previous
+            for run in group:
+                run.drop()
+            self.runs = self.runs[fanout:] + [merged]
+            yield PULSE
+
+    def read_run(self, run: HeapFile) -> Iterator[tuple]:
+        """One spilled run's rows, page by page, as merge input."""
+        ctx = self.ctx
+        tracker = ctx.tracker
+        ref = getattr(self.node, "pi_merge_input_ref", None)
+        cost = ctx.config.cost
+        for page_no in range(run.handle.num_pages):
+            page = ctx.disk.read_page(run.handle, page_no, sequential=True)
+            n = len(page.rows)
+            if n:
+                ctx.clock.advance(n * cost.cpu_tuple, CPU)
+            if tracker is not None and ref is not None:
+                tracker.input_rows(ref[0], ref[1], n, page.bytes_used)
+            yield from page.rows
+
+    def drop(self) -> None:
+        for run in self.runs:
+            run.drop()
+        self.runs.clear()
+
+
 class SortOp(Operator):
     def __init__(self, node: SortNode, ctx: ExecContext):
         super().__init__(node, ctx)
         self._child = build_operator(node.child, ctx)
-        self._key = make_sort_key(node)
+        self._sort = SortRuns(node, ctx)
         self._width = row_width_fn(node.columns)
-        self._runs: list[HeapFile] = []
 
     # ------------------------------------------------------------------
 
@@ -86,9 +189,7 @@ class SortOp(Operator):
 
     def close(self) -> None:
         self._child.close()
-        for run in self._runs:
-            run.drop()
-        self._runs.clear()
+        self._sort.drop()
 
     # ------------------------------------------------------------------
     # run formation (blocking; ends this sort's segment)
@@ -98,11 +199,12 @@ class SortOp(Operator):
 
         Yields only PULSE markers while working; *returns* the single
         in-memory run when everything fit in work_mem, otherwise None
-        (runs were spilled to ``self._runs``).
+        (runs were spilled to ``self._sort.runs``).
         """
         ctx = self.ctx
         cost = ctx.config.cost
         tracker = ctx.tracker
+        sort = self._sort
         segment = getattr(self.node, "pi_sort_segment", None)
         width_fn = self._width
 
@@ -119,91 +221,21 @@ class SortOp(Operator):
             buffer.append(row)
             buffer_bytes += width
             if buffer_bytes > ctx.work_mem_bytes:
-                yield from self._spill_run(buffer)
+                yield from sort.spill(buffer)
                 buffer = []
                 buffer_bytes = 0.0
 
         memory_run: Optional[list[tuple]] = None
-        if self._runs:
+        if sort.runs:
             if buffer:
-                yield from self._spill_run(buffer)
-            yield from self._collapse_runs(segment)
+                yield from sort.spill(buffer)
+            yield from sort.collapse()
         else:
-            yield from self._sort_buffer(buffer)
+            yield from sort.sort_buffer(buffer)
             memory_run = buffer
         if tracker is not None and segment is not None:
             tracker.segment_finished(segment)
         return memory_run
-
-    def _sort_buffer(self, buffer: list[tuple]) -> Iterator[tuple]:
-        n = len(buffer)
-        if n <= 1:
-            return
-        comparisons = n * max(1.0, (n).bit_length() - 1)
-        cost = self.ctx.config.cost.cpu_compare
-        remaining = comparisons
-        while remaining > 0:
-            step = min(remaining, _CPU_CHUNK)
-            self.ctx.clock.advance(step * cost, CPU)
-            remaining -= step
-            yield PULSE
-        buffer.sort(key=self._key)
-
-    def _spill_run(self, buffer: list[tuple]) -> Iterator[tuple]:
-        yield from self._sort_buffer(buffer)
-        ctx = self.ctx
-        schema = Schema(
-            Column(f"s{i}_{c.name.replace('.', '_')}", c.type)
-            for i, c in enumerate(self.node.columns)
-        )
-        run = HeapFile(
-            f"sortrun_{id(self)}_{len(self._runs)}",
-            schema,
-            ctx.disk,
-            ctx.config.page_size,
-            temp=True,
-        )
-        run.extend(buffer)
-        run.flush()
-        self._runs.append(run)
-
-    def _collapse_runs(self, segment: Optional[int]) -> Iterator[tuple]:
-        """Cascade-merge runs until they fit the merge fanout.
-
-        Each extra pass re-reads and re-writes every byte; those bytes are
-        the paper's multi-stage costs, reported via ``extra_pass``.  One
-        PULSE is yielded per merged group (a bounded unit of work).
-        """
-        ctx = self.ctx
-        fanout = max(2, ctx.config.work_mem_pages)
-        while len(self._runs) > fanout:
-            group = self._runs[:fanout]
-            merged_rows = list(
-                heapq.merge(*(run.iter_rows() for run in group), key=self._key)
-            )
-            nbytes = sum(run.total_bytes for run in group)
-            npages = sum(run.handle.num_pages for run in group)
-            cost = ctx.config.cost
-            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
-            if ctx.tracker is not None and segment is not None:
-                ctx.tracker.extra_pass(segment, 2.0 * nbytes)
-            schema = group[0].schema
-            merged = HeapFile(
-                f"sortrun_{id(self)}_m{len(self._runs)}",
-                schema,
-                ctx.disk,
-                ctx.config.page_size,
-                temp=True,
-            )
-            previous = merged.charge_io
-            merged.charge_io = False  # I/O charged in bulk above
-            merged.extend(merged_rows)
-            merged.flush()
-            merged.charge_io = previous
-            for run in group:
-                run.drop()
-            self._runs = self._runs[fanout:] + [merged]
-            yield PULSE
 
     # ------------------------------------------------------------------
     # merge phase (streams into the consuming segment)
@@ -224,26 +256,12 @@ class SortOp(Operator):
 
     def _merge_spilled_runs(self) -> Iterator[tuple]:
         ctx = self.ctx
-        tracker = ctx.tracker
-        ref = getattr(self.node, "pi_merge_input_ref", None)
-        cost = ctx.config.cost
-        key = self._key
-
-        def read_run(run: HeapFile) -> Iterator[tuple]:
-            for page_no in range(run.handle.num_pages):
-                page = ctx.disk.read_page(run.handle, page_no, sequential=True)
-                n = len(page.rows)
-                if n:
-                    ctx.clock.advance(n * cost.cpu_tuple, CPU)
-                if tracker is not None and ref is not None:
-                    tracker.input_rows(ref[0], ref[1], n, page.bytes_used)
-                yield from page.rows
-
+        sort = self._sort
         # read_run streams into heapq.merge, which cannot forward pulses;
         # the outer loop emits them at a fixed row cadence instead.
-        compare = cost.cpu_compare * max(1, len(self._runs)).bit_length()
+        compare = ctx.config.cost.cpu_compare * max(1, len(sort.runs)).bit_length()
         merged = 0
-        for row in heapq.merge(*(read_run(r) for r in self._runs), key=key):
+        for row in heapq.merge(*(sort.read_run(r) for r in sort.runs), key=sort.key):
             ctx.clock.advance(compare, CPU)
             yield row
             merged += 1

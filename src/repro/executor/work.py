@@ -23,8 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.errors import ExecutionError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs.bus import TraceBus
+    from repro.planner.physical import PhysicalNode
 
 
 def page_share(k: int, nbytes: int, n: int) -> int:
@@ -210,11 +213,63 @@ class WorkTracker:
 
     @property
     def total_done_bytes(self) -> float:
-        """Work done so far, in bytes, as of the last :attr:`sync`."""
-        return sum(seg.done_bytes for seg in self.segments)
+        """Work done so far, in bytes, as of the last :attr:`sync`: every
+        segment's ``done_bytes`` in one loop (integer-valued: order-free)."""
+        total = 0.0
+        for seg in self.segments:
+            for nbytes in seg.input_bytes:
+                total += nbytes
+            total += seg.extra_bytes
+            if not seg.final:
+                total += seg.output_bytes
+        return total
 
     def done_pages(self, page_size: int) -> float:
         """Total work done so far, in U (pages), synced first."""
         if self.sync is not None:
             self.sync()
         return self.total_done_bytes / page_size
+
+
+def check_tracker_alignment(root: "PhysicalNode", tracker: WorkTracker) -> None:
+    """Pre-execution guard: the tracker must cover every segment and input
+    slot the plan's progress annotations reference.
+
+    Operators index ``tracker.segments`` by the ``segment_id`` /
+    ``pi_*`` annotations the segment builder wrote into the plan; running
+    a plan against a tracker built for a *different* plan (stale indicator,
+    re-prepared query) would corrupt counters or crash mid-query.  The
+    full structural invariants are checked by :mod:`repro.analysis`; this
+    cheap, dependency-free check only pins the plan to its tracker.
+    """
+    nseg = len(tracker.segments)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        for attr, value in vars(node).items():
+            if attr == "segment_id" or (
+                attr.startswith("pi_") and attr.endswith("_segment")
+            ):
+                if value is None:
+                    continue
+                if not (isinstance(value, int) and 0 <= value < nseg):
+                    raise ExecutionError(
+                        f"{type(node).__name__}.{attr} = {value!r} does not "
+                        f"match the attached tracker ({nseg} segments)"
+                    )
+            elif attr.startswith("pi_") and attr.endswith("_ref"):
+                if value is None:
+                    continue
+                if not (
+                    isinstance(value, tuple)
+                    and len(value) == 2
+                    and isinstance(value[0], int)
+                    and isinstance(value[1], int)
+                    and 0 <= value[0] < nseg
+                    and 0 <= value[1] < len(tracker.segments[value[0]].input_rows)
+                ):
+                    raise ExecutionError(
+                        f"{type(node).__name__}.{attr} = {value!r} does not "
+                        f"match the attached tracker ({nseg} segments)"
+                    )

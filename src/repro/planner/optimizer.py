@@ -15,7 +15,6 @@ from repro.expr.bound import (
     ColumnExpr,
     ComparisonExpr,
     FunctionExpr,
-    InSubqueryExpr,
     LogicalExpr,
     NegativeExpr,
     NotExpr,
@@ -148,30 +147,9 @@ class Optimizer:
         )
 
     def _plan_subqueries(self, query: BoundQuery) -> list:
-        """Plan every uncorrelated IN-subquery found in the query."""
-        found: list[InSubqueryExpr] = []
-
-        def walk(expr: BoundExpr) -> None:
-            if isinstance(expr, InSubqueryExpr):
-                found.append(expr)
-                return
-            for attr in ("args", "left", "right", "operand", "arg"):
-                child = getattr(expr, attr, None)
-                if isinstance(child, BoundExpr):
-                    walk(child)
-                elif isinstance(child, list):
-                    for c in child:
-                        walk(c)
-
-        for conjunct in query.conjuncts:
-            walk(conjunct)
-        for expr, _ in query.output:
-            walk(expr)
-        if query.having is not None:
-            walk(query.having)
-
+        """Plan every uncorrelated IN-subquery the binder recorded."""
         subplans = []
-        for expr in found:
+        for expr in query.in_subqueries:
             inner = Optimizer(self._config).plan(expr.subquery)
             expr.plan = inner
             subplans.append((expr, inner))

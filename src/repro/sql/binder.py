@@ -67,6 +67,9 @@ class BoundQuery:
     distinct: bool = False
     order_by: list[tuple[BoundExpr, bool]] = field(default_factory=list)
     limit: Optional[int] = None
+    #: Every IN-subquery of WHERE, then the SELECT list, then HAVING: the
+    #: order the optimizer plans them in and their InitPlans charge the clock.
+    in_subqueries: list[InSubqueryExpr] = field(default_factory=list)
 
     @property
     def num_tables(self) -> int:
@@ -90,8 +93,11 @@ class Binder:
         """Resolve one parsed statement into a BoundQuery."""
         tables = self._bind_from(statement.from_tables)
         by_name = {t.binding_name: t for t in tables}
+        #: The InSubqueryExprs of this statement, as _bind_expr makes them.
+        self._found: list[InSubqueryExpr] = []
 
         output = self._bind_select_list(statement, tables, by_name)
+        after_output = len(self._found)
 
         conjuncts: list[BoundExpr] = []
         if statement.where is not None:
@@ -99,6 +105,7 @@ class Binder:
             if where.type != BOOLEAN:
                 raise BindError("WHERE clause must be a boolean expression")
             conjuncts = as_conjuncts(where)
+        after_where = len(self._found)
 
         group_by = [
             self._bind_expr(e, tables, by_name) for e in statement.group_by
@@ -112,6 +119,10 @@ class Binder:
             having = self._bind_expr(statement.having, tables, by_name)
             if having.type != BOOLEAN:
                 raise BindError("HAVING clause must be a boolean expression")
+        found = self._found  # (one in ORDER BY is not planned, as before)
+        in_subqueries = (
+            found[after_output:after_where] + found[:after_output] + found[after_where:]
+        )
 
         order_by = []
         for item in statement.order_by:
@@ -126,6 +137,7 @@ class Binder:
             distinct=statement.distinct,
             order_by=order_by,
             limit=statement.limit,
+            in_subqueries=in_subqueries,
         )
         self._validate_grouping(query)
         return query
@@ -230,7 +242,8 @@ class Binder:
                     f"cannot test {operand.type!r} against an IN-subquery "
                     f"of {inner_type!r}"
                 )
-            return InSubqueryExpr(operand, inner, negated=expr.negated)
+            self._found.append(InSubqueryExpr(operand, inner, negated=expr.negated))
+            return self._found[-1]
 
         if isinstance(expr, LikePattern):
             operand = self._bind_expr(expr.operand, tables, by_name)

@@ -18,10 +18,9 @@ each comparison starts from a cold buffer pool and the engines' clock
 histories stay pairwise identical.
 
 Every variant is compared twice in a row: the first batch run may compile
-its generated program, the second must take it from
-the code-object cache (same source text, no compile) and still be
-bit-identical — a cached code object is only ever re-bound to the new
-query's own ``env``.
+its generated program, the second must take it from the program cache
+(same plan-shape key, no emitter run) and still be bit-identical — a
+cached program is only ever re-bound to the new query's own ``env``.
 """
 
 from __future__ import annotations

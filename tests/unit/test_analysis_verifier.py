@@ -22,7 +22,7 @@ from repro.analysis.invariants import (
 from repro.config import SystemConfig
 from repro.core.segments import build_segments
 from repro.database import Database
-from repro.executor.fused import _Compiler
+from repro.executor.fused import _Compiler, code_cache_clear
 from repro.planner.physical import HashJoinNode, SeqScanNode, SortNode
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
@@ -400,7 +400,13 @@ class TestMutantsOfTheCompiler:
     """The mutants no analyzer command noticed before ``verify`` read the
     generated text: each is replayed by patching ``_Compiler._emit_pulse``."""
 
+    @pytest.fixture(autouse=True)
+    def no_mutant_program_outlives_its_test(self):
+        yield
+        code_cache_clear()
+
     def violations(self, sql=RICH_SQL):
+        code_cache_clear()  # programs are cached by plan shape, not compiler
         db = make_db(work_mem_pages=1)
         planned = db.prepare(sql)
         specs, violations = verify_plan(planned.root)

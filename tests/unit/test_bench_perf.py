@@ -19,22 +19,31 @@ class TestShapeCheck:
         assert perf.check_shape_compiles(statements=4) == []
 
     def test_leaked_runtime_value_is_reported(self, monkeypatch):
-        """Sabotage: a per-query value in the generated text, the way the
-        hash-join partition names used to carry an ``id()``."""
+        """Sabotage: a per-query value in the plan-shape key, the way the
+        hash-join partition names once carried an ``id()`` into the text."""
         import itertools
 
         from repro.executor import fused
 
-        compile_plan = fused._Compiler.compile
+        plan_key = fused._plan_key
         serial = itertools.count()
-
-        def leaky(self, root):
-            return compile_plan(self, root) + f"# plan {next(serial)}\n"
-
-        monkeypatch.setattr(fused._Compiler, "compile", leaky)
+        monkeypatch.setattr(
+            fused, "_plan_key", lambda *args: (next(serial), plan_key(*args))
+        )
         problems = perf.check_shape_compiles(statements=4)
         assert len(problems) == 2 * len(perf.SHAPE_TEMPLATES)
         assert all("4 compiles for 4" in p for p in problems)
+
+    def test_hits_are_counted_beside_compiles(self):
+        from repro.executor import fused
+
+        fused.code_cache_clear()
+        counts = list(perf.shape_counts(statements=3))
+        assert [c[:2] for c in counts[:2]] == [
+            ("index_lookup", "plain"), ("index_lookup", "monitored")
+        ]
+        assert len(counts) == 2 * len(perf.SHAPE_TEMPLATES)
+        assert all(compiles == 1 and hits == 2 for *_, compiles, hits in counts)
 
 
 class TestCli:
@@ -45,8 +54,13 @@ class TestCli:
         assert "invalid choice: 'perfcheck'" in capsys.readouterr().err
 
     def test_shapecheck_passes(self, capsys):
+        from repro.executor import fused
+
+        fused.code_cache_clear()  # equal shapes of earlier tests would hit
         assert main(["shapecheck", "--statements", "4"]) == 0
-        assert "shape gate: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ok: external_sort [monitored]: 1 compiles, 3 hits" in out
+        assert "shape gate: PASS" in out
 
 
 class TestBenchResultSchema:
