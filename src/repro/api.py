@@ -13,132 +13,26 @@ One contract for single-query and concurrent execution::
 Several ``submit`` calls before the first ``result()`` run *interleaved*
 on the shared virtual clock and buffer pool — waiting on any one handle
 pumps the whole workload through the session's cooperative scheduler
-(:mod:`repro.sched`).  A :class:`QueryHandle` offers three return
-shapes: the plain :class:`~repro.executor.runtime.QueryResult`
-(``.result()``), the :class:`~repro.database.MonitoredResult` bundle
-(``.monitored()``), and the trace stream (``.trace()``, sealed).
+(:mod:`repro.sched`).  A :class:`QueryHandle` (the service's handle,
+:mod:`repro.service`) offers three return shapes: the plain
+:class:`~repro.executor.runtime.QueryResult` (``.result()``), the
+:class:`~repro.database.MonitoredResult` bundle (``.monitored()``), and
+the trace stream (``.trace()``, sealed).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.history import ProgressLog
-from repro.core.report import ProgressReport
-from repro.errors import ProgressError
+from repro.config import DEFAULT_QUANTUM_PAGES
 from repro.executor.runtime import QueryResult
-from repro.obs.bus import SealedTrace, TraceBus
 from repro.planner.optimizer import PlannedQuery
-from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES
-from repro.sched.task import CANCELLED, FAILED, SHED, TIMED_OUT, QueryTask
+from repro.service.service import QueryHandle, QueryService
 
 if TYPE_CHECKING:  # pragma: no cover - circular at import time only
-    from repro.database import Database, MonitoredResult
+    from repro.database import Database
 
-
-class QueryHandle:
-    """One submitted query: progress, result, cancellation, trace."""
-
-    def __init__(self, session: "Session", task: QueryTask) -> None:
-        self._session = session
-        self._task = task
-
-    # ------------------------------------------------------------------
-    # identity
-
-    @property
-    def name(self) -> str:
-        return self._task.name
-
-    @property
-    def state(self) -> str:
-        """Lifecycle state (see :mod:`repro.sched.task` constants)."""
-        return self._task.state
-
-    @property
-    def done(self) -> bool:
-        return self._task.done
-
-    @property
-    def task(self) -> QueryTask:
-        """The underlying scheduler task (escape hatch for tests/tools)."""
-        return self._task
-
-    # ------------------------------------------------------------------
-    # the contract
-
-    def progress(self) -> Optional[ProgressReport]:
-        """The indicator's current report; None for unmonitored queries.
-
-        Valid at any time: before the first slice, mid-flight, and after
-        completion (where it reports the final state).
-        """
-        return self._task.progress()
-
-    def result(self) -> QueryResult:
-        """Drive the session until this query completes; return its result.
-
-        Other in-flight queries advance too (cooperative interleaving).
-        Raises the original executor error for a failed query,
-        :class:`~repro.errors.QueryTimeoutError` for a timed-out one,
-        :class:`~repro.errors.QueryShedError` for one evicted by the
-        service's load-shedding policy, and :class:`ProgressError` for a
-        cancelled one.
-        """
-        task = self._task
-        if not task.done:
-            self._session.service.run_until(task)
-        if task.state in (FAILED, TIMED_OUT, SHED):
-            assert task.error is not None
-            raise task.error
-        if task.state == CANCELLED:
-            raise ProgressError(f"query {task.name!r} was cancelled")
-        assert task.result is not None
-        return task.result
-
-    def cancel(self) -> Optional[ProgressLog]:
-        """Cancel the query; returns its progress log (None if unmonitored).
-
-        Idempotent.  Mid-segment state is unwound cooperatively: buffer
-        pins release, temp files drop, and the final report keeps
-        ``finished=False``.
-        """
-        self._session.scheduler.cancel(self._task)
-        return self._task.log
-
-    def trace(self) -> Optional[SealedTrace]:
-        """Sealed, read-only view of this query's trace stream."""
-        return self._task.sealed_trace()
-
-    @property
-    def log(self) -> Optional[ProgressLog]:
-        """The full progress history once the query is done, else None."""
-        return self._task.log
-
-    def monitored(self) -> "MonitoredResult":
-        """Result, log, indicator and sealed trace as one
-        :class:`MonitoredResult` bundle.
-
-        Drives the query to completion first (like ``.result()``); only
-        valid for monitored queries.
-        """
-        from repro.database import MonitoredResult
-
-        if self._task.indicator is None:
-            raise ProgressError(
-                f"query {self._task.name!r} was submitted with monitor=False"
-            )
-        result = self.result()
-        assert self._task.log is not None
-        return MonitoredResult(
-            result=result,
-            log=self._task.log,
-            indicator=self._task.indicator,
-            trace=self.trace(),
-        )
-
-    def __repr__(self) -> str:
-        return f"QueryHandle({self._task.name!r}, state={self._task.state})"
+__all__ = ["QueryHandle", "Session"]
 
 
 class Session:
@@ -169,8 +63,6 @@ class Session:
         policy: str = "round_robin",
         quantum_pages: int = DEFAULT_QUANTUM_PAGES,
     ) -> None:
-        from repro.service.service import QueryService
-
         self.db = db
         self.service = QueryService(
             db, policy=policy, quantum_pages=quantum_pages
@@ -179,64 +71,21 @@ class Session:
 
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        query: Union[str, PlannedQuery],
-        *,
-        tenant: str = "default",
-        name: Optional[str] = None,
-        monitor: bool = True,
-        trace: Union[None, bool, TraceBus] = None,
-        priority: int = 0,
-        keep_rows: bool = True,
-        max_rows: Optional[int] = None,
-        on_report=None,
-        timeout: Optional[float] = None,
-        deadline: Optional[float] = None,
-        estimator: Optional[str] = None,
-    ) -> QueryHandle:
+    def submit(self, query: Union[str, PlannedQuery], **options) -> QueryHandle:
         """Submit a query (SQL text or a prepared plan) for execution.
 
-        No work happens until the session is driven — by this or any
-        other handle's ``.result()``, or by :meth:`run`.
-
-        ``tenant`` attributes the query for the service layer's
-        admission accounting and fair share (irrelevant under the
-        permissive default config).
-
-        ``estimator`` names the progress-estimation strategy for this
-        query ("paper", "dne", "tgn", "history", "ensemble", or any name
-        registered via :func:`repro.estimators.register_estimator`);
-        ``None`` follows ``ProgressConfig.estimator``.
-
-        ``timeout`` (virtual seconds from the query's first slice) or
-        ``deadline`` (absolute virtual-clock instant) arm the scheduler's
-        watchdog; past it the query is unwound and ``.result()`` raises
-        :class:`~repro.errors.QueryTimeoutError`.
+        ``options`` are those of :meth:`QueryService.submit`.  Returns
+        once the service admitted the statement; no work happens until
+        the session is driven — by this or any other handle's
+        ``.result()``, or by :meth:`run`.
         """
-        sh = self.service.submit(
-            query,
-            tenant=tenant,
-            name=name,
-            monitor=monitor,
-            trace=trace,
-            priority=priority,
-            keep_rows=keep_rows,
-            max_rows=max_rows,
-            on_report=on_report,
-            timeout=timeout,
-            deadline=deadline,
-            estimator=estimator,
-        )
-        if sh.rejection is not None:
-            raise sh.rejection
-        task = sh.task
-        if task is None:
-            # Queued: block until the service admits the statement,
-            # pumping the in-flight workload meanwhile.  Unreachable
-            # under the permissive default ServiceConfig.
-            task = self.service._run_until_admitted(sh)
-        return QueryHandle(self, task)
+        handle = self.service.submit(query, **options)
+        if handle.rejection is not None:
+            raise handle.rejection
+        # Queued: block until admitted, pumping the in-flight workload
+        # meanwhile.  A no-op under the permissive default ServiceConfig.
+        self.service._pump(handle, until_done=False)
+        return handle
 
     def execute(
         self,
@@ -253,20 +102,20 @@ class Session:
 
     def run(self) -> list[QueryHandle]:
         """Drive every in-flight query to a terminal state."""
-        self.service.run()
-        return [QueryHandle(self, t) for t in self.scheduler.tasks.values()]
+        return self.service.run()
 
     def step(self) -> Optional[QueryHandle]:
         """Grant exactly one scheduler slice (fine-grained driving)."""
         task = self.service.step()
-        return None if task is None else QueryHandle(self, task)
+        return None if task is None else self.service._handles[task.name]
 
     @property
     def handles(self) -> list[QueryHandle]:
-        """Handles for every query submitted to this session, in order."""
-        return [QueryHandle(self, t) for t in self.scheduler.tasks.values()]
+        """Handles for every query submitted to this session, in order
+        (a rejected submission's too, with state ``"rejected"``)."""
+        return self.service.handles
 
     def __repr__(self) -> str:
-        tasks = self.scheduler.tasks
-        done = sum(1 for t in tasks.values() if t.done)
-        return f"Session({len(tasks)} queries, {done} done)"
+        handles = self.service.handles
+        done = sum(1 for h in handles if h.done)
+        return f"Session({len(handles)} queries, {done} done)"

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.errors import ProgressError
+
 #: Size of one storage page in bytes.  One page of bytes is also one unit of
 #: work "U" for the progress indicator (paper Section 4.1).
 DEFAULT_PAGE_SIZE = 8192
@@ -24,6 +26,10 @@ DEFAULT_PAGE_SIZE = 8192
 #: as ``absolute(l.partkey) > 0``.  The paper's Figures 9, 13, 17 and 18 all
 #: hinge on this default being wrong (Section 5.3.1, point 3).
 DEFAULT_UNKNOWN_SELECTIVITY = 1.0 / 3.0
+
+#: Default scheduler slice budget, in pages of U per slice
+#: (:mod:`repro.sched`).
+DEFAULT_QUANTUM_PAGES = 4
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,21 @@ class ServiceConfig:
     #: Minimum virtual seconds between shedding evaluations of one query
     #: — the policy samples at slice boundaries, this rate-limits it.
     policy_interval: float = 5.0
+
+    def __post_init__(self) -> None:
+        # Each of these would wedge or gut the service: nothing ever
+        # admits at max_inflight=0, every deadline-bearing query is
+        # demoted / evicted at its first check at 0 strikes.
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ProgressError("max_inflight must be None or >= 1")
+        if self.admission_queue_limit < 0:
+            raise ProgressError("admission_queue_limit must be >= 0")
+        if self.deprioritize_after < 1:
+            raise ProgressError("deprioritize_after must be >= 1")
+        if self.shed_after < 1:
+            raise ProgressError("shed_after must be >= 1")
+        if self.policy_interval < 0:
+            raise ProgressError("policy_interval must be >= 0")
 
 
 @dataclass(frozen=True)

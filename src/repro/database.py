@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - analysis/fault/obs imported lazily
 
 from repro.catalog.analyze import analyze_table
 from repro.catalog.catalog import Catalog, Table
-from repro.config import ServiceConfig, SystemConfig
+from repro.config import DEFAULT_QUANTUM_PAGES, ServiceConfig, SystemConfig
 from repro.core.history import ProgressLog
 from repro.core.indicator import ProgressIndicator
 from repro.estimators.history import HistoryStore
@@ -144,7 +144,7 @@ class Database:
     def connect(
         self,
         policy: str = "round_robin",
-        quantum_pages: Optional[int] = None,
+        quantum_pages: int = DEFAULT_QUANTUM_PAGES,
     ) -> "Session":
         """Open a :class:`repro.api.Session` — the stable query surface.
 
@@ -153,21 +153,14 @@ class Database:
         ``quantum_pages`` configure its scheduler.
         """
         from repro.api import Session
-        from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES
 
-        return Session(
-            self,
-            policy=policy,
-            quantum_pages=DEFAULT_QUANTUM_PAGES
-            if quantum_pages is None
-            else quantum_pages,
-        )
+        return Session(self, policy=policy, quantum_pages=quantum_pages)
 
     def service(
         self,
         config: Optional["ServiceConfig"] = None,
         policy: str = "weighted_fair",
-        quantum_pages: Optional[int] = None,
+        quantum_pages: int = DEFAULT_QUANTUM_PAGES,
         trace: Union[None, bool, "TraceBus"] = None,
     ) -> "QueryService":
         """Open a :class:`repro.service.QueryService` — the multi-tenant
@@ -176,16 +169,13 @@ class Database:
         ``config`` defaults to this database's
         :attr:`SystemConfig.service` knobs (``with_service(...)``).
         """
-        from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES
         from repro.service.service import QueryService
 
         return QueryService(
             self,
             config=config,
             policy=policy,
-            quantum_pages=DEFAULT_QUANTUM_PAGES
-            if quantum_pages is None
-            else quantum_pages,
+            quantum_pages=quantum_pages,
             trace=trace,
         )
 

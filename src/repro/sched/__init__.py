@@ -12,12 +12,14 @@ Entry points:
 * :class:`CooperativeScheduler` — submit/step/run/cancel.
 * :mod:`repro.sched.policy` — round-robin, priority and weighted
   fair-share policies.
-* ``python -m repro.sched.demo`` — a runnable smoke demo.
 
 Production code reaches the scheduler through the
-:class:`repro.api.Session` facade (or ``db.service()``) on top of it.
+:class:`repro.api.Session` facade (or ``db.service()``) on top of it;
+waiting on one query (``QueryHandle.result()``) is the service's loop,
+not the scheduler's.
 """
 
+from repro.config import DEFAULT_QUANTUM_PAGES
 from repro.sched.policy import (
     PriorityPolicy,
     RoundRobinPolicy,
@@ -25,7 +27,7 @@ from repro.sched.policy import (
     WeightedFairPolicy,
     make_policy,
 )
-from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES, CooperativeScheduler
+from repro.sched.scheduler import CooperativeScheduler
 from repro.sched.task import (
     CANCELLED,
     DONE_STATES,

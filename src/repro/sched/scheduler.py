@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from repro.config import DEFAULT_QUANTUM_PAGES
 from repro.core.indicator import ProgressIndicator
 from repro.database import Database
 from repro.errors import ProgressError, QueryShedError, QueryTimeoutError
@@ -71,9 +72,6 @@ from repro.sched.task import (
     SliceRecord,
     next_task_name,
 )
-
-#: Default slice budget: pages of U per slice.
-DEFAULT_QUANTUM_PAGES = 4
 
 
 class CooperativeScheduler:
@@ -231,27 +229,6 @@ class CooperativeScheduler:
         while self.step() is not None:
             pass
         return list(self.tasks.values())
-
-    def run_until(self, task: QueryTask) -> QueryTask:
-        """Slice (all tasks, per policy) until ``task`` is done.
-
-        Other in-flight tasks keep making progress — that is the
-        cooperative model: waiting on one query's result pumps the whole
-        workload.
-        """
-        if task.name not in self.tasks:
-            raise ProgressError(f"unknown task {task.name!r}")
-        while not task.done:
-            if self.step() is None:
-                # The watchdog sweep inside step() may have timed the
-                # target out without granting anyone a slice.
-                if task.done:
-                    break
-                # e.g. the target task is suspended
-                raise ProgressError(
-                    f"task {task.name!r} cannot finish: nothing runnable"
-                )
-        return task
 
     def suspend(self, task: Union[str, QueryTask]) -> QueryTask:
         """Block a task from receiving slices (DBA load management, §6).

@@ -9,9 +9,10 @@ the cooperative scheduler:
   cost vs per-tenant budgets and service saturation, a bounded admission
   queue, a load-shedding policy loop driven by each query's own
   remaining-time estimate, and per-tenant weighted fair-share accounting.
-* :class:`ServiceHandle` — one submission's lifecycle: explicit
-  admitted / queued / rejected outcome, then the usual progress /
-  result / cancel surface.
+* :class:`QueryHandle` — the one handle per submission, for
+  ``db.service()`` and ``db.connect()`` alike: explicit admitted /
+  queued / rejected outcome and tenant, then progress / result /
+  cancel / trace / log / monitored.
 * :class:`~repro.service.tenant.Tenant` /
   :class:`~repro.service.tenant.TenantRegistry` — fair-share weights,
   budgets and live accounting.
@@ -34,7 +35,7 @@ from repro.service.admission import (
     AdmissionController,
     AdmissionDecision,
 )
-from repro.service.service import QueryService, ServiceHandle
+from repro.service.service import QueryHandle, QueryService
 from repro.service.shedding import (
     DEPRIORITIZE,
     EVICT,
@@ -53,8 +54,8 @@ __all__ = [
     "QUEUED",
     "AdmissionController",
     "AdmissionDecision",
+    "QueryHandle",
     "QueryService",
-    "ServiceHandle",
     "ShedDecision",
     "SheddingPolicy",
     "Tenant",

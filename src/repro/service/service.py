@@ -22,7 +22,8 @@ The service *owns* its :class:`CooperativeScheduler` — constructing one
 directly is reserved to this package and :mod:`repro.sched` itself (lint
 rule REPRO011), so every production query path goes through admission
 accounting.  :class:`repro.api.Session` is a thin facade over a service
-whose default config is fully permissive.
+whose default config is fully permissive; both hand out the same
+:class:`QueryHandle` objects.
 
 Everything runs on the database's virtual clock: a saturation benchmark
 with thousands of in-flight queries is deterministic and replayable.
@@ -33,18 +34,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Union
 
-from repro.config import ServiceConfig
+from repro.config import DEFAULT_QUANTUM_PAGES, ServiceConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
 from repro.core.segments import initial_total_cost_bytes, planned_segments
-from repro.database import Database
+from repro.database import Database, MonitoredResult
 from repro.errors import AdmissionRejectedError, ProgressError
 from repro.executor.runtime import QueryResult
 from repro.obs import resolve_trace
 from repro.obs.bus import SealedTrace, TraceBus
 from repro.obs.events import AdmissionDecided, TenantThrottled
 from repro.planner.optimizer import PlannedQuery
-from repro.sched.scheduler import DEFAULT_QUANTUM_PAGES, CooperativeScheduler
+from repro.sched.scheduler import CooperativeScheduler
 from repro.sched.task import (
     CANCELLED,
     FAILED,
@@ -63,12 +64,14 @@ from repro.service.shedding import DEPRIORITIZE, EVICT, SheddingPolicy
 from repro.service.tenant import Tenant, TenantRegistry
 
 
-class ServiceHandle:
-    """One submission's lifecycle: admission outcome, task, result.
+class QueryHandle:
+    """One submitted query: admission outcome, progress, result,
+    cancellation, trace.
 
-    Unlike :class:`repro.api.QueryHandle`, a service handle exists even
-    when no scheduler task does (queued or rejected submissions) —
-    ``outcome`` says which, and ``task`` is ``None`` until admission.
+    A handle exists for every submission, even when no scheduler task
+    does (queued or rejected submissions) — ``outcome`` says which, and
+    ``task`` is ``None`` until admission.  Handles returned by
+    :meth:`repro.api.Session.submit` are always admitted.
     """
 
     def __init__(
@@ -117,7 +120,11 @@ class ServiceHandle:
 
     def progress(self) -> Optional[ProgressReport]:
         """The indicator's current report; None before admission or for
-        unmonitored queries."""
+        unmonitored queries.
+
+        Valid at any time: before the first slice, mid-flight, and after
+        completion (where it reports the final state).
+        """
         return None if self.task is None else self.task.progress()
 
     def first_report_time(self) -> Optional[float]:
@@ -133,17 +140,19 @@ class ServiceHandle:
     def result(self) -> QueryResult:
         """Drive the service until this query completes; return its rows.
 
-        Raises :class:`AdmissionRejectedError` for a rejected
-        submission, the stored error for failed / timed-out / shed
-        queries, and :class:`ProgressError` for a cancelled one.  A
-        queued submission is pumped until admitted and then to
-        completion (other queries advance too — cooperative model).
+        The whole workload advances meanwhile (admission queue, every
+        in-flight query, the shedding loop); the others stay in flight
+        once this one is done.  Raises :class:`AdmissionRejectedError`
+        for a rejected submission, the stored error for failed /
+        timed-out / shed queries, and :class:`ProgressError` for a
+        cancelled one or one that cannot finish because nothing is
+        runnable (its task is suspended).
         """
         if self.rejection is not None:
             raise self.rejection
         if self._cancelled_in_queue:
             raise ProgressError(f"query {self.name!r} was cancelled")
-        task = self._service._run_until_handle(self)
+        task = self._service._pump(self)
         if task.state in (FAILED, TIMED_OUT, SHED):
             assert task.error is not None
             raise task.error
@@ -153,16 +162,49 @@ class ServiceHandle:
         return task.result
 
     def cancel(self) -> Optional[ProgressLog]:
-        """Cancel the submission, admitted or still queued.  Idempotent."""
+        """Cancel the submission, admitted or still queued; returns its
+        progress log (None if unmonitored or never admitted).
+
+        Idempotent.  Mid-segment state is unwound cooperatively: buffer
+        pins release, temp files drop, and the final report keeps
+        ``finished=False``.
+        """
         self._service._cancel_handle(self)
-        return None if self.task is None else self.task.log
+        return self.log
 
     def trace(self) -> Optional[SealedTrace]:
         """Sealed view of the query's trace stream (None until admitted)."""
         return None if self.task is None else self.task.sealed_trace()
 
+    @property
+    def log(self) -> Optional[ProgressLog]:
+        """The full progress history once the query is done, else None."""
+        return None if self.task is None else self.task.log
+
+    def monitored(self) -> MonitoredResult:
+        """Result, log, indicator and sealed trace as one
+        :class:`~repro.database.MonitoredResult` bundle.
+
+        Drives the query to completion first (like ``.result()``); only
+        valid for monitored queries.
+        """
+        result = self.result()
+        task = self.task
+        assert task is not None
+        if task.indicator is None:
+            raise ProgressError(
+                f"query {self.name!r} was submitted with monitor=False"
+            )
+        assert task.log is not None
+        return MonitoredResult(
+            result=result,
+            log=task.log,
+            indicator=task.indicator,
+            trace=self.trace(),
+        )
+
     def __repr__(self) -> str:
-        return f"ServiceHandle({self.name!r}, state={self.state})"
+        return f"QueryHandle({self.name!r}, state={self.state})"
 
 
 class _Pending:
@@ -172,7 +214,7 @@ class _Pending:
 
     def __init__(
         self,
-        handle: ServiceHandle,
+        handle: QueryHandle,
         planned: PlannedQuery,
         sql: str,
         tenant_obj: Tenant,
@@ -227,7 +269,7 @@ class QueryService:
             "shed": 0,
             "deprioritized": 0,
         }
-        self._handles: dict[str, ServiceHandle] = {}
+        self._handles: dict[str, QueryHandle] = {}
         self._inflight = 0
         self._page_size = db.config.page_size
 
@@ -256,7 +298,7 @@ class QueryService:
         return self._inflight
 
     @property
-    def handles(self) -> list[ServiceHandle]:
+    def handles(self) -> list[QueryHandle]:
         """Every submission's handle, in submission order."""
         return list(self._handles.values())
 
@@ -278,7 +320,7 @@ class QueryService:
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         estimator: Optional[str] = None,
-    ) -> ServiceHandle:
+    ) -> QueryHandle:
         """Submit a query on behalf of ``tenant``; never raises on load.
 
         The admission verdict is on the returned handle: ``outcome`` is
@@ -306,7 +348,7 @@ class QueryService:
             initial_total_cost_bytes(planned_segments(planned)) / self._page_size
         )
         now = self.db.clock.now
-        handle = ServiceHandle(self, name, tenant, predicted, now)
+        handle = QueryHandle(self, name, tenant, predicted, now)
         self._handles[name] = handle
         self.counters["submitted"] += 1
 
@@ -348,7 +390,7 @@ class QueryService:
 
     def _admit(
         self,
-        handle: ServiceHandle,
+        handle: QueryHandle,
         planned: PlannedQuery,
         sql: str,
         tenant_obj: Tenant,
@@ -367,7 +409,7 @@ class QueryService:
         self.counters["admitted"] += 1
 
     def _emit_admission(
-        self, handle: ServiceHandle, outcome: str, reason: str
+        self, handle: QueryHandle, outcome: str, reason: str
     ) -> None:
         if self.trace is None:
             return
@@ -385,7 +427,7 @@ class QueryService:
         )
 
     def _emit_throttled(
-        self, handle: ServiceHandle, tenant_obj: Tenant
+        self, handle: QueryHandle, tenant_obj: Tenant
     ) -> None:
         if self.trace is None:
             return
@@ -417,39 +459,33 @@ class QueryService:
             self._policy_check(task)
         return task
 
-    def run(self) -> list[ServiceHandle]:
+    def run(self) -> list[QueryHandle]:
         """Drive until nothing is runnable (all admitted work terminal)."""
         while self.step() is not None:
             pass
         return self.handles
 
-    def run_until(self, task: QueryTask) -> QueryTask:
-        """Service-aware :meth:`CooperativeScheduler.run_until`: pumping
-        one query's result still drains the admission queue and runs the
-        shedding loop for the whole workload."""
-        if task.name not in self.scheduler.tasks:
-            raise ProgressError(f"unknown task {task.name!r}")
-        while not task.done:
-            if self.step() is None:
-                if task.done:
-                    break
-                raise ProgressError(
-                    f"task {task.name!r} cannot finish: nothing runnable"
-                )
-        return task
+    def _pump(self, handle: QueryHandle, until_done: bool = True) -> QueryTask:
+        """Step the whole workload until ``handle`` is admitted and, with
+        ``until_done``, terminal; other queries advance too.
 
-    def _run_until_admitted(self, handle: ServiceHandle) -> QueryTask:
-        """Pump the workload until a queued submission is admitted."""
-        while handle.task is None:
-            if self.step() is None:
+        The one drive loop behind ``QueryHandle.result()`` and the
+        session's blocking admission.  After a step that found nothing
+        runnable the handle gets one more look (that step's watchdog
+        sweep may have timed it out), then :class:`ProgressError`.
+        """
+        stalled = False
+        while True:
+            task = handle.task
+            if task is not None and (task.done or not until_done):
+                return task
+            if stalled:
                 raise ProgressError(
-                    f"query {handle.name!r} cannot be admitted: "
-                    f"nothing runnable to free capacity"
+                    f"query {handle.name!r} cannot "
+                    + ("be admitted" if task is None else "finish")
+                    + ": nothing runnable"
                 )
-        return handle.task
-
-    def _run_until_handle(self, handle: ServiceHandle) -> QueryTask:
-        return self.run_until(self._run_until_admitted(handle))
+            stalled = self.step() is None
 
     def _drain_queue(self) -> None:
         """Admit queued submissions in order as capacity allows.
@@ -526,7 +562,7 @@ class QueryService:
         # caller pumping only step() sees promotions without extra calls.
         self._drain_queue()
 
-    def _cancel_handle(self, handle: ServiceHandle) -> None:
+    def _cancel_handle(self, handle: QueryHandle) -> None:
         if handle.task is not None:
             self.scheduler.cancel(handle.task)
             return

@@ -512,7 +512,7 @@ class TestRawSchedulerRule:
     def test_sched_package_may_construct(self):
         assert lint_source(
             "sched = CooperativeScheduler(db)\n",
-            "src/repro/sched/demo.py",
+            "src/repro/sched/scheduler.py",
         ) == []
 
     def test_tests_exempt(self):

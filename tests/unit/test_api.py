@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+import repro.service
 from repro.api import QueryHandle, Session
 from repro.database import MonitoredResult
 from repro.errors import ProgressError
@@ -50,10 +52,32 @@ class TestSession:
     def test_waiting_on_one_handle_pumps_the_others(self):
         session = _db().connect()
         h1 = session.submit(queries.Q1, keep_rows=False)
-        h2 = session.submit(queries.Q1, keep_rows=False)
+        h2 = session.submit(queries.Q2, keep_rows=False)
         h1.result()
-        assert h2.state in ("suspended", "finished")
+        # The other query advanced and is left in flight, not drained.
+        assert h1.state == "finished"
+        assert h2.state == "suspended"
         assert len(h2.task.slices) > 0
+
+    def test_result_raises_when_every_pending_query_is_suspended(self):
+        session = _db().connect()
+        a = session.submit(queries.Q1, keep_rows=False)
+        b = session.submit(queries.Q2, keep_rows=False)
+        session.step()
+        session.scheduler.suspend(a.task)
+        session.scheduler.suspend(b.task)
+        with pytest.raises(ProgressError, match="cannot finish: nothing runnable"):
+            b.result()
+        assert not a.done and not b.done
+
+    def test_one_handle_object_per_submission(self):
+        session = _db().connect()
+        handle = session.submit(queries.Q1, keep_rows=False)
+        assert QueryHandle is repro.QueryHandle is repro.service.QueryHandle
+        assert session.handles == session.service.handles == [handle]
+        assert session.handles[0] is handle
+        assert session.step() is handle
+        assert session.run() == [handle]
 
     def test_submit_accepts_prepared_plans(self):
         db = _db()

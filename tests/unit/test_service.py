@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import ServiceConfig, SystemConfig
 from repro.errors import AdmissionRejectedError, ProgressError, QueryShedError
 from repro.sched.task import FINISHED, SHED, TIMED_OUT
 from repro.service import ADMISSION_REJECTED, ADMITTED, QUEUED
@@ -17,6 +17,22 @@ def _db(**service_kwargs):
     if service_kwargs:
         config = config.with_service(**service_kwargs)
     return tpcr.build_database(scale=0.002, subset_rows=60, config=config)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_inflight", 0),
+            ("admission_queue_limit", -1),
+            ("deprioritize_after", 0),
+            ("shed_after", 0),
+            ("policy_interval", -0.5),
+        ],
+    )
+    def test_values_that_break_the_service_are_rejected(self, field, value):
+        with pytest.raises(ProgressError, match=field):
+            ServiceConfig(**{field: value})
 
 
 class TestAdmission:
@@ -232,6 +248,8 @@ class TestSessionFacade:
         session.submit(queries.Q1, name="a")
         with pytest.raises(AdmissionRejectedError):
             session.submit(queries.Q1, name="b")
+        # The rejected submission still has a handle.
+        assert [h.state for h in session.handles] == ["pending", ADMISSION_REJECTED]
 
     def test_session_service_accounting_settles(self):
         db = _db()
