@@ -54,7 +54,7 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         aliases=frozenset({"clock", "_clock"}),
         attrs=frozenset({
             "now", "cost_charged", "_tickers", "_ticker_seq", "_firing",
-            "_load", "_factors", "_next_event",
+            "_load", "_factors", "_next_change", "_next_event",
         }),
         description="the virtual clock every query charges time against",
     ),

@@ -1,6 +1,7 @@
 """Pre-execution verification gate.
 
-Execution paths call :func:`gate_segments` right after the segment
+Execution paths call :func:`gate_plan` (verifying each plan once) or
+:func:`gate_segments` (specs built by the caller) after the segment
 builder runs and before the first tuple flows.  Behaviour is governed by
 a mode resolved from (highest priority first) the ``REPRO_VERIFY``
 environment variable, then :attr:`repro.config.ProgressConfig.verify_mode`:
@@ -25,6 +26,7 @@ from repro.errors import ProgressError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> analysis)
     from repro.core.segments import SegmentSpec
+    from repro.planner.optimizer import PlannedQuery
     from repro.planner.physical import PhysicalNode
 
 VERIFY_MODES = ("off", "warn", "strict")
@@ -83,7 +85,39 @@ def gate_segments(
         mode = resolve_verify_mode(config)
     if mode == "off":
         return []
-    violations = verify_segments(root, specs)
+    return _enforce(verify_segments(root, specs), mode, label)
+
+
+def gate_plan(
+    planned: "PlannedQuery",
+    config: Optional[SystemConfig] = None,
+    mode: Optional[str] = None,
+    label: str = "query",
+) -> list[Violation]:
+    """:func:`gate_segments` of a planned query, verified once per plan.
+
+    The verdict is kept on the plan (``planned.violations``), which is
+    immutable after prepare; every call enforces the mode in force now,
+    so a plan with violations warns on each warn-mode submission and
+    raises on each strict one.
+    """
+    violations = planned.violations
+    if violations is not None and not violations:
+        return violations  # a clean plan: nothing to enforce in any mode
+    if mode is None:
+        mode = resolve_verify_mode(config)
+    if mode == "off":
+        return []
+    if violations is None:
+        from repro.core.segments import planned_segments
+
+        violations = planned.violations = verify_segments(
+            planned.root, planned_segments(planned)
+        )
+    return _enforce(violations, mode, label)
+
+
+def _enforce(violations: list[Violation], mode: str, label: str) -> list[Violation]:
     if not violations:
         return violations
     if mode == "strict":
@@ -95,6 +129,6 @@ def gate_segments(
         f"plan verification found {len(violations)} violation(s) in "
         f"{label}: {summary}",
         PlanVerificationWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return violations

@@ -1,18 +1,21 @@
-"""Compile-once guard for the fused batch engine.
+"""Plan-once and compile-once guards.
 
 Real (wall-clock) time is measured in one place, ``benchmarks/e2e/``
 (``executor.row_engine_ratio``, ``executor.compile_us``).  What stays
-here is the one property that benchmark does not check: every statement
-of a plan shape must reuse one cached program.  CI gates it through
-``python -m repro.bench shapecheck``, once more under
-``REPRO_VERIFY=strict`` so every hit also regenerates and compares its text.
+here are the two properties that benchmark does not check: every statement
+of a plan shape must reuse one cached program, and every submission of one
+text must reuse one cached plan until ``analyze()`` changes what it read.
+CI gates both through ``python -m repro.bench shapecheck``, once more under
+``REPRO_VERIFY=strict`` so every program hit also regenerates and compares
+its text and every plan hit is planned afresh and compared.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.config import SystemConfig
+from repro.database import Database
 from repro.workloads import tpcr
 
 #: Statement templates of :func:`shape_counts`.  Each yields one plan shape
@@ -50,15 +53,24 @@ SHAPE_TEMPLATES: dict[str, str] = {
 }
 
 
-def shape_counts(statements: int = 50) -> Iterator[tuple[str, str, int, int]]:
+def shape_database() -> Database:
+    """The small database the guards run on (one page of work_mem)."""
+    return tpcr.build_database(
+        scale=0.002,
+        subset_rows=60,
+        config=SystemConfig(work_mem_pages=1),
+        with_indexes=True,
+    )
+
+
+def shape_counts(
+    statements: int = 50, db: Optional[Database] = None
+) -> Iterator[tuple[str, str, int, int]]:
     """``(template, mode, compiles, hits)`` of ``statements`` same-shape
     queries per template, plain then monitored, on one small database."""
     from repro.executor import fused
 
-    config = SystemConfig(work_mem_pages=1)
-    db = tpcr.build_database(
-        scale=0.002, subset_rows=60, config=config, with_indexes=True
-    )
+    db = db if db is not None else shape_database()
     session = db.connect()
     for name, template in SHAPE_TEMPLATES.items():
         for monitor in (False, True):
@@ -91,3 +103,27 @@ def check_shape_compiles(statements: int = 50) -> list[str]:
         for name, mode, compiles, _hits in shape_counts(statements)
         if compiles > 1
     ]
+
+
+def statement_counts(
+    statements: int = 50, db: Optional[Database] = None
+) -> Iterator[tuple[str, int, int]]:
+    """``(template, plans, plans after analyze())``: ``statements``
+    submissions of one text per template, then ``db.analyze()`` and as
+    many again.  One text is planned once, and once more after ANALYZE
+    gave its tables new statistics.  (The text's literal is one
+    :func:`shape_counts` did not submit.)"""
+    db = db if db is not None else shape_database()
+    session = db.connect()
+    for name, template in SHAPE_TEMPLATES.items():
+        sql = template.format(n=statements + 1)
+        plans = []
+        for _round in range(2):
+            before = db.cache_info().statements.misses
+            for n in range(statements):
+                session.submit(
+                    sql, monitor=n % 2 == 0, keep_rows=False
+                ).result()
+            plans.append(db.cache_info().statements.misses - before)
+            db.analyze()
+        yield name, plans[0], plans[1]

@@ -42,10 +42,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Optional
 
+from repro.analysis.gate import gate_plan
 from repro.config import SystemConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
-from repro.core.segments import initial_total_cost_bytes, planned_segments
+from repro.core.segments import planned_cost_pages, planned_segments
 from repro.core.speed import make_speed_estimator
 from repro.errors import ProgressError
 from repro.estimators import (
@@ -110,11 +111,9 @@ class ProgressIndicator:
         self._label = label
 
         self.segments = planned_segments(planned)
-        # Pre-execution invariant gate (warn by default, strict in tests).
-        # Imported lazily: repro.analysis depends on repro.core.segments.
-        from repro.analysis.gate import gate_segments
-
-        gate_segments(planned.root, self.segments, config=self._config)
+        # Pre-execution invariant gate (warn by default, strict in tests),
+        # verified once per plan.
+        gate_plan(planned, config=self._config, label=label)
         self.tracker = WorkTracker(
             num_inputs=[len(s.inputs) for s in self.segments],
             final_segment=self.segments[-1].id,
@@ -136,9 +135,7 @@ class ProgressIndicator:
         )
         #: The optimizer's initial total cost, in U (pages) — what a trivial
         #: optimizer-based indicator would use for its whole life.
-        self.initial_cost_pages = (
-            initial_total_cost_bytes(self.segments) / self._page_size
-        )
+        self.initial_cost_pages = planned_cost_pages(planned)
 
         self.started_at = clock.now
         self.reports: list[ProgressReport] = []
@@ -339,8 +336,16 @@ class ProgressIndicator:
                 pass
 
     def _record_report(self, t: float, finished: bool) -> ProgressReport:
-        """One refinement pass: trace provenance, then build the report."""
-        snapshot = self.snapshot()
+        """One refinement pass: trace provenance, then build the report.
+
+        The closing pass of an untraced query reads totals only, so the
+        estimator may skip what only the trace reads."""
+        if finished and self._trace is None:
+            if self.tracker.sync is not None:
+                self.tracker.sync()
+            snapshot = self.estimator.final_snapshot()
+        else:
+            snapshot = self.snapshot()
         if self._trace is not None:
             self._emit_refinement(t, snapshot)
         report = self._build_report(t, snapshot, finished)

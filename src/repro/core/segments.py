@@ -121,6 +121,19 @@ def initial_total_cost_bytes(specs: list[SegmentSpec]) -> float:
     return sum(s.initial_cost_bytes() for s in specs)
 
 
+def planned_cost_pages(planned: "PlannedQuery") -> float:
+    """:func:`initial_total_cost_bytes` of :func:`planned_segments` in U
+    (pages of the plan's config), once per planned query: admission gates
+    on it and every indicator of the plan starts from it."""
+    cost = planned.initial_cost_pages
+    if cost is None:
+        cost = planned.initial_cost_pages = (
+            initial_total_cost_bytes(planned_segments(planned))
+            / planned.config.page_size
+        )
+    return cost
+
+
 # ----------------------------------------------------------------------
 # internals
 

@@ -9,26 +9,31 @@ Section 5 evaluates.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - analysis/fault/obs imported lazily
     from repro.analysis.invariants import Violation
     from repro.api import Session
+    from repro.executor.fused import CacheInfo
     from repro.fault.injector import FaultInjector
     from repro.fault.plan import FaultPlan
     from repro.obs.bus import SealedTrace, TraceBus
     from repro.service.service import QueryService
 
+from repro.analysis.gate import gate_plan, resolve_verify_mode
 from repro.catalog.analyze import analyze_table
 from repro.catalog.catalog import Catalog, Table
 from repro.config import DEFAULT_QUANTUM_PAGES, ServiceConfig, SystemConfig
 from repro.core.history import ProgressLog
 from repro.core.indicator import ProgressIndicator
+from repro.core.segments import planned_segments
+from repro.errors import CatalogError, PlanError
 from repro.estimators.history import HistoryStore
 from repro.executor.base import ExecContext
 from repro.executor.runtime import QueryResult, run_query
-from repro.planner.optimizer import Optimizer, PlannedQuery
+from repro.planner.optimizer import Optimizer, PlannedQuery, plan_values
 from repro.sim.clock import VirtualClock
 from repro.sim.load import LoadProfile
 from repro.sql.binder import Binder
@@ -36,6 +41,64 @@ from repro.sql.parser import parse_select
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.schema import Schema
+
+#: Statements one database keeps planned, least recently used out first.
+#: A bound on memory, not a knob: a point-lookup plan with its segments
+#: and read set retains ~5 KiB, so a full cache ~5 MiB.
+STATEMENT_CACHE_SIZE = 1024
+
+
+def _table_state(name: str, table: Table) -> tuple:
+    """What a plan read of a table: the object the catalog maps ``name``
+    to, its size, its statistics object and its indexes."""
+    heap = table.heap
+    return (
+        name,
+        table,
+        heap.num_tuples,
+        heap.num_pages,
+        heap.total_bytes,
+        table.statistics,
+        _index_state(table),
+    )
+
+
+def _index_state(table: Table) -> tuple:
+    """Each index with the entry count and fanout a scan is costed from."""
+    return tuple([
+        (column, index, index.num_entries, index.fanout)
+        for column, index in table.indexes.items()
+    ])
+
+
+def _unchanged(catalog: Catalog, reads: tuple) -> bool:
+    """Whether every table of a read set is still what the plan read."""
+    for name, table, tuples, pages, nbytes, statistics, indexes in reads:
+        heap = table.heap
+        if (
+            heap.num_tuples != tuples
+            or heap.num_pages != pages
+            or heap.total_bytes != nbytes
+            # By identity: a new ANALYZE re-plans even if its values equal.
+            or table.statistics is not statistics
+            or ((indexes or table.indexes) and _index_state(table) != indexes)
+        ):
+            return False
+        try:
+            if catalog.get_table(name) is not table:
+                return False
+        except CatalogError:
+            return False
+    return True
+
+
+class DatabaseCacheInfo(NamedTuple):
+    """:meth:`Database.cache_info`: ``functools``-style counters per cache."""
+
+    #: This database's statement cache: plans reused, plans made, bound, size.
+    statements: "CacheInfo"
+    #: The process-wide fused program cache (``fused.code_cache_info()``).
+    programs: "CacheInfo"
 
 
 @dataclass
@@ -76,6 +139,12 @@ class Database:
         #: database replays identically.  Survives :meth:`restart` (a
         #: buffer-pool cold start does not erase what the DBA learned).
         self.history_store = HistoryStore()
+        #: sql -> (plan, the config it was planned with, read set); see
+        #: :meth:`prepare`.
+        self._statements: OrderedDict[
+            str, tuple[PlannedQuery, SystemConfig, tuple]
+        ] = OrderedDict()
+        self._statement_counts = [0, 0]  # hits, misses
 
     # ------------------------------------------------------------------
     # schema & data
@@ -183,10 +252,71 @@ class Database:
     # queries
 
     def prepare(self, sql: str) -> PlannedQuery:
-        """Parse, bind and optimize one SELECT statement."""
-        statement = parse_select(sql)
-        bound = Binder(self.catalog).bind(statement)
-        return Optimizer(self.config).plan(bound)
+        """Parse, bind and optimize one SELECT statement — once per text.
+
+        The plan is kept under the exact text, for the config it was
+        planned with, with its read set: each table the binder resolved
+        and the facts the optimizer read of it (:func:`_table_state`).
+        Preparing the same text again returns the same plan while the
+        config is equal and every one of those facts still holds —
+        ``analyze()``, DDL, DML and direct loads all change one, so there
+        is no invalidation call to forget — and plans afresh when one
+        does not.  Only statements that plan are kept; the least recently
+        used of :data:`STATEMENT_CACHE_SIZE` goes first.  Under
+        ``REPRO_VERIFY=strict`` a hit is also planned afresh and must
+        equal the cached plan in every value (:func:`plan_values`).
+        """
+        statements = self._statements
+        entry = statements.get(sql)
+        config = self.config
+        if (
+            entry is not None
+            and (entry[1] is config or entry[1] == config)
+            and _unchanged(self.catalog, entry[2])
+        ):
+            self._statement_counts[0] += 1
+            statements.move_to_end(sql)
+            if resolve_verify_mode(config) == "strict":
+                self._recheck(sql, entry[0])
+            return entry[0]
+        self._statement_counts[1] += 1
+        planned, reads = self._plan(sql)
+        statements[sql] = (planned, config, reads)
+        statements.move_to_end(sql)
+        if len(statements) > STATEMENT_CACHE_SIZE:
+            statements.popitem(last=False)
+        return planned
+
+    def _plan(self, sql: str) -> tuple[PlannedQuery, tuple]:
+        """Parse, bind and optimize ``sql``; the plan and its read set."""
+        binder = Binder(self.catalog)
+        bound = binder.bind(parse_select(sql))
+        planned = Optimizer(self.config).plan(bound)
+        # Segmented now, so the annotations a shared plan carries are the
+        # same for every use (admission segments every submission anyway).
+        planned_segments(planned)
+        return planned, tuple(
+            _table_state(name, table) for name, table in binder.tables_read.items()
+        )
+
+    def _recheck(self, sql: str, cached: PlannedQuery) -> None:
+        fresh, _reads = self._plan(sql)
+        if plan_values(fresh) != plan_values(cached):
+            raise PlanError(
+                f"statement cache: the plan cached for {sql.strip()!r} differs "
+                "from a fresh plan of it (was a prepared plan edited?)"
+            )
+
+    def cache_info(self) -> DatabaseCacheInfo:
+        """Counters of this database's statement cache and of the
+        process-wide fused program cache it feeds."""
+        from repro.executor.fused import CacheInfo, code_cache_info
+
+        hits, misses = self._statement_counts
+        statements = CacheInfo(
+            hits, misses, STATEMENT_CACHE_SIZE, len(self._statements)
+        )
+        return DatabaseCacheInfo(statements=statements, programs=code_cache_info())
 
     def verify(self, sql: str) -> "list[Violation]":
         """Statically verify a statement's plan/segment invariants.
@@ -203,18 +333,12 @@ class Database:
         """Pre-execution invariant gate for the unmonitored fast path.
 
         The monitored path is always gated by the indicator (warn-only by
-        default); the fast path skips segment building entirely, so it is
-        only verified in strict mode (tests/debug, ``REPRO_VERIFY=strict``)
-        where correctness checking outranks overhead.
+        default); the fast path is only verified in strict mode
+        (tests/debug, ``REPRO_VERIFY=strict``) where correctness checking
+        outranks overhead.
         """
-        from repro.analysis.gate import gate_segments, resolve_verify_mode
-        from repro.core.segments import planned_segments
-
-        if resolve_verify_mode(self.config) != "strict":
-            return
-        gate_segments(
-            planned.root, planned_segments(planned), mode="strict", label=label
-        )
+        if resolve_verify_mode(self.config) == "strict":
+            gate_plan(planned, mode="strict", label=label)
 
     def explain(self, sql: str) -> str:
         """EXPLAIN: the annotated plan without executing it."""

@@ -109,11 +109,14 @@ class EstimateSnapshot:
 
     def pages(self, page_size: int) -> tuple[float, float, float]:
         """(done, total, remaining) in U (pages)."""
-        return (
-            self.done_bytes / page_size,
-            self.est_total_bytes / page_size,
-            self.remaining_bytes / page_size,
-        )
+        done = self.done_bytes / page_size
+        # Equal byte counts (a finished query's) share one float object:
+        # progress logs are kept, and each report's floats with them.
+        if self.est_total_bytes == self.done_bytes:
+            total = done
+        else:
+            total = self.est_total_bytes / page_size
+        return (done, total, self.remaining_bytes / page_size)
 
     def remaining_seconds(
         self, page_size: int, speed_pages_per_sec: Optional[float]
@@ -181,6 +184,13 @@ class Estimator(abc.ABC):
     @abc.abstractmethod
     def snapshot(self) -> EstimateSnapshot:
         """Recompute the full query estimate from the current counters."""
+
+    def final_snapshot(self) -> EstimateSnapshot:
+        """The snapshot of a query that ran to completion, for a reader
+        of its totals only (the closing report of an untraced query).
+        An estimator whose closing totals are the counters' may skip the
+        per-segment estimates; by default this is :meth:`snapshot`."""
+        return self.snapshot()
 
     @property
     def provenance(self) -> str:

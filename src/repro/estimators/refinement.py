@@ -70,6 +70,20 @@ class RefinementEstimator(Estimator):
             current_segment=self._tracker.current_segment(),
         )
 
+    def final_snapshot(self) -> EstimateSnapshot:
+        """Once every segment finished, each one's estimate is exact and
+        costs what it did: :meth:`snapshot`'s totals, summed the same way,
+        without its per-segment objects."""
+        counters = self._tracker.segments
+        if not all(c.finished for c in counters):
+            return self.snapshot()
+        return EstimateSnapshot(
+            segments=[],
+            est_total_bytes=sum(c.done_bytes for c in counters),
+            done_bytes=self._tracker.total_done_bytes,
+            current_segment=None,
+        )
+
     # ------------------------------------------------------------------
     # the two strategy hooks
 
@@ -91,6 +105,7 @@ class RefinementEstimator(Estimator):
             self._estimate_input(spec, i, counters, done)
             for i in range(len(spec.inputs))
         ]
+        done_bytes = counters.done_bytes
 
         if counters.finished:
             width = counters.avg_output_width()
@@ -104,8 +119,8 @@ class RefinementEstimator(Estimator):
                 p=1.0,
                 est_output_rows=exact,
                 est_output_width=width,
-                est_cost_bytes=counters.done_bytes,
-                done_bytes=counters.done_bytes,
+                est_cost_bytes=done_bytes,
+                done_bytes=done_bytes,
                 e1=exact,
                 e2=exact,
                 dominant_input=None,
@@ -118,18 +133,20 @@ class RefinementEstimator(Estimator):
             e1 *= max(inp.est_rows, 1e-9)
         e1 = self._correct_e1(spec, e1)
 
-        status = "running" if counters.started else "pending"
-        dominants = [inp for inp in inputs if inp.dominant]
+        p = 0.0
         dominant_input: Optional[int] = None
-        if counters.started and dominants:
+        if counters.started:
             # Two dominant inputs (sort-merge): the faster-consumed side
-            # decides p (Section 4.5, citing the LEO-style rule).
-            deciding = max(dominants, key=lambda inp: inp.progress)
-            p = deciding.progress
-            if p > 0:
+            # decides p (Section 4.5, citing the LEO-style rule); the
+            # first of equals, as ``max`` picks.
+            deciding: Optional[InputEstimate] = None
+            for inp in inputs:
+                if inp.dominant:
+                    progress = inp.progress
+                    if deciding is None or progress > p:
+                        deciding, p = inp, progress
+            if deciding is not None and p > 0:
                 dominant_input = deciding.index
-        else:
-            p = 0.0
 
         y = float(counters.output_rows)
         estimate = self._blend(y, p, e1)
@@ -137,21 +154,22 @@ class RefinementEstimator(Estimator):
         if width is None:
             width = spec.est_output_width
 
-        cost = sum(inp.est_bytes for inp in inputs) + spec.est_extra_bytes
+        cost = sum([inp.est_rows * inp.est_width for inp in inputs])
+        cost += spec.est_extra_bytes
         if not spec.final:
             cost += estimate * width
         # A running segment can never cost less than what it already did.
-        cost = max(cost, counters.done_bytes)
+        cost = max(cost, done_bytes)
 
         return SegmentEstimate(
             spec=spec,
-            status=status,
+            status="running" if counters.started else "pending",
             inputs=inputs,
             p=p,
             est_output_rows=estimate,
             est_output_width=width,
             est_cost_bytes=cost,
-            done_bytes=counters.done_bytes,
+            done_bytes=done_bytes,
             e1=e1,
             e2=(y / p) if p > 0 else None,
             dominant_input=dominant_input,

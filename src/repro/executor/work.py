@@ -215,20 +215,24 @@ class WorkTracker:
     def total_done_bytes(self) -> float:
         """Work done so far, in bytes, as of the last :attr:`sync`: every
         segment's ``done_bytes`` in one loop (integer-valued: order-free)."""
-        total = 0.0
-        for seg in self.segments:
-            for nbytes in seg.input_bytes:
-                total += nbytes
-            total += seg.extra_bytes
-            if not seg.final:
-                total += seg.output_bytes
-        return total
+        return _done_bytes(self.segments)
 
     def done_pages(self, page_size: int) -> float:
         """Total work done so far, in U (pages), synced first."""
         if self.sync is not None:
             self.sync()
-        return self.total_done_bytes / page_size
+        return _done_bytes(self.segments) / page_size
+
+
+def _done_bytes(segments: list[SegmentCounters]) -> float:
+    total = 0.0
+    for seg in segments:
+        for nbytes in seg.input_bytes:
+            total += nbytes
+        total += seg.extra_bytes
+        if not seg.final:
+            total += seg.output_bytes
+    return total
 
 
 def check_tracker_alignment(root: "PhysicalNode", tracker: WorkTracker) -> None:

@@ -52,7 +52,17 @@ from repro.storage.schema import TUPLE_HEADER_BYTES
 
 @dataclass
 class PlannedQuery:
-    """An optimized query: annotated plan plus planning metadata."""
+    """An optimized query: annotated plan plus planning metadata.
+
+    Immutable once :meth:`repro.database.Database.prepare` returns it: the
+    database's statement cache hands the same object to every submission
+    of the same text, and in-flight tasks share it.  What depends only on
+    the plan is computed once, on first use, into the memo fields below.
+    The segment builder's ``pi_*`` annotations are the same values however
+    often it runs, and an IN-subquery's value set is recomputed from the
+    same tables by every execution before its first row.  Code that edits
+    a plan (tests, mostly) plans privately with :meth:`Optimizer.plan`.
+    """
 
     root: PhysicalNode
     query: BoundQuery
@@ -64,10 +74,55 @@ class PlannedQuery:
     subplans: list = field(default_factory=list)
     #: Memo of :func:`repro.core.segments.planned_segments` (read-only).
     segment_specs: Optional[list] = field(default=None, repr=False, compare=False)
+    #: Memo of :func:`repro.core.segments.planned_cost_pages`: the
+    #: optimizer's whole-query cost that admission and the indicator read.
+    initial_cost_pages: Optional[float] = field(
+        default=None, repr=False, compare=False
+    )
+    #: Memo of the invariant gate's verdict (:func:`repro.analysis.gate.gate_plan`):
+    #: the violations of ``segment_specs``, found once, enforced per query.
+    violations: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def output_names(self) -> list[str]:
         return [name for _, name in self.query.output]
+
+
+#: Slots of an expression that are not plan values: the inner query the
+#: optimizer planned into ``plan``, and an IN-subquery's run-time result.
+_NOT_PLAN_VALUES = frozenset({"subquery", "_values", "_has_null"})
+
+
+def plan_values(obj: object) -> object:
+    """Everything a plan holds, as comparable nested tuples.
+
+    Node classes, columns, estimates, annotations, expressions with their
+    literals, costs, segment specs and output names; a table or index by
+    identity.  Two plans with equal values execute alike and start the
+    indicator from the same numbers — what the statement cache's strict
+    recheck compares a cached plan with a fresh one on.
+    """
+    if isinstance(obj, PlannedQuery):
+        return (
+            plan_values(obj.root),
+            plan_values(obj.subplans),
+            obj.search_cost,
+            obj.segment_specs,
+            tuple(obj.output_names),
+        )
+    if isinstance(obj, (list, tuple)):
+        return tuple([plan_values(item) for item in obj])
+    if isinstance(obj, PhysicalNode):
+        return (type(obj), tuple(sorted(
+            (name, plan_values(value)) for name, value in vars(obj).items()
+        )))
+    if isinstance(obj, BoundExpr):
+        return (type(obj), tuple([
+            plan_values(getattr(obj, name))
+            for name in getattr(type(obj), "__slots__", ())
+            if name not in _NOT_PLAN_VALUES
+        ]))
+    return obj
 
 
 @dataclass

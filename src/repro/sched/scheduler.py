@@ -311,7 +311,9 @@ class CooperativeScheduler:
             task.started_at = started
             if task.timeout is not None and task.deadline is None:
                 task.deadline = started + task.timeout
-        start_pages = self._done_pages(task)
+            start_pages = 0.0  # nothing has run: every counter is zero
+        else:
+            start_pages = self._done_pages(task)
         pulses = 0
         reason = "quantum"
         keep = task.keep_rows
@@ -472,9 +474,12 @@ class CooperativeScheduler:
         return task.indicator.tracker.done_pages(self._page_size)
 
     def _quantum_spent(self, task: QueryTask, start_pages: float, pulses: int) -> bool:
-        if task.indicator is not None:
-            if self._done_pages(task) - start_pages >= self.quantum_pages:
-                return True
-        # Unmonitored fallback (and a backstop for monitored phases whose
+        # Unmonitored rule (and a backstop for monitored phases whose
         # pulses outpace tracked bytes): one pulse ≈ one page of work.
-        return pulses >= self.quantum_pages
+        # Tested first, it spares a monitored task the tracker read.
+        if pulses >= self.quantum_pages:
+            return True
+        return (
+            task.indicator is not None
+            and self._done_pages(task) - start_pages >= self.quantum_pages
+        )

@@ -37,7 +37,7 @@ from typing import Optional, Union
 from repro.config import DEFAULT_QUANTUM_PAGES, ServiceConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
-from repro.core.segments import initial_total_cost_bytes, planned_segments
+from repro.core.segments import planned_cost_pages
 from repro.database import Database, MonitoredResult
 from repro.errors import AdmissionRejectedError, ProgressError
 from repro.executor.runtime import QueryResult
@@ -271,7 +271,6 @@ class QueryService:
         }
         self._handles: dict[str, QueryHandle] = {}
         self._inflight = 0
-        self._page_size = db.config.page_size
 
     # ------------------------------------------------------------------
     # tenants
@@ -331,8 +330,13 @@ class QueryService:
         :class:`~repro.errors.AdmissionRejectedError`).
 
         Execution kwargs are those of
-        :meth:`CooperativeScheduler.submit`.
+        :meth:`CooperativeScheduler.submit`.  A non-positive ``timeout``
+        raises :class:`ProgressError` before anything is counted.
         """
+        # Here, not only in the scheduler: a queued submission reaches the
+        # scheduler later, inside another query's retirement.
+        if timeout is not None and timeout <= 0:
+            raise ProgressError("timeout must be positive")
         if isinstance(query, PlannedQuery):
             planned, sql = query, "<planned>"
         else:
@@ -344,9 +348,7 @@ class QueryService:
             raise ProgressError(f"task {name!r} already submitted")
 
         tenant_obj = self.tenants.get(tenant)
-        predicted = (
-            initial_total_cost_bytes(planned_segments(planned)) / self._page_size
-        )
+        predicted = planned_cost_pages(planned)
         now = self.db.clock.now
         handle = QueryHandle(self, name, tenant, predicted, now)
         self._handles[name] = handle

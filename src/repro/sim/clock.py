@@ -97,7 +97,7 @@ class VirtualClock:
         heapq.heappush(
             self._tickers, (ticker.next_fire, next(self._ticker_seq), ticker)
         )
-        self._refresh_factors()
+        self._reschedule()
         return ticker
 
     # ------------------------------------------------------------------
@@ -134,7 +134,7 @@ class VirtualClock:
                 return
             self.now = event
             self._fire_due()
-            self._refresh_factors()
+            self._after_event()
 
     def _advance_slow(self, cost: float, resource: str) -> None:
         remaining = cost
@@ -150,7 +150,7 @@ class VirtualClock:
             remaining -= wall_step / factor
             self.now = event
             self._fire_due()
-            self._refresh_factors()
+            self._after_event()
 
     # ------------------------------------------------------------------
     # internals
@@ -176,7 +176,8 @@ class VirtualClock:
             horizon = self.now + _EPSILON
             while heap and heap[0][0] <= horizon:
                 due.append(heapq.heappop(heap))
-            due.sort(key=_BY_SEQ)
+            if len(due) > 1:
+                due.sort(key=_BY_SEQ)
             for _, _, ticker in due:
                 while ticker.active and ticker.next_fire <= self.now + _EPSILON:
                     fire_at = ticker.next_fire
@@ -194,7 +195,21 @@ class VirtualClock:
             IO: self._load.factor(self.now, IO),
             CPU: self._load.factor(self.now, CPU),
         }
-        next_event = self._load.next_change_after(self.now)
+        #: The load profile's next boundary: the factors hold until then.
+        self._next_change = self._load.next_change_after(self.now)
+        self._reschedule()
+
+    def _after_event(self) -> None:
+        """After an event at ``now``: the factors change only at a load
+        boundary, so before one a ticker event needs only rescheduling."""
+        if self.now < self._next_change:
+            self._reschedule()
+        else:
+            self._refresh_factors()
+
+    def _reschedule(self) -> None:
+        """The next event: the load boundary or the first active ticker."""
+        next_event = self._next_change
         heap = self._tickers
         while heap and not heap[0][2].active:
             heapq.heappop(heap)

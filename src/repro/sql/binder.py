@@ -88,6 +88,9 @@ class Binder:
 
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
+        #: Every table resolved, IN-subqueries' included, by catalog name:
+        #: what a plan of the statement read (the statement cache's check).
+        self.tables_read: dict[str, Table] = {}
 
     def bind(self, statement: SelectStatement) -> BoundQuery:
         """Resolve one parsed statement into a BoundQuery."""
@@ -154,7 +157,9 @@ class Binder:
             if name in seen:
                 raise BindError(f"duplicate table binding name {name!r}")
             seen.add(name)
-            tables.append(BoundTable(i, self._catalog.get_table(ref.name), name))
+            table = self._catalog.get_table(ref.name)
+            self.tables_read[table.name] = table
+            tables.append(BoundTable(i, table, name))
         return tables
 
     def _bind_select_list(
@@ -219,8 +224,10 @@ class Binder:
 
         if isinstance(expr, InSubquery):
             operand = self._bind_expr(expr.operand, tables, by_name)
+            binder = Binder(self._catalog)
+            binder.tables_read = self.tables_read
             try:
-                inner = Binder(self._catalog).bind(expr.subquery)
+                inner = binder.bind(expr.subquery)
             except BindError as exc:
                 raise BindError(
                     f"cannot bind IN-subquery ({exc}); note that correlated "

@@ -22,6 +22,9 @@ from repro.database import Database
 from repro.errors import ExecutionError, ProgressError
 from repro.executor.base import ExecContext
 from repro.executor.runtime import check_tracker_alignment, run_query
+from repro.planner.optimizer import Optimizer
+from repro.sql.binder import Binder
+from repro.sql.parser import parse_select
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER
 
@@ -40,6 +43,12 @@ def make_db(**config_kwargs) -> Database:
     )
     db.analyze()
     return db
+
+
+def private_plan(db, sql):
+    """A plan no statement cache holds (a prepared one is shared and
+    already segmented), for a test that corrupts it."""
+    return Optimizer(db.config).plan(Binder(db.catalog).bind(parse_select(sql)))
 
 
 def broken_segments(db):
@@ -117,7 +126,7 @@ class TestEngineWiring:
         rejected before execution starts (strict mode)."""
         monkeypatch.setenv("REPRO_VERIFY", "strict")
         db = make_db()
-        planned = db.prepare("select t.a, u.c from t, u where t.a = u.a")
+        planned = private_plan(db, "select t.a, u.c from t, u where t.a = u.a")
         # Corrupt the plan the way a buggy planner rewrite would; the
         # poisoned estimate survives the indicator's own re-segmentation.
         planned.root.est_rows = float("nan")
@@ -127,7 +136,7 @@ class TestEngineWiring:
     def test_indicator_warn_mode_still_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "warn")
         db = make_db()
-        planned = db.prepare("select t.a, u.c from t, u where t.a = u.a")
+        planned = private_plan(db, "select t.a, u.c from t, u where t.a = u.a")
         planned.root.est_rows = float("nan")
         with pytest.warns(PlanVerificationWarning):
             ProgressIndicator(planned, db.clock, db.config)

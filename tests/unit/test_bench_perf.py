@@ -46,6 +46,25 @@ class TestShapeCheck:
         assert all(compiles == 1 and hits == 2 for *_, compiles, hits in counts)
 
 
+class TestStatementCheck:
+    def test_one_text_plans_once_and_once_after_analyze(self):
+        counts = list(perf.statement_counts(statements=3))
+        assert [name for name, *_ in counts] == list(perf.SHAPE_TEMPLATES)
+        assert all(plans == 1 and replans == 1 for _, plans, replans in counts)
+
+    @pytest.mark.parametrize("unchanged, want", [(True, (1, 0)), (False, (3, 3))])
+    def test_a_broken_read_set_check_is_reported(self, monkeypatch, unchanged, want):
+        """Sabotage: a hit that never re-checks what the plan read misses
+        ANALYZE; one that always finds it changed plans every time."""
+        import repro.database
+
+        monkeypatch.setattr(
+            repro.database, "_unchanged", lambda catalog, reads: unchanged
+        )
+        counts = list(perf.statement_counts(statements=3))
+        assert all((plans, replans) == want for _, plans, replans in counts)
+
+
 class TestCli:
     def test_shapecheck_is_the_only_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -61,6 +80,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok: external_sort [monitored]: 1 compiles, 3 hits" in out
         assert "shape gate: PASS" in out
+        assert (
+            "ok: external_sort [statement]: 1 plans for 4 submissions, "
+            "1 after analyze()" in out
+        )
+        assert "statement gate: PASS" in out
+        assert "cache_info: DatabaseCacheInfo(statements=CacheInfo(" in out
 
 
 class TestBenchResultSchema:

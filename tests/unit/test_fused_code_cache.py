@@ -25,6 +25,7 @@ from repro.errors import ExecutionError
 from repro.executor import fused, runtime
 from repro.executor.base import PULSE, ExecContext
 from repro.expr.bound import ColumnExpr, ComparisonExpr, LiteralExpr
+from repro.planner.optimizer import Optimizer
 from repro.planner.physical import (
     DistinctNode,
     FilterNode,
@@ -32,6 +33,8 @@ from repro.planner.physical import (
     IndexScanNode,
     SeqScanNode,
 )
+from repro.sql.binder import Binder
+from repro.sql.parser import parse_select
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
 from repro.workloads import tpcr
@@ -57,6 +60,12 @@ def spill_db():
     return build(SystemConfig(work_mem_pages=1))
 
 
+def private_plan(db, sql):
+    """A plan of ``sql`` that no statement cache holds, for a test that
+    edits it (a prepared plan is shared by every later prepare of its text)."""
+    return Optimizer(db.config).plan(Binder(db.catalog).bind(parse_select(sql)))
+
+
 def context(db, planned, monitored):
     indicator = ProgressIndicator(planned, db.clock, db.config) if monitored else None
     tracker = indicator.tracker if monitored else None
@@ -65,8 +74,15 @@ def context(db, planned, monitored):
 
 
 def run(db, sql_or_planned, monitored=False):
-    """Bind and drain one query: (source, rows, was the lookup a hit)."""
-    planned = db.prepare(sql_or_planned) if isinstance(sql_or_planned, str) else sql_or_planned
+    """Bind and drain one query: (source, rows, was the lookup a hit).
+
+    Text is planned privately: a prepared plan is segmented, and segment
+    annotations, which are in the key, would keep apart the same-shape
+    plans some mutants below must make collide."""
+    planned = (
+        private_plan(db, sql_or_planned)
+        if isinstance(sql_or_planned, str) else sql_or_planned
+    )
     ctx, indicator = context(db, planned, monitored)
     before = fused.code_cache_info()
     query = fused.FusedQuery(planned.root, ctx)
@@ -209,7 +225,7 @@ class TestSpecializationsAreInTheKey:
 
     def test_num_batches_is_in_the_key(self, db):
         fused.code_cache_clear()
-        planned = db.prepare(JOIN_SQL.format(price=1000.0))
+        planned = private_plan(db, JOIN_SQL.format(price=1000.0))
         (join,) = [n for n in collect_nodes(planned.root) if isinstance(n, HashJoinNode)]
         assert join.num_batches == 1
         memory, want, _ = run(db, planned)
@@ -231,7 +247,7 @@ class TestSpecializationsAreInTheKey:
         assert outcomes[1][1] == sorted(outcomes[0][1], key=lambda r: r[1])
         assert outcomes[2][1] == outcomes[0][1]
         # Two plans that differ in one node's class and in nothing else.
-        planned = db.prepare("select distinct c.nationkey from customer c")
+        planned = private_plan(db, "select distinct c.nationkey from customer c")
         assert isinstance(planned.root, DistinctNode)
         _source, distinct, _hit = run(db, planned)
         planned.root = FilterNode(planned.root.child, [], planned.root.est_rows)
@@ -244,7 +260,7 @@ class TestSpecializationsAreInTheKey:
         fused.code_cache_clear()
         sql = "select c.custkey, c.nationkey from customer c"
         first, want, _ = run(db, sql)
-        planned = db.prepare(sql)
+        planned = private_plan(db, sql)
         (scan,) = [n for n in collect_nodes(planned.root) if isinstance(n, SeqScanNode)]
         scan.columns.reverse()
         second, rows, hit = run(db, planned)
@@ -344,7 +360,7 @@ class TestClosureFallbacks:
         fused.code_cache_clear()
         sql = "select c.custkey from customer c where c.nationkey = 3"
         _src, want, _ = run(db, sql)
-        planned = db.prepare(sql)
+        planned = private_plan(db, sql)
         literals = [
             f.right
             for n in collect_nodes(planned.root)
@@ -369,7 +385,7 @@ class TestClosureFallbacks:
         with two objects, so it is compiled and not kept."""
         fused.code_cache_clear()
         sql = "select c.custkey from customer c where c.nationkey > 3 and c.nationkey > 4"
-        planned = db.prepare(sql)
+        planned = private_plan(db, sql)
         (scan,) = [n for n in collect_nodes(planned.root) if isinstance(n, SeqScanNode)]
         scan.filters[1] = scan.filters[0]
         _source, rows, hit = run(db, planned)
@@ -409,7 +425,7 @@ class TestAlignmentVerdict:
         another program, compiled and checked for itself."""
         fused.code_cache_clear()
         db.connect().submit(self.SQL, monitor=True).result()
-        planned = db.prepare(self.SQL)
+        planned = private_plan(db, self.SQL)
         ctx, indicator = context(db, planned, monitored=True)
         (scan,) = [n for n in collect_nodes(planned.root) if isinstance(n, SeqScanNode)]
         setattr(scan, attr, value)
@@ -420,7 +436,7 @@ class TestAlignmentVerdict:
     def test_a_verdict_does_not_cover_another_tracker_layout(self, db):
         fused.code_cache_clear()
         db.connect().submit(self.SQL, monitor=True).result()
-        planned = db.prepare(self.SQL)
+        planned = private_plan(db, self.SQL)
         other = db.prepare("select c.custkey from customer c")
         indicator = ProgressIndicator(other, db.clock, db.config)  # one segment
         ProgressIndicator(planned, db.clock, db.config).abort()  # re-annotate

@@ -122,6 +122,32 @@ class TestAdmission:
         with pytest.raises(ProgressError, match="already submitted"):
             service.submit(queries.Q1, name="q")
 
+    @pytest.mark.parametrize("timeout", [0.0, -5.0])
+    def test_non_positive_timeout_admitted_at_once_leaves_no_trace(self, timeout):
+        service = _db().service()
+        with pytest.raises(ProgressError, match="timeout must be positive"):
+            service.submit(queries.Q1, name="q", timeout=timeout)
+        assert service.handles == []
+        assert service.counters["submitted"] == 0
+        assert service.inflight == 0
+        # The name was never taken.
+        assert service.submit(queries.Q1, name="q").result().row_count > 0
+
+    def test_non_positive_timeout_behind_capacity_fails_nobody_else(self):
+        db = _db(max_inflight=1)
+        service = db.service()
+        first = service.submit(queries.Q1, name="a")
+        with pytest.raises(ProgressError, match="timeout must be positive"):
+            service.submit(queries.Q1, name="b", timeout=0.0)
+        third = service.submit(queries.Q1, name="c")
+        assert third.outcome == QUEUED
+        service.run()
+        assert first.state == FINISHED and third.state == FINISHED
+        assert [h.name for h in service.handles] == ["a", "c"]
+        assert service.counters["submitted"] == 2
+        assert service.counters["finished"] == 2
+        assert service.inflight == 0 and not service.queue
+
     def test_cancel_queued_submission(self):
         db = _db(max_inflight=1)
         service = db.service()
