@@ -7,13 +7,16 @@ Subcommands:
   per-segment breakdown at the end.
 * ``sql`` — run an arbitrary SQL statement against the generated TPC-R
   data set with progress monitoring.
-* ``figures`` — regenerate a figure's series straight to stdout.
+* ``reproduce`` — the paper-vs-measured summary of the committed
+  results; ``--check`` recomputes every table, figure and ablation of
+  the experiment registry and compares it with the committed files,
+  ``--write`` regenerates them and tallies every shape claim.
 
 Examples::
 
     python -m repro demo --query Q2 --interference io
     python -m repro sql "select count(*) from lineitem" --scale 0.005
-    python -m repro figures --query Q2
+    python -m repro reproduce --check
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.figures import render_table
-from repro.bench.harness import run_experiment
 from repro.config import SystemConfig
 from repro.core.units import format_duration
 from repro.planner.explain import explain
@@ -92,40 +93,15 @@ def cmd_sql(args) -> int:
     return 0
 
 
-def cmd_figures(args) -> int:
-    """Print one query's full figure series as an aligned table."""
-    name = args.query.upper()
-    if name not in queries.PAPER_QUERIES:
-        print(f"unknown query {args.query!r}; choose from Q1..Q5", file=sys.stderr)
-        return 2
-    db = _build_db(args, for_query=name)
-    result = run_experiment(
-        name, db, queries.PAPER_QUERIES[name], load=_load_profile(args.interference)
-    )
-    print(
-        render_table(
-            {
-                "estimated cost (U)": result.estimated_cost_series(),
-                "speed (U/s)": result.speed_series(),
-                "remaining est (s)": result.remaining_series(),
-                "remaining actual (s)": result.actual_remaining_series(),
-                "completed %": result.percent_series(),
-            },
-            title=f"{name} series (scale {args.scale}, "
-            f"interference={args.interference})",
-        )
-    )
-    return 0
-
-
 def cmd_reproduce(args) -> int:
-    """Run every Section 5 experiment and print the summary table."""
-    from repro.bench.reproduce import render_summary, run_all
+    """Summarize, check or regenerate the committed experiment results."""
+    from repro.bench import experiments
 
-    config = SystemConfig(work_mem_pages=args.work_mem)
-    rows = run_all(scale=args.scale, config=config, progress=print)
-    print()
-    print(render_summary(rows, args.scale))
+    if args.check:
+        return experiments.check()
+    if args.write:
+        return experiments.write()
+    print(experiments.summary())
     return 0
 
 
@@ -157,19 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(sql)
     sql.set_defaults(func=cmd_sql)
 
-    figures = sub.add_parser("figures", help="print one query's figure series")
-    figures.add_argument("--query", default="Q2")
-    figures.add_argument(
-        "--interference", choices=["none", "io", "cpu"], default="none"
-    )
-    common(figures)
-    figures.set_defaults(func=cmd_figures)
-
     reproduce = sub.add_parser(
-        "reproduce", help="run every Section 5 experiment and summarize"
+        "reproduce", help="summarize, check or regenerate the committed results"
     )
-    reproduce.add_argument("--scale", type=float, default=0.01)
-    reproduce.add_argument("--work-mem", type=int, default=24)
+    mode = reproduce.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--check", action="store_true",
+        help="recompute every experiment; exit 1 if a committed file differs",
+    )
+    mode.add_argument(
+        "--write", action="store_true",
+        help="regenerate the committed files; exit 1 if a shape claim breaks",
+    )
     reproduce.set_defaults(func=cmd_reproduce)
 
     return parser

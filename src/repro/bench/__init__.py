@@ -1,13 +1,13 @@
 """Experiment harness: runs monitored queries and extracts figure series.
 
-Each benchmark in ``benchmarks/`` builds a database, runs one of the
-paper's queries under a load profile via :func:`run_experiment`, and
-prints the same series the corresponding paper figure plots (estimated
-cost, execution speed, estimated/actual/optimizer remaining time,
-completed percentage) plus shape metrics recorded in EXPERIMENTS.md.
+:func:`run_experiment` runs one of the paper's queries on a database
+under a load profile and returns the series the paper's figures plot
+(estimated cost, execution speed, estimated/actual/optimizer remaining
+time, completed percentage).  :mod:`repro.bench.experiments` is the
+registry of every committed table, figure and ablation built on it;
+``python -m repro reproduce`` is its command line.
 """
 
-from repro.bench.figures import render_series, render_table
 from repro.bench.harness import ExperimentResult, run_experiment
 from repro.bench.metrics import (
     convergence_time,
@@ -20,8 +20,6 @@ from repro.bench.metrics import (
 __all__ = [
     "run_experiment",
     "ExperimentResult",
-    "render_series",
-    "render_table",
     "mean_abs_error",
     "convergence_time",
     "series_min",

@@ -16,8 +16,8 @@ return bit-identical results to fault-free runs.
 random fault schedules and asserts all of it.
 
 Disabled cost is ~zero, the same pattern as tracing: with no plan
-installed every hook is a single ``is not None`` test (see
-``benchmarks/bench_fault.py``).
+installed every hook is a single ``is not None`` test (measured as
+``fault.hook_ratio`` by ``benchmarks/e2e/``).
 """
 
 from repro.fault.injector import FaultInjector, InjectedFault

@@ -97,16 +97,3 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "1 row(s)" in out
-
-    def test_figures_command(self, capsys):
-        code = main(["figures", "--query", "Q1", "--scale", "0.001"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "estimated cost" in out
-        assert "completed %" in out
-
-    def test_figures_with_interference(self, capsys):
-        code = main(
-            ["figures", "--query", "Q1", "--scale", "0.001", "--interference", "cpu"]
-        )
-        assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.figures import render_series, render_table, sparkline
+from repro.bench.experiments import render_table
 from repro.bench.metrics import (
     convergence_time,
     is_nondecreasing,
@@ -97,18 +97,3 @@ class TestFigureRendering:
         assert "Figure X" in text
         assert "est" in text and "actual" in text
         assert text.count("\n") >= 4
-
-    def test_render_series_bar_chart(self):
-        text = render_series([(0.0, 1.0), (10.0, 5.0)], title="costs")
-        assert "costs" in text
-        assert "#" in text
-
-    def test_render_series_empty(self):
-        assert "no defined points" in render_series([(0.0, None)])
-
-    def test_sparkline(self):
-        line = sparkline([(0.0, 0.0), (1.0, 5.0), (2.0, 10.0)])
-        assert len(line) == 3
-
-    def test_sparkline_empty(self):
-        assert sparkline([]) == ""
