@@ -127,6 +127,14 @@ the tree it lives, not at its callers.
 comprehension, a ``set(...)`` call or a local bound to one feeds set
 ordering into results.  Set *membership* is fine; iterate
 ``sorted(...)`` when order can matter.
+
+``REPRO112`` **float-sum** — in the ``repro`` package (test code
+exempt), a built-in ``sum()`` whose elements are not visibly integers:
+an int literal (``sum(1 for ...)``) or ``len(...)``.  Python 3.12's
+``sum()`` compensates float rounding and 3.11's does not, so a float
+``sum()`` gives a number that depends on the interpreter; ``math.fsum``
+is correctly rounded on every minor.  An integer sum the rule cannot see
+(``sum(self.input_bytes)``) carries a reasoned ``# noqa: REPRO112``.
 """
 
 from __future__ import annotations
@@ -896,4 +904,50 @@ def _check_set_iteration(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
                             "into results; iterate sorted(...) or a list/dict",
                         )
                     )
+    return out
+
+
+# ----------------------------------------------------------------------
+# REPRO112 — no float sum(): its rounding depends on the Python minor
+
+
+def _visibly_int(node: ast.AST) -> bool:
+    """An int literal or a ``len(...)`` call."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+    )
+
+
+@_rule("REPRO112", "float-sum")
+def _check_float_sum(tree: ast.AST, ctx: LintContext) -> list[LintFinding]:
+    if ctx.is_test_code() or "repro" not in PurePath(ctx.path).parts:
+        return []
+    out = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and node.args
+        ):
+            continue
+        items = node.args[0]
+        if isinstance(items, (ast.GeneratorExp, ast.ListComp)) and _visibly_int(
+            items.elt
+        ):
+            continue
+        out.append(
+            LintFinding(
+                rule="REPRO112",
+                path=ctx.path,
+                line=node.lineno,
+                col=node.col_offset,
+                message="built-in sum() rounds floats differently across Python "
+                "minors; use math.fsum, or noqa an integer sum with the reason",
+            )
+        )
     return out

@@ -19,11 +19,13 @@ A document::
     {"schema": "repro.bench/1", "bench": "<name>",
      "scalars": {...},                     # flat summary numbers
      "series": {"label": [[t, v], ...]},   # the figure's time series
-     "meta": {..., "python": "3.11"}}      # run parameters, writer's minor
+     "meta": {...}}                        # run parameters
 
-``meta.python`` is there because float sums are not stable across
-Python minors (3.12's ``sum()`` compensates, 3.11's does not), so a
-comparison is only exact under the minor that wrote the files.
+The one exception is ``leaderboard_tier1``, the tier-1 accuracy
+leaderboard in its own ``repro.leaderboard/2`` format
+(:mod:`repro.obs.observatory`).  Every float reduction on the way to a
+committed number is ``math.fsum``, which is correctly rounded, so the
+bytes are the same under every Python minor (lint rule REPRO112).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 import pathlib
 import random
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -49,16 +50,16 @@ from repro.executor.base import ExecContext
 from repro.executor.runtime import run_query
 from repro.fault import FaultPlan, RetryPolicy
 from repro.fault.plan import BufferPressureWindow, SlowDiskWindow
+from repro.obs.observatory import leaderboard_doc, run_leaderboard
 from repro.sched.task import DONE_STATES
 from repro.sim.load import InterferenceWindow, LoadProfile
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
 from repro.workloads import correlated, queries, tpcr
+from repro.workloads.grid import resolve_grid
 
 BENCH_SCHEMA = "repro.bench/1"
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-#: The Python minor that computes (and stamps) the documents.
-PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 #: Scale and memory budget of the paper experiments.  The 24-page
 #: work_mem makes Q2's and Q4's second hash joins spill, matching the
@@ -84,12 +85,13 @@ class Experiment:
     #: Shape claims: name -> predicate over the entry's document.
     claims: dict[str, Claim]
     #: Its rendered figure texts, when not the one ``<name>.txt``.
-    texts: tuple[str, ...] = ()
+    texts: Optional[tuple[str, ...]] = None
 
     @property
     def files(self) -> tuple[str, ...]:
         """The files it owns under ``benchmarks/results/``."""
-        return (f"{self.name}.json", *(self.texts or (f"{self.name}.txt",)))
+        texts = (f"{self.name}.txt",) if self.texts is None else self.texts
+        return (f"{self.name}.json", *texts)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +120,7 @@ def _doc(
     doc: dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "bench": name,
-        "meta": _jsonable({**(meta or {}), "python": PYTHON}),
+        "meta": _jsonable(meta or {}),
     }
     if scalars:
         doc["scalars"] = _jsonable(scalars)
@@ -456,7 +458,7 @@ def _pointwise_wins(r: Run, share: float) -> bool:
     of the reports."""
     act, opt = dict(r.act), dict(r.opt)
     defined = [(t, v) for t, v in r.rem if v is not None]
-    wins = sum(closer_to_actual(v, opt[t], act[t]) for t, v in defined)
+    wins = sum(1 for t, v in defined if closer_to_actual(v, opt[t], act[t]))
     return bool(defined) and wins / len(defined) >= share
 
 
@@ -811,7 +813,7 @@ def _skew_db(config: SystemConfig, values: Sequence[int]) -> Database:
 def _cost_error(result: ExperimentResult) -> float:
     exact = result.exact_cost_pages
     points = [abs(v - exact) for _, v in result.estimated_cost_series()]
-    return sum(points) / len(points)
+    return math.fsum(points) / len(points)
 
 
 def _ablation_refine() -> dict[str, Any]:
@@ -965,11 +967,12 @@ def _concurrent_scheduler() -> dict[str, Any]:
             )
         tasks = [h.task for h in session.run()]
         errors = {t.name: _normalized_error(t.log, t.result.elapsed) for t in tasks}
-        scalars[f"c{n}_mean_err"] = sum(errors.values()) / n
+        scalars[f"c{n}_mean_err"] = math.fsum(errors.values()) / n
         scalars |= {f"c{n}_{name}_err": e for name, e in errors.items()}
         scalars[f"c{n}_finished"] = sum(
-            t.state == "finished" and t.log.final().fraction_done >= 1.0 - 1e-9
+            1
             for t in tasks
+            if t.state == "finished" and t.log.final().fraction_done >= 1.0 - 1e-9
         )
         lines.append(
             f"  {n:>12} {sum(len(t.slices) for t in tasks):>8} "
@@ -1080,7 +1083,7 @@ def _ablation_granularity() -> dict[str, Any]:
             ]
             errors = [abs(v - act[t]) for t, v in late if v is not None]
             undefined = len(late) - len(errors)
-            mean = sum(errors) / len(errors) if errors else math.inf
+            mean = math.fsum(errors) / len(errors) if errors else math.inf
             lines.append(
                 f"{query:<6} {granularity:<12} "
                 f"{f'{mean:.1f}' if errors else 'inf':>15} {undefined:>10}"
@@ -1278,7 +1281,7 @@ def _fault_injection() -> dict[str, Any]:
     db = _tpcr(scale=FAULT_SCALE)
     injector = db.install_faults(FAULTY_PLAN)
     faulty, faulty_err = _q2_probe(db)
-    injected = sum(injector.injected.values())
+    injected = sum(injector.injected.values())  # noqa: REPRO112 - counts
     lines = [
         "Extension A7: fault injection, accuracy under faults (Q2)",
         f"  faults injected / retries      : {injected:>5} / {injector.retries}",
@@ -1535,6 +1538,58 @@ def _every_level(test: Callable[[Run, int], bool]) -> Claim:
 
 
 # ----------------------------------------------------------------------
+# L - the tier-1 accuracy leaderboard: 40 grid cells run under the
+# ensemble, every candidate estimator scored from its recorded stream
+
+TIER1_CELLS = 40
+#: Ceilings on the headline errors: the values the committed board holds.
+LEADERBOARD_CEILINGS = {
+    "qerror_geomean": 1.089990923,
+    "qerror_p95": 1.583333333,
+    "progress_err_mean": 0.021011293,
+    "progress_err_max": 0.219221677,
+}
+
+
+def _leaderboard() -> dict[str, Any]:
+    board = run_leaderboard(resolve_grid("tier1"), "tier1")
+    return {"leaderboard_tier1.json": leaderboard_doc(board)}
+
+
+def _all_cells_scored(r: Run) -> bool:
+    cells = r.doc["cells"]
+    return len(cells) == r.doc["aggregates"]["cells_scored"] == TIER1_CELLS and all(
+        c["scored"] for c in cells
+    )
+
+
+def _no_monotonicity_violation(r: Run) -> bool:
+    return r.doc["aggregates"]["monotonicity_violations"] == 0 and not any(
+        c["monotonicity_violations"] for c in r.doc["cells"]
+    )
+
+
+def _selector_no_worse_than_paper(r: Run) -> bool:
+    """The selector's displayed stream does not lose to its own default."""
+    paper = r.doc["estimators"]["paper"]
+    return all(
+        r.doc["aggregates"][m] <= paper[m] for m in ("qerror_geomean", "progress_err_mean")
+    )
+
+
+def _at_most(metric: str, ceiling: float) -> Claim:
+    return lambda r: r.doc["aggregates"][metric] <= ceiling
+
+
+LEADERBOARD_CLAIMS: dict[str, Claim] = {
+    "all_40_cells_scored": _all_cells_scored,
+    "no_monotonicity_violation": _no_monotonicity_violation,
+    "selector_no_worse_than_paper": _selector_no_worse_than_paper,
+    **{f"{m}_ceiling": _at_most(m, top) for m, top in LEADERBOARD_CEILINGS.items()},
+}
+
+
+# ----------------------------------------------------------------------
 # The registry
 
 ENTRIES: tuple[Experiment, ...] = (
@@ -1700,6 +1755,10 @@ ENTRIES: tuple[Experiment, ...] = (
             "audit_clean": lambda r: r.doc["meta"]["audit_violations"] == [],
         },
     ),
+    Experiment(
+        "leaderboard_tier1", "L (tier-1 grid)", _leaderboard,
+        LEADERBOARD_CLAIMS, texts=(),
+    ),
 )
 
 BY_NAME = {entry.name: entry for entry in ENTRIES}
@@ -1813,18 +1872,6 @@ def _describe_difference(name: str, committed: Optional[str], computed: str) -> 
     return f"{name}: different line endings"
 
 
-def _writer_versions(
-    results_dir: pathlib.Path, entries: Sequence[Experiment] = ENTRIES
-) -> set[str]:
-    """The Python minors recorded in the documents ``entries`` own."""
-    docs = load(results_dir)
-    return {
-        docs[entry.name]["meta"].get("python", "unknown")
-        for entry in entries
-        if entry.name in docs
-    }
-
-
 def check(
     results_dir: pathlib.Path = RESULTS_DIR,
     entries: Sequence[Experiment] = ENTRIES,
@@ -1833,18 +1880,8 @@ def check(
     """Recompute ``entries`` and compare each file byte for byte.
 
     Exit code: 0 all equal, 1 some file differs (each is named with its
-    first differing key and both values), 2 the files were written by
-    another Python minor, where a last-digit float difference is not a
-    finding.
+    first differing key and both values).
     """
-    others = _writer_versions(results_dir, entries) - {PYTHON}
-    if others:
-        out(
-            f"committed results were written by Python {', '.join(sorted(others))}; "
-            f"this is Python {PYTHON}. Float sums differ between minors, so "
-            f"compare under Python {', '.join(sorted(others))}."
-        )
-        return 2
     stale = 0
     for entry in entries:
         differences = [

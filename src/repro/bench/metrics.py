@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 Series = Sequence[tuple[float, Optional[float]]]
@@ -21,7 +22,7 @@ def mean_abs_error(series: Series, reference: Series) -> Optional[float]:
     errors = [abs(v - ref[t]) for t, v in series if v is not None and t in ref]
     if not errors:
         return None
-    return sum(errors) / len(errors)
+    return math.fsum(errors) / len(errors)
 
 
 def convergence_time(

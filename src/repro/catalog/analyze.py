@@ -38,7 +38,7 @@ def analyze_table(table: Table, histogram_buckets: int = 20) -> TableStatistics:
         null_fraction = nulls[i] / row_count if row_count else 0.0
         if col_values:
             distinct = len(set(col_values))
-            width_sum = sum(col.type.width(v) for v in col_values)
+            width_sum = sum(col.type.width(v) for v in col_values)  # noqa: REPRO112 - int widths
             width_sum += nulls[i] * col.type.width(None)
             stats = ColumnStatistics(
                 name=col.name,

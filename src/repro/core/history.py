@@ -8,6 +8,7 @@ precise enough and where the time goes") — all of which consume this log.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -90,7 +91,7 @@ class ProgressLog:
         ]
         if not errors:
             return None
-        return sum(errors) / len(errors)
+        return math.fsum(errors) / len(errors)
 
     def to_csv(self) -> str:
         """Render the history as CSV (performance-tuning archive format)."""

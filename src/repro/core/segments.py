@@ -24,6 +24,7 @@ partitions, PB dominant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -84,7 +85,7 @@ class SegmentSpec:
 
     def initial_cost_bytes(self) -> float:
         """The optimizer's initial byte cost of this segment."""
-        total = sum(i.est_rows * i.est_width for i in self.inputs)
+        total = math.fsum(i.est_rows * i.est_width for i in self.inputs)
         if not self.final:
             total += self.est_output_rows * self.est_output_width
         return total + self.est_extra_bytes
@@ -118,7 +119,7 @@ def initial_total_cost_bytes(specs: list[SegmentSpec]) -> float:
     This is the quantity the paper seeds the indicator with ("a number of
     U equal to the optimizer's estimate of the number of I/Os").
     """
-    return sum(s.initial_cost_bytes() for s in specs)
+    return math.fsum(s.initial_cost_bytes() for s in specs)
 
 
 def planned_cost_pages(planned: "PlannedQuery") -> float:

@@ -40,6 +40,7 @@ tier-1 grid on both engines.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.segments import SegmentSpec
@@ -62,7 +63,7 @@ class RefinementEstimator(Estimator):
         # and each child's estimate exists before its consumers need it.
         for spec in self._specs:
             estimates.append(self._estimate_segment(spec, estimates))
-        total = sum(e.est_cost_bytes for e in estimates)
+        total = math.fsum(e.est_cost_bytes for e in estimates)
         return EstimateSnapshot(
             segments=estimates,
             est_total_bytes=total,
@@ -72,14 +73,15 @@ class RefinementEstimator(Estimator):
 
     def final_snapshot(self) -> EstimateSnapshot:
         """Once every segment finished, each one's estimate is exact and
-        costs what it did: :meth:`snapshot`'s totals, summed the same way,
-        without its per-segment objects."""
+        costs what it did: :meth:`snapshot`'s totals without its
+        per-segment objects.  The costs are whole numbers of bytes, so
+        ``sum`` here and ``fsum`` there both add them exactly."""
         counters = self._tracker.segments
         if not all(c.finished for c in counters):
             return self.snapshot()
         return EstimateSnapshot(
             segments=[],
-            est_total_bytes=sum(c.done_bytes for c in counters),
+            est_total_bytes=sum(c.done_bytes for c in counters),  # noqa: REPRO112 - whole-number bytes, exact
             done_bytes=self._tracker.total_done_bytes,
             current_segment=None,
         )
@@ -154,7 +156,7 @@ class RefinementEstimator(Estimator):
         if width is None:
             width = spec.est_output_width
 
-        cost = sum([inp.est_rows * inp.est_width for inp in inputs])
+        cost = math.fsum(inp.est_rows * inp.est_width for inp in inputs)
         cost += spec.est_extra_bytes
         if not spec.final:
             cost += estimate * width

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from repro.executor.base import PULSE, ExecContext, Operator, build_operator
@@ -29,7 +30,7 @@ class ProjectOp(Operator):
         self._string_slots = [
             i for i, e in enumerate(node.exprs) if isinstance(e.type, StringType)
         ]
-        self._fixed_width = float(TUPLE_HEADER_BYTES) + sum(
+        self._fixed_width = float(TUPLE_HEADER_BYTES) + math.fsum(
             e.type.width(None)
             for e in node.exprs
             if not isinstance(e.type, StringType)

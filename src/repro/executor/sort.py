@@ -126,8 +126,8 @@ class SortRuns:
             merged_rows = list(
                 heapq.merge(*(run.iter_rows() for run in group), key=self.key)
             )
-            nbytes = sum(run.total_bytes for run in group)
-            npages = sum(run.handle.num_pages for run in group)
+            nbytes = sum(run.total_bytes for run in group)  # noqa: REPRO112 - whole-number bytes, exact
+            npages = sum(run.handle.num_pages for run in group)  # noqa: REPRO112 - page count
             cost = ctx.config.cost
             ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
             if ctx.tracker is not None and segment is not None:

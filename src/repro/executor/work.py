@@ -71,7 +71,7 @@ class SegmentCounters:
     @property
     def done_bytes(self) -> float:
         """Bytes of this segment counted toward the query's done work."""
-        done = sum(self.input_bytes) + self.extra_bytes
+        done = sum(self.input_bytes) + self.extra_bytes  # noqa: REPRO112 - whole-number bytes, exact
         return done if self.final else done + self.output_bytes
 
     def avg_output_width(self) -> Optional[float]:

@@ -250,7 +250,7 @@ class ChaosHarness:
         baseline = name if baseline is None else baseline
         trace = task.sealed_trace()
         terminal = (
-            sum(trace.counts().get(k, 0) for k in TERMINAL_KINDS)
+            sum(trace.counts().get(k, 0) for k in TERMINAL_KINDS)  # noqa: REPRO112 - counts
             if trace is not None
             else -1
         )

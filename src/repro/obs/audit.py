@@ -18,6 +18,7 @@ actually served.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,7 +82,7 @@ class AuditSummary:
         errors = [r.abs_error for r in self.rows if r.abs_error is not None]
         if not errors:
             return None
-        return sum(errors) / len(errors)
+        return math.fsum(errors) / len(errors)
 
     @property
     def max_abs_error(self) -> Optional[float]:
@@ -144,7 +145,7 @@ def _audit_candidate(
         name=name,
         reports=len(stream),
         selected=sum(1 for c in stream if c.selected),
-        mean_abs_error=sum(errors) / len(errors) if errors else None,
+        mean_abs_error=math.fsum(errors) / len(errors) if errors else None,
         max_abs_error=max(errors) if errors else None,
     )
 

@@ -10,9 +10,11 @@ Subcommands:
   print the per-tick |estimated − actual| remaining-time error table.
 * ``metrics`` — run one monitored query and print the flat metrics dump.
 * ``leaderboard`` — run the workload grid (tier-1 subset by default),
-  score every variant's progress accuracy from its sealed trace, persist
-  the schema-versioned JSON leaderboard under ``benchmarks/results/``,
-  and (with ``--check``) gate against the committed baseline.
+  score every variant's progress accuracy from its sealed trace and print
+  the board; ``--out`` also saves the schema-versioned JSON.  The
+  committed tier-1 board is the experiment registry's
+  ``leaderboard_tier1`` entry, checked by ``python -m repro reproduce
+  --check``.
 
 Examples::
 
@@ -23,7 +25,7 @@ Examples::
     python -m repro.obs metrics --query q5
     python -m repro.obs leaderboard --list
     python -m repro.obs leaderboard --grid tier1
-    python -m repro.obs leaderboard --check          # the per-PR gate
+    python -m repro.obs leaderboard --estimator paper --out /tmp/board.json
 """
 
 from __future__ import annotations
@@ -155,12 +157,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_leaderboard(args: argparse.Namespace) -> int:
-    """Run/score the workload grid; optionally gate against the baseline."""
+    """Run and score the workload grid; save it only with ``--out``."""
     from repro.obs.observatory import (
-        BASELINE_PATH,
-        check_regression,
-        check_selector,
-        load_leaderboard,
         render_aggregates,
         run_leaderboard,
         write_leaderboard,
@@ -179,36 +177,13 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
         print(f"\n{len(variants)} variant(s) in grid {args.grid!r}")
         return 0
 
-    if args.current is not None:
-        board = load_leaderboard(args.current)
-        print(f"loaded leaderboard: {args.current}")
-    else:
-        echo = None if args.quiet else print
-        board = run_leaderboard(
-            variants, args.grid, echo=echo, estimator=args.estimator
-        )
-        out = args.out
-        if out is None:
-            out = Path("benchmarks/results") / f"leaderboard_{args.grid}.json"
-        write_leaderboard(board, out)
-        print(f"\nleaderboard written: {out}")
+    echo = None if args.quiet else print
+    board = run_leaderboard(variants, args.grid, echo=echo, estimator=args.estimator)
+    if args.out is not None:
+        write_leaderboard(board, args.out)
+        print(f"\nleaderboard written: {args.out}")
     print(render_aggregates(board))
-
-    if not args.check:
-        return 0
-    baseline_path = Path(args.baseline) if args.baseline else BASELINE_PATH
-    if not baseline_path.exists():
-        print(f"baseline not found: {baseline_path}", file=sys.stderr)
-        return 2
-    baseline = load_leaderboard(baseline_path)
-    report = check_regression(baseline, board, tolerance=args.tolerance)
-    print(f"\nregression gate vs {baseline_path} "
-          f"(tolerance {args.tolerance:.0%}):")
-    print(report.render())
-    selector = check_selector(board)
-    print(f"\nselector-vs-paper gate (within this run):")
-    print(selector.render())
-    return 0 if report.ok and selector.ok else 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     board = sub.add_parser(
         "leaderboard",
-        help="run + score the workload grid; --check gates vs the baseline",
+        help="run + score the workload grid and print the board",
     )
     board.add_argument("--grid", choices=["tier1", "full"], default="tier1",
                        help="which variant set to run (default tier1)")
@@ -257,20 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "ensemble: race every registered candidate "
                             "and score each one's stream)")
     board.add_argument("--out", default=None, metavar="JSON",
-                       help="output path (default: benchmarks/results/"
-                            "leaderboard_<grid>.json)")
-    board.add_argument("--check", action="store_true",
-                       help="compare against the committed baseline; "
-                            "exit 1 on regression")
-    board.add_argument("--baseline", default=None, metavar="JSON",
-                       help="baseline to gate against (default: "
-                            "benchmarks/results/leaderboard_baseline.json)")
-    board.add_argument("--current", default=None, metavar="JSON",
-                       help="score an already-persisted leaderboard "
-                            "instead of running the grid")
-    board.add_argument("--tolerance", type=float, default=0.05,
-                       help="relative worsening allowed per aggregate "
-                            "(default 0.05)")
+                       help="also save the board as JSON (default: print only)")
     board.add_argument("--list", action="store_true",
                        help="list the grid's variants and exit")
     board.add_argument("--quiet", action="store_true",

@@ -1,38 +1,27 @@
-"""The progress-accuracy observatory: grid scoring, leaderboards, gates.
+"""The progress-accuracy observatory: grid scoring and leaderboards.
 
 Built on the trace machinery of :mod:`repro.obs`: every workload-grid
 variant (:mod:`repro.workloads.grid`) executes under the Session API with
 tracing on, the sealed trace is replayed into exact per-query accuracy
-metrics (:mod:`.scoring`), the per-cell scores aggregate into a
-schema-versioned JSON leaderboard persisted under ``benchmarks/results/``
-(:mod:`.leaderboard`), and a regression gate compares a fresh run against
-the committed baseline (:mod:`.regression`) so every estimator or
-re-optimization PR gets an automatic accuracy trial:
+metrics (:mod:`.scoring`), and the per-cell scores aggregate into a
+schema-versioned JSON leaderboard (:mod:`.leaderboard`).  The tier-1
+board is committed as the experiment registry's ``leaderboard_tier1``
+entry, so every estimator or re-optimization change gets its accuracy
+trial from ``python -m repro reproduce --check`` and the entry's claims:
 
-    python -m repro.obs leaderboard                  # run tier-1, persist
-    python -m repro.obs leaderboard --check          # gate vs. baseline
+    python -m repro.obs leaderboard                  # run tier-1, print
+    python -m repro.obs leaderboard --out board.json # ... and save it
 """
 
 from repro.obs.observatory.leaderboard import (
     DEFAULT_RUN_ESTIMATOR,
     LEADERBOARD_SCHEMA,
-    BASELINE_PATH,
     Leaderboard,
     LeaderboardCell,
-    load_leaderboard,
+    leaderboard_doc,
     render_aggregates,
     run_leaderboard,
     write_leaderboard,
-)
-from repro.obs.observatory.regression import (
-    DEFAULT_TOLERANCE,
-    SELECTOR_GATED_METRICS,
-    AggregateCheck,
-    RegressionReport,
-    SelectorCheck,
-    SelectorReport,
-    check_regression,
-    check_selector,
 )
 from repro.obs.observatory.scoring import (
     QERROR_FLOOR_SECONDS,
@@ -44,21 +33,12 @@ from repro.obs.observatory.scoring import (
 __all__ = [
     "DEFAULT_RUN_ESTIMATOR",
     "LEADERBOARD_SCHEMA",
-    "BASELINE_PATH",
     "Leaderboard",
     "LeaderboardCell",
-    "load_leaderboard",
+    "leaderboard_doc",
     "render_aggregates",
     "run_leaderboard",
     "write_leaderboard",
-    "DEFAULT_TOLERANCE",
-    "SELECTOR_GATED_METRICS",
-    "AggregateCheck",
-    "RegressionReport",
-    "SelectorCheck",
-    "SelectorReport",
-    "check_regression",
-    "check_selector",
     "QERROR_FLOOR_SECONDS",
     "QueryScore",
     "score_candidate_events",

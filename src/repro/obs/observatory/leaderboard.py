@@ -6,13 +6,15 @@ per (scale × skew) dataset cell and restarted (cold buffer pool) between
 variants, mirroring the paper's Section 5.1 protocol — and replays each
 sealed trace through :mod:`repro.obs.observatory.scoring`.
 
-The persisted form is schema-versioned JSON (``repro.leaderboard/2``),
-one file per run under ``benchmarks/results/``, plus the committed
-baseline ``leaderboard_baseline.json`` that the per-PR regression gate
-(:mod:`repro.obs.observatory.regression`) compares against.  Runs are
-deterministic — simulated engine, seeded generators, virtual clock — so
-the file is stable and diffable; it deliberately carries no wall-clock
-timestamp.
+The persisted form is schema-versioned JSON (``repro.leaderboard/2``).
+Runs are deterministic — simulated engine, seeded generators, virtual
+clock — so the document is stable and diffable; it deliberately carries
+no wall-clock timestamp.  The tier-1 board is the experiment registry's
+``leaderboard_tier1`` entry (:mod:`repro.bench.experiments`):
+``python -m repro reproduce --check`` recomputes it byte for byte, and
+its claims (full coverage, no monotonicity violation, the selector no
+worse than ``paper``, ceilings on the headline errors) are the accuracy
+gate.
 
 Schema version 2 (the pluggable-estimator redesign): cells run under the
 ensemble selector by default, the board records which ``estimator``
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, TextIO, Union
 
@@ -65,9 +67,6 @@ LEADERBOARD_SCHEMA = "repro.leaderboard/2"
 #: The estimator leaderboard runs submit queries with (races every
 #: registered candidate and scores each one's stream).
 DEFAULT_RUN_ESTIMATOR = "ensemble"
-
-#: The committed baseline the per-PR regression gate compares against.
-BASELINE_PATH = Path("benchmarks/results/leaderboard_baseline.json")
 
 #: Histogram bounds for per-cell q-error geomeans.  A q-error is >= 1 by
 #: definition, so the leaderboard clamps the histogram's interpolated
@@ -250,8 +249,8 @@ def aggregate_cells(cells: list[LeaderboardCell]) -> dict[str, float]:
         "cells_total": float(len(cells)),
         "cells_scored": float(len(scored)),
         "coverage": (len(scored) / len(cells)) if cells else 0.0,
-        "reports_total": float(sum(c.reports_total for c in cells)),
-        "reports_degraded": float(sum(c.reports_degraded for c in cells)),
+        "reports_total": math.fsum(c.reports_total for c in cells),
+        "reports_degraded": math.fsum(c.reports_degraded for c in cells),
     }
     if not scored:
         return {k: round(v, 9) for k, v in aggregates.items()}
@@ -264,7 +263,7 @@ def aggregate_cells(cells: list[LeaderboardCell]) -> dict[str, float]:
             qerror_hist.observe(c.qerror_geomean)
     if geomeans:
         aggregates["qerror_geomean"] = math.exp(
-            sum(math.log(g) for g in geomeans) / len(geomeans)
+            math.fsum(math.log(g) for g in geomeans) / len(geomeans)
         )
         for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             quantile = qerror_hist.quantile(q)
@@ -276,19 +275,19 @@ def aggregate_cells(cells: list[LeaderboardCell]) -> dict[str, float]:
     progress_means = [
         c.progress_err_mean for c in scored if c.progress_err_mean is not None
     ]
-    aggregates["progress_err_mean"] = sum(progress_means) / len(progress_means)
+    aggregates["progress_err_mean"] = math.fsum(progress_means) / len(progress_means)
     aggregates["progress_err_max"] = max(
         c.progress_err_max for c in scored if c.progress_err_max is not None
     )
-    aggregates["monotonicity_violations"] = float(sum(
+    aggregates["monotonicity_violations"] = math.fsum(
         c.monotonicity_violations or 0 for c in scored
-    ))
+    )
     tt10 = [
         c.time_to_within_10 for c in scored if c.time_to_within_10 is not None
     ]
-    aggregates["tt10_mean"] = sum(tt10) / len(tt10)
+    aggregates["tt10_mean"] = math.fsum(tt10) / len(tt10)
     # Round: the values are deterministic, but rounding keeps the committed
-    # baseline JSON readable and immune to libm last-bit differences.
+    # JSON readable and immune to libm last-bit differences.
     return {k: round(v, 9) for k, v in aggregates.items()}
 
 
@@ -296,11 +295,9 @@ def aggregate_cells(cells: list[LeaderboardCell]) -> dict[str, float]:
 # persistence
 
 
-def write_leaderboard(
-    board: Leaderboard, target: Union[str, Path, TextIO]
-) -> dict:
-    """Serialize one leaderboard run to schema-versioned JSON."""
-    doc = {
+def leaderboard_doc(board: Leaderboard) -> dict:
+    """One leaderboard run as its schema-versioned JSON document."""
+    return {
         "schema": board.schema,
         "grid": board.grid,
         "estimator": board.estimator,
@@ -308,6 +305,13 @@ def write_leaderboard(
         "estimators": board.estimators,
         "cells": [asdict(c) for c in board.cells],
     }
+
+
+def write_leaderboard(
+    board: Leaderboard, target: Union[str, Path, TextIO]
+) -> dict:
+    """Serialize one leaderboard run to schema-versioned JSON."""
+    doc = leaderboard_doc(board)
     if hasattr(target, "write"):
         json.dump(doc, target, indent=2, sort_keys=True)  # type: ignore[arg-type]
         target.write("\n")  # type: ignore[union-attr]
@@ -318,37 +322,6 @@ def write_leaderboard(
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return doc
-
-
-def load_leaderboard(source: Union[str, Path, TextIO]) -> Leaderboard:
-    """Load a persisted leaderboard, validating the schema version."""
-    if hasattr(source, "read"):
-        doc = json.load(source)  # type: ignore[arg-type]
-    else:
-        with open(source) as fh:  # type: ignore[arg-type]
-            doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema != LEADERBOARD_SCHEMA:
-        raise ValueError(
-            f"unsupported leaderboard schema {schema!r} "
-            f"(expected {LEADERBOARD_SCHEMA!r})"
-        )
-    cell_fields = {f.name for f in fields(LeaderboardCell)}
-    cells = tuple(
-        LeaderboardCell(**{k: v for k, v in c.items() if k in cell_fields})
-        for c in doc["cells"]
-    )
-    return Leaderboard(
-        schema=schema,
-        grid=doc.get("grid", "unknown"),
-        cells=cells,
-        aggregates=dict(doc["aggregates"]),
-        estimator=doc.get("estimator", DEFAULT_RUN_ESTIMATOR),
-        estimators={
-            name: dict(aggs)
-            for name, aggs in doc.get("estimators", {}).items()
-        },
-    )
 
 
 #: The headline metrics shown as per-estimator columns by the CLI.

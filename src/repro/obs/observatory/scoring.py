@@ -1,7 +1,7 @@
 """Per-query progress-accuracy scoring, replayed from a sealed trace.
 
 This module commits to *exact* metric definitions (documented in
-``docs/observability.md``); the leaderboard, the regression gate, and the
+``docs/observability.md``); the leaderboard, its registry claims, and the
 tests all rely on them.  All inputs come from one query's recorded trace
 events — the same replay machinery as :mod:`repro.obs.audit`, extended
 from one error column to a full score card.
@@ -104,7 +104,7 @@ def _qerror(est: float, actual: float) -> float:
 
 def _geomean(values: Iterable[float]) -> float:
     logs = [math.log(v) for v in values]
-    return math.exp(sum(logs) / len(logs))
+    return math.exp(math.fsum(logs) / len(logs))
 
 
 def _terminal_of(events: list[TraceEvent]) -> tuple[str, Optional[QueryFinished]]:
@@ -190,7 +190,7 @@ def _score_stream(
         scored=True,
         qerror_geomean=_geomean(qerrors) if qerrors else None,
         qerror_max=max(qerrors) if qerrors else None,
-        progress_err_mean=sum(progress_errors) / len(progress_errors),
+        progress_err_mean=math.fsum(progress_errors) / len(progress_errors),
         progress_err_max=max(progress_errors),
         monotonicity_violations=violations,
         time_to_within_10=_time_to_within(estimated, total),

@@ -13,6 +13,7 @@ to slots for expression compilation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +37,7 @@ class PlanColumn:
 
 def row_width(columns: Sequence[PlanColumn]) -> float:
     """Estimated stored tuple width for a row of ``columns``."""
-    return TUPLE_HEADER_BYTES + sum(c.avg_width for c in columns)
+    return TUPLE_HEADER_BYTES + math.fsum(c.avg_width for c in columns)
 
 
 class PhysicalNode:

@@ -90,8 +90,8 @@ class TestCli:
 
 class TestBenchResultSchema:
     def test_committed_results_are_schema_1(self):
-        """Figure results are pure functions of the seed: one schema, the
-        writer's Python minor, and no real-time field (that lives in
+        """Figure results are pure functions of the seed: one schema, no
+        interpreter stamp, and no real-time field (that lives in
         ``benchmarks/e2e/``)."""
         results = REPO_ROOT / "benchmarks" / "results"
         checked = 0
@@ -99,7 +99,7 @@ class TestBenchResultSchema:
             doc = json.loads(path.read_text())
             if str(doc.get("schema", "")).startswith("repro.bench/"):
                 assert doc["schema"] == "repro.bench/1", path.name
-                assert "python" in doc["meta"], path.name
+                assert "python" not in doc["meta"], path.name
                 assert not [k for k in doc.get("scalars", {}) if "real" in k], path.name
                 checked += 1
         assert checked > 0

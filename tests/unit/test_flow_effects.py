@@ -1,5 +1,6 @@
-"""Unit tests: the determinism rules (REPRO110, REPRO111) — per-file lint
-rules; REPRO110 is frame-local over every module outside test code."""
+"""Unit tests: the determinism rules (REPRO110, REPRO111, REPRO112) —
+per-file lint rules; REPRO110 is frame-local over every module outside
+test code."""
 
 from __future__ import annotations
 
@@ -191,6 +192,44 @@ class TestSetIterationOrder:
             "    return [x for x in {1, 2}]\n"
         )})
         assert findings == []
+
+
+class TestFloatSum:
+    def test_float_sum_is_flagged(self):
+        findings = lint_module({"bench.m": (
+            "def f(errors):\n"
+            "    return sum(errors) / len(errors)\n"
+        )})
+        assert rules_of(findings) == {"REPRO112"}
+        assert "math.fsum" in findings[0].message
+
+    def test_visible_integer_counts_are_fine(self):
+        findings = lint_module({"obs.m": (
+            "import math\n"
+            "def f(rows, groups):\n"
+            "    n = sum(1 for r in rows if r)\n"
+            "    m = sum(len(g) for g in groups)\n"
+            "    return n + m + math.fsum(r * 0.5 for r in rows)\n"
+        )})
+        assert findings == []
+
+    def test_reasoned_noqa_vouches_for_an_integer_sum(self):
+        source = (
+            "def f(pages):\n"
+            "    return sum(p.bytes_used for p in pages){}\n"
+        )
+        vouched = source.format("  # noqa: REPRO112 - whole-number bytes")
+        assert lint_module({"executor.m": vouched}) == []
+        bare = lint_module({"executor.m": source.format("  # noqa: REPRO112")})
+        # The sum stays reported, and so does the reasonless noqa.
+        assert [(f.rule, "states no reason" in f.message) for f in bare] == [
+            ("REPRO112", False), ("REPRO112", True),
+        ]
+
+    def test_test_code_and_other_trees_are_ignored(self):
+        source = "def f(xs):\n    return sum(xs)\n"
+        assert lint_source(source, "tests/unit/test_m.py") == []
+        assert lint_source(source, "examples/m.py") == []
 
 
 def suppressed(body: str):

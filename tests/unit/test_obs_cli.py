@@ -83,38 +83,31 @@ class TestLeaderboardCommand:
         assert main(["leaderboard", "--grid", "full", "--list"]) == 0
         assert "336 variant(s)" in capsys.readouterr().out
 
-    def test_check_against_explicit_baseline(self, tmp_path, capsys, monkeypatch):
-        # Score a persisted board against itself: always a PASS.
-        from repro.obs.observatory import run_leaderboard, write_leaderboard
-        from repro.workloads.grid import variants_by_name
-
-        variants = [variants_by_name()["xs-uniform-scan-half"]]
-        board = run_leaderboard(variants, "small")
-        path = tmp_path / "board.json"
-        write_leaderboard(board, path)
-
-        code = main([
-            "leaderboard", "--current", str(path),
-            "--check", "--baseline", str(path),
-        ])
+    def test_prints_without_writing_a_file(self, tmp_path, capsys, monkeypatch):
+        # The committed board is the registry's: a CLI run must not touch
+        # benchmarks/results/ (relative to any cwd) unless asked to.
+        _one_variant_grid(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(["leaderboard", "--quiet", "--estimator", "paper"]) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "gate: PASS" in out
+        assert "leaderboard: grid=tier1 cells=1 estimator=paper" in out
+        assert "written" not in out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_check_without_baseline_exits_two(self, tmp_path, capsys):
-        from repro.obs.observatory import run_leaderboard, write_leaderboard
-        from repro.workloads.grid import variants_by_name
+    def test_out_saves_the_board(self, tmp_path, capsys, monkeypatch):
+        _one_variant_grid(monkeypatch)
+        path = tmp_path / "board.json"
+        assert main(["leaderboard", "--quiet", "--out", str(path)]) == 0
+        assert f"leaderboard written: {path}" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert [c["name"] for c in doc["cells"]] == ["xs-uniform-scan-half"]
 
-        variants = [variants_by_name()["xs-uniform-scan-half"]]
-        write_leaderboard(
-            run_leaderboard(variants, "small"), tmp_path / "board.json"
-        )
-        code = main([
-            "leaderboard", "--current", str(tmp_path / "board.json"),
-            "--check", "--baseline", str(tmp_path / "missing.json"),
-        ])
-        assert code == 2
-        assert "baseline not found" in capsys.readouterr().err
+
+def _one_variant_grid(monkeypatch) -> None:
+    from repro.workloads import grid
+
+    variant = grid.variants_by_name()["xs-uniform-scan-half"]
+    monkeypatch.setattr(grid, "resolve_grid", lambda name: [variant])
 
 
 class TestClosedStdout:

@@ -1,28 +1,32 @@
-"""Unit tests: leaderboard runs, persistence, and the regression gate."""
+"""Unit tests: leaderboard runs, persistence, and the accuracy claims.
+
+The committed tier-1 board is the experiment registry's
+``leaderboard_tier1`` entry.  Its claims are the accuracy gate, so the
+gate cases here are ``experiments.tally`` over an edited copy of the
+committed board.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import io
 import json
+import shutil
 
 import pytest
 
+from repro.bench import experiments
 from repro.core.indicator import ProgressIndicator
 from repro.estimators import estimator_names
 from repro.obs.observatory import (
     LEADERBOARD_SCHEMA,
-    SELECTOR_GATED_METRICS,
     Leaderboard,
     LeaderboardCell,
-    check_regression,
-    check_selector,
-    load_leaderboard,
+    leaderboard_doc,
     render_aggregates,
     run_leaderboard,
     write_leaderboard,
 )
-from repro.obs.observatory.regression import GATED_AGGREGATES
 from repro.workloads.grid import Variant, variants_by_name
 
 #: A small, fast slice of the grid exercising scans, blocking operators,
@@ -32,12 +36,38 @@ SMALL_GRID = (
     "xs-uniform-sort-tenth",
     "xs-uniform-join2-unknown",
 )
+LEADERBOARD = experiments.BY_NAME["leaderboard_tier1"]
+BOARD_FILE = "leaderboard_tier1.json"
 
 
 @pytest.fixture(scope="module")
 def small_board() -> Leaderboard:
     by_name = variants_by_name()
     return run_leaderboard([by_name[n] for n in SMALL_GRID], "small")
+
+
+@pytest.fixture
+def board_copy(tmp_path):
+    """A results directory holding a copy of the committed tier-1 board."""
+    shutil.copy(experiments.RESULTS_DIR / BOARD_FILE, tmp_path)
+    return tmp_path
+
+
+def _edit(results_dir, change) -> None:
+    path = results_dir / BOARD_FILE
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _broken(results_dir) -> list[str]:
+    """The leaderboard entry's claims that ``results_dir`` breaks."""
+    rows = experiments.tally(results_dir, [LEADERBOARD])
+    return [claim for _, claim, verdict in rows if verdict == "broken"]
+
+
+def _holds(claim: str, board: Leaderboard) -> bool:
+    return LEADERBOARD.claims[claim](experiments.Run(leaderboard_doc(board)))
 
 
 class TestRunLeaderboard:
@@ -52,7 +82,8 @@ class TestRunLeaderboard:
         assert small_board.aggregates["cells_total"] == len(SMALL_GRID)
 
     def test_aggregates_carry_the_gated_metrics(self, small_board):
-        for metric in GATED_AGGREGATES:
+        claimed = ("monotonicity_violations", "cells_scored")
+        for metric in [*experiments.LEADERBOARD_CEILINGS, *claimed]:
             assert metric in small_board.aggregates, metric
 
     def test_runs_are_deterministic(self, small_board):
@@ -84,122 +115,73 @@ class TestPersistence:
         buf = io.StringIO()
         doc = write_leaderboard(small_board, buf)
         assert doc["schema"] == LEADERBOARD_SCHEMA
-        loaded = load_leaderboard(io.StringIO(buf.getvalue()))
-        assert loaded == small_board
+        assert json.loads(buf.getvalue()) == doc == leaderboard_doc(small_board)
 
     def test_file_round_trip(self, small_board, tmp_path):
         path = tmp_path / "board.json"
+        buf = io.StringIO()
         write_leaderboard(small_board, path)
-        assert load_leaderboard(path) == small_board
-
-    def test_schema_version_is_validated(self, small_board):
-        buf = io.StringIO()
-        doc = write_leaderboard(small_board, buf)
-        doc["schema"] = "repro.leaderboard/999"
-        with pytest.raises(ValueError, match="unsupported leaderboard schema"):
-            load_leaderboard(io.StringIO(json.dumps(doc)))
-
-    def test_unknown_cell_keys_are_ignored(self, small_board):
-        buf = io.StringIO()
-        doc = write_leaderboard(small_board, buf)
-        doc["cells"][0]["novel_future_field"] = 42
-        loaded = load_leaderboard(io.StringIO(json.dumps(doc)))
-        assert loaded == small_board
+        write_leaderboard(small_board, buf)
+        assert path.read_text() == buf.getvalue()
 
     def test_render_aggregates(self, small_board):
         text = render_aggregates(small_board)
         assert "qerror_geomean" in text and "coverage" in text
 
 
-def _mutated(board: Leaderboard, **aggregates) -> Leaderboard:
-    return Leaderboard(
-        schema=board.schema,
-        grid=board.grid,
-        cells=board.cells,
-        aggregates=board.aggregates | aggregates,
-    )
-
-
 class TestRegressionGate:
-    def test_identical_boards_pass(self, small_board):
-        report = check_regression(small_board, small_board)
-        assert report.ok
-        assert "gate: PASS" in report.render()
+    """The leaderboard entry's claims are the accuracy regression gate."""
 
-    def test_improvement_passes(self, small_board):
-        better = _mutated(
-            small_board,
-            qerror_geomean=1.0,
-            progress_err_mean=0.0,
-        )
-        assert check_regression(small_board, better).ok
+    def test_identical_boards_pass(self, board_copy):
+        rows = experiments.tally(board_copy, [LEADERBOARD])
+        assert {verdict for *_, verdict in rows} == {"held"}
+        assert len(rows) == len(LEADERBOARD.claims) == 7
 
-    def test_worsened_qerror_fails(self, small_board):
-        worse = _mutated(
-            small_board,
-            qerror_geomean=small_board.aggregates["qerror_geomean"] * 1.5,
-        )
-        report = check_regression(small_board, worse)
-        assert not report.ok
-        assert "gate: FAIL" in report.render()
-        bad = [c for c in report.checks if not c.ok]
-        assert [c.metric for c in bad] == ["qerror_geomean"]
+    def test_improvement_passes(self, board_copy):
+        def better(doc):
+            doc["aggregates"] |= {"qerror_geomean": 1.0, "progress_err_mean": 0.0}
 
-    def test_monotonicity_gates_absolutely(self, small_board):
-        assert small_board.aggregates["monotonicity_violations"] == 0.0
-        # Even a single new violation fails, regardless of tolerance.
-        worse = _mutated(small_board, monotonicity_violations=1.0)
-        assert not check_regression(small_board, worse, tolerance=10.0).ok
+        _edit(board_copy, better)
+        assert _broken(board_copy) == []
 
-    def test_coverage_drop_fails(self, small_board):
-        worse = _mutated(small_board, coverage=0.5)
-        report = check_regression(small_board, worse)
-        assert not report.ok
+    def test_worsened_qerror_fails(self, board_copy):
+        worse = experiments.LEADERBOARD_CEILINGS["qerror_geomean"] * 1.01
 
-    def test_missing_cell_fails(self, small_board):
-        shrunk = Leaderboard(
-            schema=small_board.schema,
-            grid=small_board.grid,
-            cells=small_board.cells[:-1],
-            aggregates=small_board.aggregates,
-        )
-        report = check_regression(small_board, shrunk)
-        assert not report.ok
-        assert report.missing_cells == (SMALL_GRID[-1],)
+        def above_ceiling(doc):
+            # The paper column worsens alike: only the ceiling can catch it.
+            doc["aggregates"]["qerror_geomean"] = worse
+            doc["estimators"]["paper"]["qerror_geomean"] = worse
 
-    def test_missing_aggregate_fails(self, small_board):
-        aggregates = dict(small_board.aggregates)
-        del aggregates["qerror_p95"]
-        shrunk = Leaderboard(
-            schema=small_board.schema,
-            grid=small_board.grid,
-            cells=small_board.cells,
-            aggregates=aggregates,
-        )
-        report = check_regression(small_board, shrunk)
-        assert not report.ok
-        assert report.missing_aggregates == ("qerror_p95",)
+        _edit(board_copy, above_ceiling)
+        assert _broken(board_copy) == ["qerror_geomean_ceiling"]
 
-    def test_aggregate_absent_from_baseline_is_skipped(self, small_board):
-        aggregates = dict(small_board.aggregates)
-        del aggregates["tt10_mean"]
-        old_baseline = Leaderboard(
-            schema=small_board.schema,
-            grid=small_board.grid,
-            cells=small_board.cells,
-            aggregates=aggregates,
-        )
-        report = check_regression(old_baseline, small_board)
-        assert report.ok
-        assert "tt10_mean" not in {c.metric for c in report.checks}
+    def test_monotonicity_gates_absolutely(self, board_copy):
+        def one_violation(doc):
+            doc["cells"][0]["monotonicity_violations"] = 1
+            doc["aggregates"]["monotonicity_violations"] = 1.0
 
-    def test_negative_tolerance_rejected(self, small_board):
-        with pytest.raises(ValueError, match="non-negative"):
-            check_regression(small_board, small_board, tolerance=-0.1)
+        _edit(board_copy, one_violation)
+        assert _broken(board_copy) == ["no_monotonicity_violation"]
+
+    def test_coverage_drop_fails(self, board_copy):
+        def unscored(doc):
+            doc["cells"][0]["scored"] = False
+            doc["aggregates"]["cells_scored"] = 39.0
+
+        _edit(board_copy, unscored)
+        assert _broken(board_copy) == ["all_40_cells_scored"]
+
+    def test_missing_cell_fails(self, board_copy):
+        _edit(board_copy, lambda doc: doc["cells"].pop())
+        assert _broken(board_copy) == ["all_40_cells_scored"]
+
+    def test_missing_aggregate_fails(self, board_copy):
+        _edit(board_copy, lambda doc: doc["aggregates"].pop("qerror_p95"))
+        assert _broken(board_copy) == ["qerror_p95_ceiling"]
 
 
 class TestSabotage:
-    """The gate demonstrably fails on an injected accuracy regression."""
+    """The claims demonstrably fail on an injected accuracy regression."""
 
     def test_skewed_estimates_fail_the_gate(self, small_board, monkeypatch):
         original = ProgressIndicator._build_report
@@ -222,10 +204,8 @@ class TestSabotage:
         assert skewed.aggregates["qerror_geomean"] > (
             small_board.aggregates["qerror_geomean"] * 1.2
         )
-        report = check_regression(small_board, skewed)
-        assert not report.ok
-        regressed = {c.metric for c in report.checks if not c.ok}
-        assert "qerror_geomean" in regressed
+        assert _holds("qerror_geomean_ceiling", small_board)
+        assert not _holds("qerror_geomean_ceiling", skewed)
 
 
 class TestEstimatorColumns:
@@ -255,30 +235,22 @@ class TestEstimatorColumns:
 
 class TestSelectorGate:
     def test_selector_never_loses_to_paper(self, small_board):
-        report = check_selector(small_board)
-        assert not report.skipped
-        assert report.ok
-        assert {c.metric for c in report.checks} == set(SELECTOR_GATED_METRICS)
-        assert "selector gate: PASS" in report.render()
+        assert _holds("selector_no_worse_than_paper", small_board)
+        run = experiments.Run(experiments.load()["leaderboard_tier1"])
+        assert LEADERBOARD.claims["selector_no_worse_than_paper"](run)
 
-    def test_losing_selector_fails(self, small_board):
-        paper = small_board.estimators["paper"]
-        worse = dataclasses.replace(
-            small_board,
-            aggregates=small_board.aggregates
-            | {"qerror_geomean": paper["qerror_geomean"] * 1.5},
-        )
-        report = check_selector(worse)
-        assert not report.ok
-        assert "LOSES TO PAPER" in report.render()
-        assert "selector gate: FAIL" in report.render()
+    def test_losing_selector_fails(self, board_copy):
+        def better_paper(doc):
+            paper = doc["estimators"]["paper"]
+            paper["progress_err_mean"] = doc["aggregates"]["progress_err_mean"] / 2
 
-    def test_run_without_candidates_is_vacuously_ok(self, small_board):
-        bare = dataclasses.replace(small_board, estimators={})
-        report = check_selector(bare)
-        assert report.skipped
-        assert report.ok
-        assert "skipped" in report.render()
+        _edit(board_copy, better_paper)
+        assert _broken(board_copy) == ["selector_no_worse_than_paper"]
+
+    def test_run_without_candidates_breaks_the_claim(self, board_copy):
+        # A board not run under the ensemble is not the committed board.
+        _edit(board_copy, lambda doc: doc.update(estimators={}))
+        assert _broken(board_copy) == ["selector_no_worse_than_paper"]
 
 
 class TestCellHelpers:
