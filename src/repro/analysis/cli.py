@@ -53,6 +53,7 @@ SYNTHETIC_STATEMENTS = {
     "index-range": "select k from wide where k >= 0 and k < 600",
     "external-sort": "select pad from big order by k desc",
     "merge-join": "select b.k from big b, small s where b.k = s.k",
+    "mixed-order-sort": "select k, tag from tags order by tag desc, k",
 }
 
 
@@ -81,6 +82,11 @@ def _synthetic_database(work_mem: int) -> "Database":
         "wide",
         Schema([Column("k", INTEGER), Column("pad", string(1400))]),
         [(i, "x" * 1400) for i in range(15_000)],
+    )
+    db.create_table(
+        "tags",
+        Schema([Column("k", INTEGER), Column("tag", string(12))]),
+        [(i % 97, None if i % 5 == 0 else f"t{i % 13}") for i in range(2_000)],
     )
     db.analyze()
     db.create_index("big", "k")

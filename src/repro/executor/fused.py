@@ -1077,11 +1077,11 @@ class _Compiler:
             sh = None if plain_int else self.local(lambda q: _stable_hash, "sh")
             cols = self.node_local(child, attrgetter("columns"), "cols")
             parts = self.fresh("parts")
-            apps = self.fresh("apps")
+            pages = self.fresh("pages")
             # The file name is id()-derived: made per query, never formatted.
             namev = self.node_local(node, lambda n: f"hj_{side}_{id(n)}", "nm")
             self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {namev})")
-            self.line(f"{apps} = [p.append for p in {parts}]")
+            self.line(f"{pages} = [p.page for p in {parts}]")
 
             def sink(rowvar: str) -> None:
                 self._emit_advance(cost.cpu_hash, "_CPU")
@@ -1091,8 +1091,15 @@ class _Compiler:
                 route = k if sh is None else f"{sh}({k})"
                 self.line(f"{b} = {route} % {nb} if {k} is not None else 0")
                 # This width *is* the spill schema's row_width of the row.
-                w = self._emit_width(rowvar, fixed, var_slots, named=monitored)
-                self.line(f"{apps}[{b}]({self._whole(rowvar)}, {w})")
+                w = self._emit_width(rowvar, fixed, var_slots, named=True)
+                # HeapFile.append inline: fill the open page, or roll it.
+                pg = self.fresh("pg")
+                self.line(f"{pg} = {pages}[{b}]")
+                full = f"{pg}.bytes_used + {w} > {self.config.page_size}"
+                with self.block(f"if {full} and {pg}.rows:"):
+                    self.line(f"{pg} = {pages}[{b}] = {parts}[{b}].roll()")
+                self.line(f"{pg}.rows.append({self._whole(rowvar)})")
+                self.line(f"{pg}.bytes_used += {w}")
                 if monitored:
                     self._emit_count(segment, None, w)
 
@@ -1283,22 +1290,23 @@ class _Compiler:
 
         buf = self.fresh("buf")
         bapp = self.fresh("bapp")
+        wds = self.fresh("wds")
+        wapp = self.fresh("wapp")
         bbytes = self.fresh("bbytes")
-        self.line(f"{buf} = []")
-        self.line(f"{bapp} = {buf}.append")
+        self.line(f"{buf}, {wds} = [], []")
+        self.line(f"{bapp}, {wapp} = {buf}.append, {wds}.append")
         self.line(f"{bbytes} = 0.0")
 
         def absorb(rowvar: str) -> None:
             self._emit_advance(cost.cpu_tuple, "_CPU")
-            w = self._emit_width(rowvar, fixed, var_slots, named=mon_out)
+            w = self._emit_width(rowvar, fixed, var_slots, named=True)
             if mon_out:
                 self._emit_count(segment, None, w)
             self.line(f"{bapp}({self._whole(rowvar)})")
+            self.line(f"{wapp}({w})")
             self.line(f"{bbytes} += {w}")
             with self.block(f"if {bbytes} > {_lit(self.work_mem_bytes)}:"):
-                self.line(f"yield from {hv}.spill({buf})")
-                self.line(f"{buf} = []")
-                self.line(f"{bapp} = {buf}.append")
+                self.line(f"yield from {hv}.spill({buf}, {wds})")  # empties both
                 self.line(f"{bbytes} = 0.0")
 
         self._node(node.child, absorb)
@@ -1307,7 +1315,7 @@ class _Compiler:
         self.line(f"{mem} = None")
         with self.block(f"if {hv}.runs:"):
             with self.block(f"if {buf}:"):
-                self.line(f"yield from {hv}.spill({buf})")
+                self.line(f"yield from {hv}.spill({buf}, {wds})")
             self.line(f"yield from {hv}.collapse()")
         with self.block("else:"):
             self.line(f"yield from {hv}.sort_buffer({buf})")

@@ -8,19 +8,25 @@ inputs (segment S5 "computes a sort-merge join using RAB and RC").
 The tracker wiring mirrors that: rows absorbed into runs count as this
 sort's segment output; rows read back during the merge count as input of
 the consumer segment (``pi_merge_input_ref``).
+
+Sort keys are flat tuples of builtins (:func:`make_sort_key`) and runs are
+written a page at a time, so sorting, merging and spilling run in C; the
+contract is in ``docs/architecture.md`` ("Sorting and spilling").
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterator, Optional
 
 from repro.executor.base import PULSE, ExecContext, Operator, build_operator
+from repro.executor.hash_join import _spill_schema
 from repro.executor.rowops import row_width_fn
 from repro.planner.physical import SortNode
 from repro.sim.load import CPU
 from repro.storage.heap import HeapFile
-from repro.storage.schema import Column, Schema
+from repro.storage.types import BooleanType, DateType, FloatType, IntegerType
 
 #: Charge sort-comparison CPU in slices of this many comparisons so the
 #: clock's tickers can fire during large sorts.
@@ -32,89 +38,108 @@ _CPU_CHUNK = 50_000
 _MERGE_PULSE_ROWS = 256
 
 
-class _KeyPart:
-    """One sort-key component with NULLS LAST and optional descending order."""
+class _Descending(str):
+    """A DESC string key component: ``<`` reversed, ``==`` a string's."""
 
-    __slots__ = ("is_null", "value", "descending")
+    __slots__ = ()
 
-    def __init__(self, value, descending: bool):
-        self.is_null = value is None
-        self.value = value
-        self.descending = descending
+    def __lt__(self, other: str) -> bool:
+        return str.__lt__(other, self)
 
-    def __lt__(self, other: "_KeyPart") -> bool:
-        if self.is_null != other.is_null:
-            return other.is_null  # non-null sorts before null
-        if self.is_null:
-            return False
-        if self.descending:
-            return other.value < self.value
-        return self.value < other.value
 
-    def __eq__(self, other) -> bool:
-        return self.is_null == other.is_null and self.value == other.value
+#: Number types (a date is a day number): ``-v`` sorts them DESC, exactly.
+_NEGATABLE = (IntegerType, FloatType, DateType, BooleanType)
 
 
 def make_sort_key(node: SortNode):
-    """Build a ``row -> sortable key`` function from the node's keys."""
+    """Build the node's ``row -> key`` function: a flat tuple compared in C,
+    two entries per component: ``v is None`` (NULLS LAST), then ``v``
+    ascending, ``-v`` descending over numbers, else ``_Descending(v)``.  An
+    ascending float is ``-(-v)``, a fresh object: a NaN two rows share then
+    compares unequal to itself, as it does by value."""
     layout = {c.coordinate: i for i, c in enumerate(node.columns)}
-    parts = [(layout[coord], asc) for coord, asc in node.keys]
-    if len(parts) == 1 and parts[0][1]:
-        slot = parts[0][0]
-        return lambda row: _KeyPart(row[slot], False)
-    return lambda row: tuple(
-        _KeyPart(row[slot], not asc) for slot, asc in parts
-    )
+    entries = []
+    for coord, asc in node.keys:
+        slot = layout[coord]
+        kind = node.columns[slot].type
+        v = f"r[{slot}]"
+        if asc and not isinstance(kind, FloatType):
+            value = v
+        else:
+            if asc:
+                other = f"-(-{v})"
+            else:
+                other = f"-{v}" if isinstance(kind, _NEGATABLE) else f"_Descending({v})"
+            value = f"None if {v} is None else {other}"
+        entries.append(f"{v} is None, {value}")
+    source = f"lambda r: ({', '.join(entries)},)"
+    return eval(source, {"_Descending": _Descending})  # noqa: S307 - built from slot numbers only
 
 
 class SortRuns:
     """The spill runs of one external sort and its cold phases: sorting a
     buffer, spilling it, cascading merges, reading a run back.  Both engines
     run these (same charges, same PULSE cadence, same temp files); each
-    keeps its own absorb and stream loops."""
+    keeps its own absorb loop, which hands :meth:`spill` the row widths."""
 
     def __init__(self, node: SortNode, ctx: ExecContext):
         self.node = node
         self.ctx = ctx
         self.key = make_sort_key(node)
+        self.schema = _spill_schema(node.columns)
         self.runs: list[HeapFile] = []
+        #: Each run's row widths, for the page writer when it is merged.
+        self.run_widths: list[list[int]] = []
 
-    def sort_buffer(self, buffer: list[tuple]) -> Iterator[tuple]:
-        n = len(buffer)
+    def _charge_sort(self, n: int) -> Iterator[tuple]:
+        """Charge the comparisons of sorting ``n`` rows, a PULSE per slice."""
         if n <= 1:
             return
-        comparisons = n * max(1.0, (n).bit_length() - 1)
+        remaining = n * max(1.0, (n).bit_length() - 1)  # comparisons
         cost = self.ctx.config.cost.cpu_compare
-        remaining = comparisons
         while remaining > 0:
             step = min(remaining, _CPU_CHUNK)
             self.ctx.clock.advance(step * cost, CPU)
             remaining -= step
             yield PULSE
+
+    def sort_buffer(self, buffer: list[tuple]) -> Iterator[tuple]:
+        """Sort the in-memory run in place."""
+        yield from self._charge_sort(len(buffer))
         buffer.sort(key=self.key)
 
-    def spill(self, buffer: list[tuple]) -> Iterator[tuple]:
-        yield from self.sort_buffer(buffer)
+    def _sorted(self, rows: list, widths: list) -> tuple[list, list]:
+        """``rows`` and their ``widths`` in key order.  The sort is stable,
+        so this is the permutation ``rows.sort(key=self.key)`` makes."""
+        keys = list(map(self.key, rows))
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        return list(map(rows.__getitem__, order)), list(map(widths.__getitem__, order))
+
+    def _write_run(self, label, rows: list, widths: list, charge_io: bool) -> HeapFile:
         ctx = self.ctx
-        schema = Schema(
-            Column(f"s{i}_{c.name.replace('.', '_')}", c.type)
-            for i, c in enumerate(self.node.columns)
-        )
-        run = HeapFile(
-            f"sortrun_{id(self)}_{len(self.runs)}",
-            schema,
-            ctx.disk,
-            ctx.config.page_size,
-            temp=True,
-        )
-        run.extend(buffer)
+        run = HeapFile(f"sortrun_{id(self)}_{label}", self.schema, ctx.disk,
+                       ctx.config.page_size, temp=True)
+        run.charge_io = charge_io
+        run.write(rows, widths)
         run.flush()
-        self.runs.append(run)
+        return run
+
+    def spill(self, buffer: list[tuple], widths: list[int]) -> Iterator[tuple]:
+        """Sort ``buffer`` (rows of the given stored ``widths``) into a run,
+        emptying both lists for the next one."""
+        yield from self._charge_sort(len(buffer))
+        rows, run_widths = self._sorted(buffer, widths)
+        buffer.clear()
+        widths.clear()
+        self.runs.append(self._write_run(len(self.runs), rows, run_widths, True))
+        self.run_widths.append(run_widths)
 
     def collapse(self) -> Iterator[tuple]:
         """Cascade-merge runs until they fit the merge fanout.
 
-        Each extra pass re-reads and re-writes every byte; those bytes are
+        A group of runs merges as one stable sort of its rows in run order
+        (ties fall by run index, ``heapq.merge``'s order).  Each extra pass
+        re-reads and re-writes every byte, charged in bulk; those bytes are
         the paper's multi-stage costs, reported via ``extra_pass``.  One
         PULSE is yielded per merged group (a bounded unit of work).
         """
@@ -123,8 +148,9 @@ class SortRuns:
         fanout = max(2, ctx.config.work_mem_pages)
         while len(self.runs) > fanout:
             group = self.runs[:fanout]
-            merged_rows = list(
-                heapq.merge(*(run.iter_rows() for run in group), key=self.key)
+            rows, widths = self._sorted(
+                list(chain.from_iterable(run.iter_rows() for run in group)),
+                list(chain.from_iterable(self.run_widths[:fanout])),
             )
             nbytes = sum(run.total_bytes for run in group)  # noqa: REPRO112 - whole-number bytes, exact
             npages = sum(run.handle.num_pages for run in group)  # noqa: REPRO112 - page count
@@ -132,22 +158,12 @@ class SortRuns:
             ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
             if ctx.tracker is not None and segment is not None:
                 ctx.tracker.extra_pass(segment, 2.0 * nbytes)
-            schema = group[0].schema
-            merged = HeapFile(
-                f"sortrun_{id(self)}_m{len(self.runs)}",
-                schema,
-                ctx.disk,
-                ctx.config.page_size,
-                temp=True,
-            )
-            previous = merged.charge_io
-            merged.charge_io = False  # I/O charged in bulk above
-            merged.extend(merged_rows)
-            merged.flush()
-            merged.charge_io = previous
+            # charge_io False: the group's I/O is charged in bulk above
+            merged = self._write_run(f"m{len(self.runs)}", rows, widths, False)
             for run in group:
                 run.drop()
             self.runs = self.runs[fanout:] + [merged]
+            self.run_widths = self.run_widths[fanout:] + [widths]
             yield PULSE
 
     def read_run(self, run: HeapFile) -> Iterator[tuple]:
@@ -169,6 +185,7 @@ class SortRuns:
         for run in self.runs:
             run.drop()
         self.runs.clear()
+        self.run_widths.clear()
 
 
 class SortOp(Operator):
@@ -209,6 +226,7 @@ class SortOp(Operator):
         width_fn = self._width
 
         buffer: list[tuple] = []
+        widths: list[int] = []
         buffer_bytes = 0.0
         for row in self._child.rows():
             if row is PULSE:
@@ -219,16 +237,16 @@ class SortOp(Operator):
             if tracker is not None and segment is not None:
                 tracker.output_rows(segment, 1, width)
             buffer.append(row)
+            widths.append(int(width))
             buffer_bytes += width
             if buffer_bytes > ctx.work_mem_bytes:
-                yield from sort.spill(buffer)
-                buffer = []
+                yield from sort.spill(buffer, widths)  # empties both
                 buffer_bytes = 0.0
 
         memory_run: Optional[list[tuple]] = None
         if sort.runs:
             if buffer:
-                yield from sort.spill(buffer)
+                yield from sort.spill(buffer, widths)
             yield from sort.collapse()
         else:
             yield from sort.sort_buffer(buffer)

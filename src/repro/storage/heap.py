@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.storage.disk import FileHandle, SimulatedDisk
@@ -15,7 +17,12 @@ class HeapFile:
     Used both for base tables (bulk-loaded cost-free before an experiment
     starts) and for temp spill files (written with I/O charged).  Reads are
     performed by the executor through the buffer pool (base tables) or the
-    disk directly (temp files); this class only owns layout and append.
+    disk directly (temp files); this class only owns layout and writing.
+    One page writer fills it: rows go on the open :attr:`page` until one
+    does not fit, then :meth:`roll` writes the page and opens a fresh one
+    (which takes a row of any width).  A caller may fill :attr:`page` in
+    place if it rolls where :meth:`append` would.  ``num_tuples`` and
+    ``total_bytes`` settle when a page closes.
     """
 
     def __init__(
@@ -33,53 +40,69 @@ class HeapFile:
         self._disk = disk
         self._page_size = page_size
         self.handle: FileHandle = disk.allocate(name, temp=temp)
-        self._open_page: Page | None = None
+        #: The open page, written by :meth:`roll`.
+        self.page = Page(page_size)
         self.num_tuples = 0
         self.total_bytes = 0
-        #: Whether appends charge I/O time (False while bulk loading).
+        #: Whether page writes charge I/O time (False while bulk loading).
         self.charge_io = temp
 
     # ------------------------------------------------------------------
     # writing
 
+    def roll(self) -> Page:
+        """Close the open page: write it when it holds rows, settle the
+        counters and open a fresh page.  Returns the open page."""
+        page = self.page
+        if page.rows:
+            self._disk.append_page(self.handle, page, charge_io=self.charge_io)
+            self.num_tuples += len(page.rows)
+            self.total_bytes += page.bytes_used
+            page = self.page = Page(self._page_size)
+        return page
+
     def append(self, row: Sequence[Any], width: Optional[int] = None) -> None:
         """Append one row (of ``schema.row_width`` ``width``, when the caller
-        has it), flushing the open page when it fills.  Per-row cost of every
-        spill and bulk load, so one frame: ``Schema.row_width``, ``Page.fits``
-        and ``Page.append`` inlined, the fit test evaluated once."""
+        has it), rolling the open page when the row does not fit."""
         if width is None:
             width = self._fixed_width
             for i in self._varying:
                 value = row[i]
                 width += 1 if value is None else 1 + len(value)
-        page = self._open_page
-        # (a page never stays empty: a fresh one takes a row of any width)
-        if page is None or (page.rows and page.bytes_used + width > page.capacity):
-            if page is not None:
-                self._disk.append_page(self.handle, page, charge_io=self.charge_io)
-            page = self._open_page = Page(self._page_size)
+        page = self.page
+        if page.rows and page.bytes_used + width > page.capacity:
+            page = self.roll()
         page.rows.append(tuple(row))
         page.bytes_used += width
-        self.num_tuples += 1
-        self.total_bytes += width
 
-    def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.append(row)
+    def write(self, rows: Sequence[tuple], widths: Sequence[int]) -> None:
+        """:meth:`append` each of ``rows`` (tuples of integer ``widths``), a
+        page at a time: one bisection of the running widths per page."""
+        ends = list(accumulate(widths, initial=0))  # ends[i]: bytes of rows[:i]
+        page = self.page
+        i = 0
+        while i < len(rows):
+            room = page.capacity - page.bytes_used
+            j = bisect_right(ends, ends[i] + room, i + 1) - 1
+            if j == i:  # rows[i] does not fit
+                if page.rows:
+                    page = self.roll()
+                    continue
+                j = i + 1
+            page.rows.extend(rows[i:j])
+            page.bytes_used += ends[j] - ends[i]
+            i = j
 
-    def flush(self) -> None:
-        """Force the open page to disk (call after the last append)."""
-        if self._open_page is not None and len(self._open_page):
-            self._disk.append_page(self.handle, self._open_page, charge_io=self.charge_io)
-        self._open_page = None
+    #: Write the open page (call after the last row).
+    flush = roll
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> None:
         """Load rows without charging I/O (experiment setup path)."""
         previous = self.charge_io
         self.charge_io = False
         try:
-            self.extend(rows)
+            for row in rows:
+                self.append(row)
             self.flush()
         finally:
             self.charge_io = previous
@@ -110,7 +133,6 @@ class HeapFile:
     def drop(self) -> None:
         """Release the underlying file (temp cleanup)."""
         self._disk.deallocate(self.handle)
-        self._open_page = None
 
     def __repr__(self) -> str:
         return (

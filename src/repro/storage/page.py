@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-from repro.errors import StorageError
-
 
 class Page:
     """A page holding whole rows up to a byte budget.
 
     Rows are stored as Python tuples; ``bytes_used`` tracks the sum of the
     rows' schema widths so scans can account for work in bytes without
-    re-measuring every tuple.
+    re-measuring every tuple.  Rows go in through a heap file's page writer
+    (:class:`repro.storage.heap.HeapFile`), which owns the fit rule.
     """
 
     __slots__ = ("capacity", "rows", "bytes_used")
@@ -21,17 +18,6 @@ class Page:
         self.capacity = capacity
         self.rows: list[tuple] = []
         self.bytes_used = 0
-
-    def fits(self, width: int) -> bool:
-        """Whether a row of ``width`` bytes fits (a page never stays empty)."""
-        return not self.rows or self.bytes_used + width <= self.capacity
-
-    def append(self, row: Sequence[Any], width: int) -> None:
-        """Append ``row`` of precomputed ``width`` bytes."""
-        if not self.fits(width):
-            raise StorageError("row does not fit in page")
-        self.rows.append(tuple(row))
-        self.bytes_used += width
 
     def __len__(self) -> int:
         return len(self.rows)

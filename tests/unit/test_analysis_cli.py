@@ -21,6 +21,8 @@ from repro.analysis.cli import (
 )
 from repro.analysis.invariants import collect_nodes
 from repro.bench.perf import SHAPE_TEMPLATES
+from repro.planner.physical import SortNode
+from repro.storage.types import INTEGER, StringType
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -142,8 +144,9 @@ class TestVerifyCommand:
             assert f"{name}: OK" in out
 
     def test_synthetic_statements_cover_what_the_paper_plans_skip(self):
-        """An index range scan, a sort under ORDER BY and the unfused merge
-        join are compiled and checked by the default run."""
+        """An index range scan, a sort under ORDER BY, a mixed-direction
+        ORDER BY over a nullable string and the unfused merge join are
+        compiled and checked by the default run."""
         db = _synthetic_database(work_mem=24)
         shapes = {
             name: {type(n).__name__ for n in collect_nodes(db.prepare(sql).root)}
@@ -152,6 +155,14 @@ class TestVerifyCommand:
         assert "IndexScanNode" in shapes["index-range"]
         assert "SortNode" in shapes["external-sort"]
         assert "MergeJoinNode" in shapes["merge-join"]
+        # DESC over a string with NULLs, then ASC over an integer
+        root = db.prepare(SYNTHETIC_STATEMENTS["mixed-order-sort"]).root
+        sort = next(n for n in collect_nodes(root) if isinstance(n, SortNode))
+        kinds = [sort.columns[sort.layout()[c]].type for c, _ in sort.keys]
+        assert [asc for _, asc in sort.keys] == [False, True]
+        assert isinstance(kinds[0], StringType) and kinds[1] == INTEGER
+        assert any(tag is None for _, tag in db.connect().execute(
+            "select k, tag from tags").rows)
 
     def test_single_query(self, capsys):
         assert main(["verify", "--query", "Q1", "--scale", "0.002"]) == 0

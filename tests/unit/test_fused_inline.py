@@ -20,7 +20,7 @@ from repro.analysis.generated import is_row_loop
 from repro.analysis.invariants import verify_plan
 from repro.config import SystemConfig
 from repro.database import Database
-from repro.errors import ExecutionError, ReproError, StorageError
+from repro.errors import ExecutionError, ReproError
 from repro.executor.base import ExecContext
 from repro.executor.fused import FusedQuery
 from repro.executor.hash_join import _stable_hash
@@ -268,11 +268,12 @@ class TestRowsBuiltOnce:
 
 
 def reference_append(schema: Schema, page_size: int, pages: list, row) -> None:
-    """``HeapFile.append`` as it was: four nested calls per row."""
+    """``HeapFile.append`` as it was: the fit rule spelled out per row."""
     width = schema.row_width(row)
-    if not pages or not pages[-1].fits(width):
+    if not pages or (pages[-1].rows and pages[-1].bytes_used + width > page_size):
         pages.append(Page(page_size))
-    pages[-1].append(row, width)
+    pages[-1].rows.append(tuple(row))
+    pages[-1].bytes_used += width
 
 
 STRING_SCHEMA = Schema(
@@ -318,12 +319,48 @@ class TestHeapAppend:
         assert heap.num_tuples == len(rows)
         assert heap.total_bytes == sum(p.bytes_used for p in want)
 
-    def test_page_append_still_refuses_a_row_that_does_not_fit(self):
-        page = Page(64)
-        page.append((1,), 40)
-        assert not page.fits(40)
-        with pytest.raises(StorageError):
-            page.append((2,), 40)
+    def test_a_row_that_does_not_fit_rolls_the_page(self):
+        disk = SimulatedDisk(VirtualClock(), SystemConfig().cost)
+        heap = HeapFile("h", FIXED_SCHEMA, disk, 64)
+        heap.append((1, 0.0, 1), 40)
+        heap.append((2, 0.0, 2), 40)
+        assert heap.page.rows == [(2, 0.0, 2)]
+        assert [p.rows for p in heap.iter_pages()] == [[(1, 0.0, 1)]]
+
+    def test_partition_sink_writes_the_row_engines_pages(self):
+        """The fused sink fills the open page inline: every page write (file,
+        rows, bytes, instant) is the row engine's ``HeapFile.append``'s.
+        ``r``'s rows are 32 bytes, so 256 of them fill a page exactly."""
+
+        def writes(engine):
+            config = SystemConfig(work_mem_pages=1).with_progress(engine=engine)
+            db = Database(config=config)
+            db.create_table(
+                "l", Schema([Column("k", INTEGER), Column("p", string(8))]),
+                [(i % 97, None if i % 3 else "x" * (i % 9)) for i in range(3000)],
+            )
+            db.create_table(
+                "r", Schema([Column("k", INTEGER), Column("v", INTEGER)]),
+                [(i % 89, i) for i in range(6000)],
+            )
+            db.analyze()
+            log = []
+            append_page = db.disk.append_page
+
+            def recorded(handle, page, charge_io=True):
+                append_page(handle, page, charge_io)
+                log.append((handle.name.rsplit("_", 1)[-1], list(page.rows),
+                            page.bytes_used, db.clock.now))
+
+            db.disk.append_page = recorded
+            sql = "select l.p, r.v from l, r where l.k = r.k"
+            assert "batches)" in db.explain(sql)
+            db.connect().submit(sql, monitor=True).result()
+            return log
+
+        fused = writes("batch")
+        assert fused == writes("row")
+        assert any(len(rows) == 256 and used == 8192 for _, rows, used, _ in fused)
 
     def test_integer_routing_is_the_stable_hash(self):
         keys = [0, 1, -1, -7, 2**31, -(2**31) - 5, 2**63 + 11, -(2**70), True]

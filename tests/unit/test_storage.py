@@ -9,7 +9,6 @@ from repro.sim.load import IO
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile
-from repro.storage.page import Page
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, string
 
@@ -25,34 +24,52 @@ def schema():
 
 
 class TestPage:
-    def test_empty_page_accepts_oversized_row(self):
-        page = Page(100)
-        assert page.fits(500)  # a page never stays empty
+    """The fit rule, through the heap file's page writer (the only one)."""
 
-    def test_append_and_len(self):
-        page = Page(1000)
-        page.append((1, "a"), 30)
-        page.append((2, "b"), 30)
-        assert len(page) == 2
-        assert page.bytes_used == 60
+    @staticmethod
+    def heap(disk, page_size):
+        return HeapFile("t", Schema([Column("k", INTEGER)]), disk, page_size)
 
-    def test_fits_respects_budget(self):
-        page = Page(100)
-        page.append((1,), 60)
-        assert page.fits(40)
-        assert not page.fits(41)
+    def test_empty_page_accepts_oversized_row(self, disk):
+        heap = self.heap(disk, 100)
+        heap.append((1,), 500)  # a page never stays empty
+        assert heap.page.rows == [(1,)]
+        heap.flush()
+        assert [p.bytes_used for p in heap.iter_pages()] == [500]
 
-    def test_append_overflow_raises(self):
-        page = Page(100)
-        page.append((1,), 80)
-        with pytest.raises(StorageError):
-            page.append((2,), 30)
+    def test_append_and_len(self, disk):
+        heap = self.heap(disk, 1000)
+        heap.append((1, "a"), 30)
+        heap.append((2, "b"), 30)
+        assert len(heap.page) == 2
+        assert heap.page.bytes_used == 60
 
-    def test_rows_stored_as_tuples(self):
-        page = Page(100)
-        page.append([1, "x"], 10)
-        assert page.rows[0] == (1, "x")
-        assert isinstance(page.rows[0], tuple)
+    def test_fits_respects_budget(self, disk):
+        heap = self.heap(disk, 100)
+        heap.append((1,), 60)
+        heap.append((2,), 40)  # 100: exactly full still fits
+        assert len(heap.page) == 2
+        heap = self.heap(disk, 100)
+        heap.append((1,), 60)
+        heap.append((2,), 41)
+        assert heap.page.rows == [(2,)]
+        assert heap.num_pages == 1
+
+    def test_overflow_rolls_the_page(self, disk):
+        heap = self.heap(disk, 100)
+        heap.append((1,), 80)
+        heap.append((2,), 30)
+        heap.flush()
+        assert [(p.rows, p.bytes_used) for p in heap.iter_pages()] == [
+            ([(1,)], 80),
+            ([(2,)], 30),
+        ]
+
+    def test_rows_stored_as_tuples(self, disk):
+        heap = self.heap(disk, 100)
+        heap.append([1, "x"], 10)
+        assert heap.page.rows[0] == (1, "x")
+        assert isinstance(heap.page.rows[0], tuple)
 
 
 class TestHeapFile:
@@ -104,6 +121,112 @@ class TestHeapFile:
         heap.drop()
         with pytest.raises(StorageError):
             disk.file(fid)
+
+
+def write_timeline(disk):
+    """Record ``clock.now`` after every page write ``disk`` makes."""
+    times = []
+    append_page = disk.append_page
+
+    def recorded(*args, **kwargs):
+        page_no = append_page(*args, **kwargs)
+        times.append(disk.clock.now)
+        return page_no
+
+    disk.append_page = recorded
+    return times
+
+
+#: (rows, page size) of the writer cases; the schema is ``(k int, s string)``.
+WRITER_CASES = {
+    "empty": ([], 64),
+    # 29-byte rows (24 header + 4 + 1 + 0): five fill a page exactly
+    "exact-fit": ([(i, "") for i in range(15)], 145),
+    "wider-than-a-page": (
+        [(1, "a"), (2, "w" * 200), (3, "b"), (4, "v" * 90), (5, "w" * 300)],
+        64,
+    ),
+    "null-strings": (
+        [(i, None if i % 3 == 0 else "s" * (i % 17)) for i in range(80)],
+        96,
+    ),
+}
+
+
+class TestPageWriter:
+    """``HeapFile.write`` (a page at a time) against ``append`` (per row)."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_write_equals_per_row_append(self, schema, case, split):
+        rows, page_size = WRITER_CASES[case]
+        widths = [schema.row_width(row) for row in rows]
+        if case == "exact-fit":
+            assert sum(widths[:5]) == page_size
+        files = []
+        for by_page in (False, True):
+            disk = SimulatedDisk(VirtualClock(), CostModelConfig())
+            times = write_timeline(disk)
+            heap = HeapFile("t", schema, disk, page_size, temp=True)
+            if not by_page:
+                for row in rows:
+                    heap.append(row)
+            elif split is None:
+                heap.write(rows, widths)
+            else:  # the open page carries over from one call to the next
+                heap.write(rows[:split], widths[:split])
+                heap.write(rows[split:], widths[split:])
+            heap.flush()
+            files.append((
+                [(p.rows, p.bytes_used) for p in heap.iter_pages()],
+                heap.num_tuples,
+                heap.total_bytes,
+                disk.writes,
+                times,
+            ))
+        assert files[0] == files[1]
+        pages, num_tuples, total_bytes, writes, times = files[1]
+        assert num_tuples == len(rows) and total_bytes == sum(widths)
+        assert writes == len(pages) == len(times)
+        assert all(isinstance(r, tuple) for page, _ in pages for r in page)
+
+    def test_counters_settle_when_a_page_closes(self, disk, schema):
+        heap = HeapFile("t", schema, disk, 64, temp=True)
+        heap.write([(1, "a" * 30), (2, "b" * 30)], [44, 44])
+        assert (heap.num_tuples, heap.total_bytes) == (1, 44)
+        heap.flush()
+        assert (heap.num_tuples, heap.total_bytes, heap.num_pages) == (2, 88, 2)
+        heap.flush()  # nothing open: no empty page is written
+        assert heap.num_pages == 2
+
+    @pytest.mark.parametrize("engine", ["batch", "row"])
+    def test_spill_capacity_fault_mid_partition_leaks_nothing(self, engine):
+        from repro.config import SystemConfig
+        from repro.database import Database
+        from repro.errors import SpillSpaceError
+        from repro.fault.plan import FaultPlan
+
+        config = SystemConfig(work_mem_pages=1).with_progress(engine=engine)
+        db = Database(config=config)
+        pad = Schema([Column("k", INTEGER), Column("pad", string(120))])
+        db.create_table("big", pad, [(i % 50, "p" * 100) for i in range(600)])
+        db.create_table("small", pad, [(i % 50, "q" * 100) for i in range(400)])
+        db.analyze()
+        sql = "select b.k, s.pad from big b, small s where b.k = s.k"
+        assert "batches)" in db.explain(sql)
+        db.connect().execute(sql)
+        writes = db.disk.writes
+        assert writes > 4
+        db.install_faults(FaultPlan(seed=0, spill_capacity_pages=writes // 4))
+        try:
+            handle = db.connect().submit(sql, name="q")
+            with pytest.raises(SpillSpaceError):
+                handle.result()
+        finally:
+            db.clear_faults()
+        assert handle.state == "failed"
+        assert db.buffer_pool.pinned_count == 0
+        assert db.disk.temp_file_count() == 0
 
 
 class TestSimulatedDisk:
