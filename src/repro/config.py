@@ -161,7 +161,8 @@ class ServiceConfig:
     #: Default per-tenant budget for the summed *predicted* cost (U
     #: pages) of its concurrently admitted queries; a submission pushing
     #: the tenant past it queues until the tenant's own queries drain
-    #: (``tenant_throttled``).  ``None`` = unlimited.  Per-tenant
+    #: (the queued ``admission_decided`` reason names the budget).
+    #: ``None`` = unlimited.  Per-tenant
     #: overrides via :meth:`repro.service.QueryService.register_tenant`.
     tenant_cost_budget_pages: Optional[float] = None
     #: Whether the load-shedding policy loop acts on deadline-bearing

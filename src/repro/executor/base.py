@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - obs is imported lazily at emit time
-    from repro.obs.bus import TraceBus
+from typing import Iterator, Optional
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
@@ -80,7 +77,6 @@ class ExecContext:
         config: SystemConfig,
         tracker: Optional[WorkTracker] = None,
         count_rows: bool = False,
-        trace: Optional["TraceBus"] = None,
     ):
         self.clock = clock
         self.disk = disk
@@ -88,8 +84,6 @@ class ExecContext:
         self.config = config
         #: None disables all progress accounting (the unmonitored fast path).
         self.tracker = tracker
-        #: Optional repro.obs.TraceBus; None is the zero-cost disabled path.
-        self.trace = trace
         self.work_mem_bytes = config.work_mem_pages * config.page_size
         #: EXPLAIN ANALYZE support: when True, every operator's emitted-row
         #: count is recorded in ``actual_rows`` keyed by plan-node identity.

@@ -55,7 +55,6 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
     :class:`ExecutionError` chained from the ``ZeroDivisionError``.
     """
     close = None
-    produced = 0
     completed = False
     try:
         # The fused batch engine compiles the whole plan into one loop nest
@@ -72,12 +71,6 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
             close = fq.close
         elif ctx.tracker is not None:
             check_tracker_alignment(planned.root, ctx.tracker)
-        if ctx.trace is not None:
-            from repro.obs.events import ExecutionStarted
-
-            ctx.trace.emit(
-                ExecutionStarted(t=ctx.clock.now, num_subplans=len(planned.subplans))
-            )
 
         for expr, subplan in planned.subplans:
             sub_ctx = ExecContext(
@@ -96,27 +89,15 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
         else:
             op = build_operator(planned.root, ctx)
             stream, close = op.rows(), op.close
-        if ctx.trace is None:
-            yield from stream
-        else:
-            for item in stream:
-                if item is not PULSE:
-                    # Batch items carry len(item) rows; row items are one.
-                    produced += len(item) if use_fused else 1
-                yield item
+        yield from stream
         completed = True
     except ZeroDivisionError as exc:
         raise ExecutionError("division by zero") from exc
     finally:
         if close is not None:
             close()
-        if completed:
-            if ctx.tracker is not None:
-                ctx.tracker.finish_all()
-            if ctx.trace is not None:
-                from repro.obs.events import ExecutionFinished
-
-                ctx.trace.emit(ExecutionFinished(t=ctx.clock.now, rows=produced))
+        if completed and ctx.tracker is not None:
+            ctx.tracker.finish_all()
 
 
 def run_query(

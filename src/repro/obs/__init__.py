@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, and the estimator-accuracy audit.
+"""Observability: tracing, metrics, and progress-accuracy scoring.
 
 The subsystem explains every estimate the progress indicator emits:
 
@@ -9,9 +9,10 @@ The subsystem explains every estimate the progress indicator emits:
   per-segment span accounting derived from the event stream.
 * Exporters (``repro.obs.exporters``) — JSONL event logs and Chrome
   ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.
-* The audit (``repro.obs.audit``) — replays a trace and scores every
-  per-tick remaining-time estimate against ground truth.
-* A CLI — ``python -m repro.obs {trace,audit,metrics}``.
+* The observatory (``repro.obs.observatory``) — replays a trace into the
+  exact accuracy score card (``scoring``) that the audit prints and the
+  workload-grid leaderboard aggregates (``leaderboard``).
+* A CLI — ``python -m repro.obs {trace,audit,metrics,leaderboard}``.
 
 Tracing is **opt-in**: pass ``trace=True`` (or a ``TraceBus``) to
 ``Session.submit``, or export ``REPRO_TRACE``.  Disabled (the default),
@@ -26,7 +27,6 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.audit import AuditRow, AuditSummary, audit_events, render_audit
 from repro.obs.bus import SealedTrace, TraceBus
 from repro.obs.exporters import (
     chrome_trace,

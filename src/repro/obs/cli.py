@@ -7,7 +7,9 @@ Subcommands:
   JSON (open it in ``chrome://tracing`` or https://ui.perfetto.dev), and
   print the event census, span coverage, and per-segment span table.
 * ``audit`` — replay a trace (fresh run or ``--input trace.jsonl``) and
-  print the per-tick |estimated − actual| remaining-time error table.
+  score it with the leaderboard's definitions: the per-report q-error
+  table, then the score card (exit 1 when the trace has no ground truth:
+  ``not scored: <terminal>``).
 * ``metrics`` — run one monitored query and print the flat metrics dump.
 * ``leaderboard`` — run the workload grid (tier-1 subset by default),
   score every variant's progress accuracy from its sealed trace and print
@@ -36,7 +38,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.obs.audit import audit_events, render_audit
 from repro.obs.bus import TraceBus
 from repro.obs.exporters import (
     read_jsonl,
@@ -45,6 +46,7 @@ from repro.obs.exporters import (
     write_jsonl,
 )
 from repro.obs.metrics import MetricsCollector, compute_spans, render_spans
+from repro.obs.observatory.scoring import render_audit
 
 
 def _build_database(query: Optional[str], scale: float, work_mem: int):
@@ -127,9 +129,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    """Audit estimator accuracy from a fresh run or a saved JSONL trace."""
+    """Score a fresh run or a saved JSONL trace; 1 when it is not scored."""
     if args.input is not None:
-        events = read_jsonl(args.input)
+        try:
+            events = read_jsonl(args.input)
+        except ValueError as exc:  # a malformed line or a removed kind
+            print(f"{args.input}: {exc}", file=sys.stderr)
+            return 2
         name = str(args.input)
     else:
         run = _run_traced(args)
@@ -137,9 +143,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
             return 2
         name, trace = run
         events = trace.events
+    text, score = render_audit(events)
     print(f"Estimator-accuracy audit: {name}")
-    print(render_audit(audit_events(events)))
-    return 0
+    print(text)
+    return 0 if score.scored else 1
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: ./traces)")
     trace.set_defaults(func=cmd_trace)
 
-    audit = sub.add_parser("audit", help="per-tick estimate-error table")
+    audit = sub.add_parser("audit", help="score one trace, report by report")
     common(audit)
     audit.add_argument("--input", default=None, metavar="TRACE_JSONL",
                        help="audit a saved JSONL trace instead of running")

@@ -27,14 +27,11 @@ CandidateEstimated     pluggable estimators: one registered candidate's
 BufferAccess           §4.1 (time-per-U between disk-bound and cached poles)
 PageRead/PageWritten   §4.1 (disk page transfer counters)
 ExtraPass              §4.5 (multi-stage extra pass bytes)
-ExecutionStarted/
-ExecutionFinished      §5.1 (the monitored run itself)
 QueryFinished          §5 (ground truth for the accuracy audit)
+QueryCancelled/
 QueryTimedOut/
 QueryFailed            §3 (terminal outcomes other than completion; the
                        indicator must report honestly on every path)
-FaultInjected          robustness: a seeded fault fired (repro.fault)
-IoRetried/IoGaveUp     robustness: transient-I/O retry with backoff
 IndicatorDegraded      robustness: monitoring failed, query unaffected —
                        the indicator serves its last-good / optimizer
                        fallback estimate ("degrade, don't die")
@@ -43,39 +40,28 @@ AdmissionDecided       §6 (service front-end: one submission's admission
 QueryShed              §6 (the load-shedding policy evicted a query its
                        own remaining-time estimate predicted would miss
                        its deadline)
-TenantThrottled        §6 (a tenant hit its cost budget; its submission
-                       waits in the admission queue)
 =====================  =====================================================
 
 Events are frozen dataclasses with a stable ``kind`` string, a lossless
 ``to_dict`` and a ``event_from_dict`` inverse, so a JSONL trace round-trips
-exactly — the estimator-accuracy audit replays traces through these types.
+exactly — the audit (:mod:`repro.obs.observatory.scoring`) replays traces
+through these types.
 
-**Schema evolution** (``TRACE_SCHEMA_VERSION``): new event kinds and new
-fields may be added, but only with defaults — deserialization fills a
-missing field from its dataclass default, so traces recorded under an
-older schema (e.g. the committed golden traces) replay unchanged.
-Removing or renaming a field, or adding one without a default, is a
-breaking change and requires regenerating every committed trace.
+**Keep rule.**  Every kind has an emitter outside ``repro.obs`` and a
+reader inside it (metrics, exporters, scoring), or a named reason on the
+census allowlist of ``tests/unit/test_obs_bus.py``.
+
+**Wire format.**  A trace replays under the commit that wrote it.  The
+vocabulary carries no version number and promises no replay of older
+traces: a kind that has since been removed fails with ``unknown trace
+event kind``, and committed golden traces are regenerated with the
+vocabulary they pin.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Optional, Type
-
-#: Bumped on every additive change to the event vocabulary.  Version 2
-#: added ``ReportEmitted.estimator`` and the ``candidate_estimated`` kind
-#: (the pluggable-estimator redesign); version 3 added the multi-tenant
-#: service kinds ``admission_decided`` / ``query_shed`` /
-#: ``tenant_throttled``.  Both bumps are additive (new kinds only, new
-#: fields only with defaults), so version-1 and version-2 traces still
-#: replay through the defaults-fill path in :func:`_rebuild`.  The two
-#: operator/pulse probe kinds of the deleted analysis cross-check went
-#: without a bump: only that tool ever emitted them, into traces nobody
-#: committed.
-TRACE_SCHEMA_VERSION = 3
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -178,24 +164,6 @@ class QueryFailed(TraceEvent):
     error: str
 
     kind = "query_failed"
-
-
-@dataclass(frozen=True)
-class ExecutionStarted(TraceEvent):
-    """The executor began pulling rows from the plan root."""
-
-    num_subplans: int
-
-    kind = "execution_started"
-
-
-@dataclass(frozen=True)
-class ExecutionFinished(TraceEvent):
-    """The executor drained the plan root."""
-
-    rows: int
-
-    kind = "execution_finished"
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +327,7 @@ class ReportEmitted(TraceEvent):
     ``estimator`` is the provenance of the estimate behind this report:
     the producing estimator's registry name, or ``"ensemble:<name>"``
     when the online selector served candidate ``<name>``.  ``None`` on
-    pre-redesign (schema v1) traces.
+    a degraded optimizer fallback.
     """
 
     elapsed: float
@@ -439,58 +407,7 @@ class PageWritten(TraceEvent):
 
 
 # ----------------------------------------------------------------------
-# fault injection and recovery (repro.fault)
-
-
-@dataclass(frozen=True)
-class FaultInjected(TraceEvent):
-    """A seeded fault from the active :class:`~repro.fault.FaultPlan` fired.
-
-    ``fault`` is the fault kind ("transient_io", "page_checksum",
-    "transient_write", "spill_exhausted"); ``target`` identifies the I/O
-    operation it hit.
-    """
-
-    fault: str
-    file_id: int
-    page_no: int
-
-    kind = "fault_injected"
-
-
-@dataclass(frozen=True)
-class IoRetried(TraceEvent):
-    """One retry of a transient page I/O, after backoff.
-
-    ``attempt`` counts attempts *used so far including this retry* (the
-    original failed attempt is 1, the first retry is 2).  ``backoff`` is
-    the virtual seconds waited before this retry.
-    """
-
-    fault: str
-    file_id: int
-    page_no: int
-    attempt: int
-    backoff: float
-
-    kind = "io_retry"
-
-
-@dataclass(frozen=True)
-class IoGaveUp(TraceEvent):
-    """The retry budget for a transient I/O is exhausted.
-
-    The transient error now propagates and terminates the query (the
-    scheduler contains it to one task).
-    """
-
-    fault: str
-    file_id: int
-    page_no: int
-    attempts: int
-    error: str
-
-    kind = "io_gave_up"
+# robustness: degrade, don't die
 
 
 @dataclass(frozen=True)
@@ -556,25 +473,6 @@ class QueryShed(TraceEvent):
     kind = "query_shed"
 
 
-@dataclass(frozen=True)
-class TenantThrottled(TraceEvent):
-    """A tenant's submission was held back by its cost budget.
-
-    ``inflight_cost_pages`` is the predicted cost of the tenant's
-    currently admitted queries; admitting ``query`` would push it past
-    ``budget_pages``, so the submission waits in the admission queue
-    until the tenant's own queries drain.
-    """
-
-    tenant: str
-    query: str
-    inflight_cost_pages: float
-    budget_pages: float
-    queued: int
-
-    kind = "tenant_throttled"
-
-
 # ----------------------------------------------------------------------
 # wire format
 
@@ -584,12 +482,7 @@ _EVENT_TYPES: tuple[Type[TraceEvent], ...] = (
     QueryCancelled,
     QueryTimedOut,
     QueryFailed,
-    FaultInjected,
-    IoRetried,
-    IoGaveUp,
     IndicatorDegraded,
-    ExecutionStarted,
-    ExecutionFinished,
     SegmentStarted,
     SegmentFinished,
     ExtraPass,
@@ -603,7 +496,6 @@ _EVENT_TYPES: tuple[Type[TraceEvent], ...] = (
     CandidateEstimated,
     AdmissionDecided,
     QueryShed,
-    TenantThrottled,
     BufferAccess,
     PageRead,
     PageWritten,
@@ -617,30 +509,16 @@ _NESTED = {
     "query_started": {"segments": SegmentMeta},
     "refinement_tick": {"segments": SegmentTrace},
 }
-_SEGMENT_TRACE_NESTED = {"inputs": InputTrace}
 
 
 def _rebuild(cls: type, payload: dict[str, Any]) -> Any:
-    """Reconstruct one (possibly nested) trace dataclass from dict form.
-
-    Tolerates fields absent from the payload when the dataclass declares
-    a default — the schema-evolution contract above: old traces replay
-    under a newer vocabulary.
-    """
-    kwargs: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name not in payload:
-            if f.default is not MISSING or f.default_factory is not MISSING:
-                continue  # filled from the dataclass default
-            raise KeyError(f.name)
-        value = payload[f.name]
-        if cls is SegmentTrace and f.name in _SEGMENT_TRACE_NESTED:
-            inner = _SEGMENT_TRACE_NESTED[f.name]
-            value = tuple(_rebuild(inner, v) for v in value)
-        elif cls is SegmentMeta and f.name == "inputs":
-            value = tuple(tuple(v) for v in value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+    """Reconstruct one nested trace dataclass from its dict form."""
+    data = dict(payload)
+    if cls is SegmentTrace:
+        data["inputs"] = tuple(InputTrace(**v) for v in data["inputs"])
+    elif cls is SegmentMeta:
+        data["inputs"] = tuple(tuple(v) for v in data["inputs"])
+    return cls(**data)
 
 
 def event_from_dict(payload: dict[str, Any]) -> TraceEvent:

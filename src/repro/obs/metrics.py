@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.obs.events import (
+    AdmissionDecided,
     BufferAccess,
     CardinalityRefined,
     DominantSwitched,
     ExtraPass,
+    IndicatorDegraded,
     PageRead,
     PageWritten,
     QueryFinished,
@@ -329,6 +331,10 @@ class MetricsCollector:
         elif isinstance(event, QueryFinished):
             reg.gauge("query.elapsed_seconds").set(event.elapsed)
             reg.gauge("query.actual_cost_pages").set(event.actual_cost_pages)
+        elif isinstance(event, IndicatorDegraded):
+            reg.counter(f"degraded.{event.phase}.{event.fallback}").inc()
+        elif isinstance(event, AdmissionDecided):
+            reg.counter(f"admission.{event.outcome}").inc()
 
     # Convenience: collect a whole recorded stream at once.
     def collect(self, events: list[TraceEvent]) -> MetricsRegistry:

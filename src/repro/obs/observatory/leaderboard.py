@@ -30,7 +30,7 @@ Aggregates (over *scored* cells; the q-error percentiles come from an
 lines the flat metrics exporter emits):
 
 * ``cells_total`` / ``cells_scored`` / ``coverage`` — population counts;
-  cells ending in cancelled/timed-out/failed count toward total only.
+  cells ending in cancelled/timed-out/failed/shed count toward total only.
 * ``qerror_geomean`` — geometric mean of per-cell q-error geomeans.
 * ``qerror_p50`` / ``qerror_p95`` / ``qerror_p99`` — histogram-estimated
   percentiles of the per-cell q-error geomeans.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, TextIO, Union
 
@@ -83,8 +83,8 @@ def grid_config() -> SystemConfig:
     return SystemConfig(work_mem_pages=24)
 
 
-@dataclass(frozen=True)
-class LeaderboardCell:
+@dataclass(frozen=True, kw_only=True)
+class LeaderboardCell(QueryScore):
     """One scored grid cell: the variant's axes plus its score card."""
 
     name: str
@@ -92,19 +92,6 @@ class LeaderboardCell:
     skew: str
     shape: str
     selectivity: str
-    terminal: str
-    scored: bool
-    reports_total: int
-    reports_degraded: int
-    reports_estimated: int
-    qerror_geomean: Optional[float]
-    qerror_max: Optional[float]
-    progress_err_mean: Optional[float]
-    progress_err_max: Optional[float]
-    monotonicity_violations: Optional[int]
-    time_to_within_10: Optional[float]
-    elapsed: Optional[float]
-    actual_cost_pages: Optional[float]
     row_count: Optional[int]
 
 
@@ -143,20 +130,8 @@ def _cell_from_score(
         skew=variant.skew,
         shape=variant.shape,
         selectivity=variant.selectivity_key,
-        terminal=score.terminal,
-        scored=score.scored,
-        reports_total=score.reports_total,
-        reports_degraded=score.reports_degraded,
-        reports_estimated=score.reports_estimated,
-        qerror_geomean=score.qerror_geomean,
-        qerror_max=score.qerror_max,
-        progress_err_mean=score.progress_err_mean,
-        progress_err_max=score.progress_err_max,
-        monotonicity_violations=score.monotonicity_violations,
-        time_to_within_10=score.time_to_within_10,
-        elapsed=score.elapsed,
-        actual_cost_pages=score.actual_cost_pages,
         row_count=row_count,
+        **{f.name: getattr(score, f.name) for f in fields(QueryScore)},
     )
 
 

@@ -1,16 +1,16 @@
 """Per-query progress-accuracy scoring, replayed from a sealed trace.
 
 This module commits to *exact* metric definitions (documented in
-``docs/observability.md``); the leaderboard, its registry claims, and the
+``docs/observability.md``); the leaderboard, its registry claims, the
+``python -m repro.obs audit`` command (:func:`render_audit`) and the
 tests all rely on them.  All inputs come from one query's recorded trace
-events — the same replay machinery as :mod:`repro.obs.audit`, extended
-from one error column to a full score card.
+events, so a trace is scored one way wherever it is scored.
 
 **Ground truth.**  The trace's own ``query_finished`` event: total
 elapsed virtual time ``T`` and the exact total cost.  Queries that end in
-``query_cancelled``, ``query_timed_out``, or ``query_failed`` have no
-ground truth and are *excluded from accuracy scoring* but counted in the
-leaderboard's coverage statistics.
+``query_cancelled``, ``query_timed_out``, ``query_failed`` or
+``query_shed`` have no ground truth and are *excluded from accuracy
+scoring* but counted in the leaderboard's coverage statistics.
 
 **Report eligibility.**  Reports with ``degraded=True`` (fallbacks served
 from behind the degrade-don't-die boundary) are excluded from every error
@@ -42,7 +42,7 @@ estimates ``est_i``, actual remaining ``act_i = max(T - t_i, 0)``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 from repro.obs.events import (
@@ -50,6 +50,7 @@ from repro.obs.events import (
     QueryCancelled,
     QueryFailed,
     QueryFinished,
+    QueryShed,
     QueryTimedOut,
     ReportEmitted,
     TraceEvent,
@@ -68,7 +69,8 @@ class QueryScore:
     """The score card of one traced query run."""
 
     #: Terminal state observed in the trace: "finished", "cancelled",
-    #: "timed_out", "failed", or "unterminated" (no terminal event).
+    #: "timed_out", "failed", "shed", or "unterminated" (no terminal
+    #: event).
     terminal: str
     #: True when the run produced accuracy metrics (terminal == finished
     #: and at least one eligible report).
@@ -107,16 +109,22 @@ def _geomean(values: Iterable[float]) -> float:
     return math.exp(math.fsum(logs) / len(logs))
 
 
+#: Terminal events without ground truth -> ``QueryScore.terminal``.
+_TERMINALS = {
+    QueryCancelled: "cancelled",
+    QueryTimedOut: "timed_out",
+    QueryFailed: "failed",
+    QueryShed: "shed",
+}
+
+
 def _terminal_of(events: list[TraceEvent]) -> tuple[str, Optional[QueryFinished]]:
     for event in events:
         if isinstance(event, QueryFinished):
             return ("finished", event)
-        if isinstance(event, QueryCancelled):
-            return ("cancelled", None)
-        if isinstance(event, QueryTimedOut):
-            return ("timed_out", None)
-        if isinstance(event, QueryFailed):
-            return ("failed", None)
+        terminal = _TERMINALS.get(type(event))
+        if terminal is not None:
+            return (terminal, None)
     return ("unterminated", None)
 
 
@@ -217,3 +225,61 @@ def _time_to_within(estimated: "list", total: float) -> float:
     if lock_from is None:
         return 1.0
     return min(max(lock_from / total, 0.0), 1.0)
+
+
+# ----------------------------------------------------------------------
+# the audit: one trace, scored with the definitions above
+
+
+def _column(value: Optional[float], width: int, spec: str) -> str:
+    return f"{'-':>{width}}" if value is None else f"{value:>{width}{spec}}"
+
+
+def render_audit(events: list[TraceEvent]) -> tuple[str, QueryScore]:
+    """A row per ``report_emitted`` event (its q-error against the
+    trace's ground truth), then the score card of :func:`score_events`
+    and a row per candidate of :func:`score_candidate_events`.  A trace
+    without ground truth ends in one ``not scored: <terminal>`` line."""
+    score = score_events(events)
+    header = (
+        f"{'t (s)':>8} {'% done':>7} {'cost (U)':>10} {'speed':>8} "
+        f"{'est left':>9} {'act left':>9} {'q-error':>8}"
+    )
+    lines = [header, "-" * len(header)]
+    total = score.elapsed
+    for r in (e for e in events if isinstance(e, ReportEmitted)):
+        est = r.est_remaining_seconds
+        act = None if total is None else max(total - r.elapsed, 0.0)
+        q = None if est is None or act is None or r.degraded else _qerror(est, act)
+        lines.append(
+            f"{r.elapsed:8.1f} {100.0 * r.fraction_done:7.1f} "
+            f"{r.est_cost_pages:10.1f} {_column(r.speed_pages_per_sec, 8, '.1f')} "
+            f"{_column(est, 9, '.1f')} {_column(act, 9, '.1f')} {_column(q, 8, '.3f')}"
+            + ("  degraded" if r.degraded else "")
+        )
+    lines.append("")
+    if not score.scored:
+        lines.append(f"not scored: {score.terminal}")
+        return "\n".join(lines), score
+    for f in fields(QueryScore):
+        value = getattr(score, f.name)
+        lines.append(
+            f"{f.name:<24} {value:.6g}" if isinstance(value, float)
+            else f"{f.name:<24} {value}"
+        )
+    candidates = score_candidate_events(events)
+    if candidates:
+        lines.append("")
+        lines.append(
+            f"{'estimator':<12} {'ticks':>6} {'qerr_gm':>8} {'qerr_max':>9} "
+            f"{'perr_mean':>10} {'tt10':>6}"
+        )
+        for name, cand in candidates.items():
+            lines.append(
+                f"{name:<12} {cand.reports_total:>6} "
+                f"{_column(cand.qerror_geomean, 8, '.3f')} "
+                f"{_column(cand.qerror_max, 9, '.3f')} "
+                f"{_column(cand.progress_err_mean, 10, '.4f')} "
+                f"{_column(cand.time_to_within_10, 6, '.2f')}"
+            )
+    return "\n".join(lines), score

@@ -168,7 +168,6 @@ class CooperativeScheduler:
             self.db.buffer_pool,
             self.db.config,
             tracker=None if indicator is None else indicator.tracker,
-            trace=bus,
         )
         task = QueryTask(
             name=name,

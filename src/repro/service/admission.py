@@ -39,7 +39,7 @@ class AdmissionDecision:
     outcome: str
     reason: str
     #: True when the queue/throttle was specifically the tenant's cost
-    #: budget (drives the ``tenant_throttled`` trace event).
+    #: budget (the queue drain then tries the entries behind it).
     tenant_throttled: bool = False
 
 

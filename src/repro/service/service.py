@@ -43,7 +43,7 @@ from repro.errors import AdmissionRejectedError, ProgressError
 from repro.executor.runtime import QueryResult
 from repro.obs import resolve_trace
 from repro.obs.bus import SealedTrace, TraceBus
-from repro.obs.events import AdmissionDecided, TenantThrottled
+from repro.obs.events import AdmissionDecided
 from repro.planner.optimizer import PlannedQuery
 from repro.sched.scheduler import CooperativeScheduler
 from repro.sched.task import (
@@ -253,7 +253,7 @@ class QueryService:
         )
         #: Bounded admission queue (bound enforced by the controller).
         self.queue: deque[_Pending] = deque()
-        #: Service-level trace stream: admission / throttle decisions.
+        #: Service-level trace stream: admission decisions.
         #: (Per-query events land in each task's own bus, as always.)
         self.trace = resolve_trace(trace)
         #: Lifecycle tallies across all submissions.
@@ -378,8 +378,6 @@ class QueryService:
             self.queue.append(
                 _Pending(handle, planned, sql, tenant_obj, kwargs)
             )
-            if decision.tenant_throttled:
-                self._emit_throttled(handle, tenant_obj)
         else:
             handle.outcome = ADMISSION_REJECTED
             handle.rejection = AdmissionRejectedError(
@@ -424,23 +422,6 @@ class QueryService:
                 reason=reason,
                 predicted_cost_pages=handle.predicted_cost_pages,
                 inflight=self._inflight,
-                queued=len(self.queue),
-            )
-        )
-
-    def _emit_throttled(
-        self, handle: QueryHandle, tenant_obj: Tenant
-    ) -> None:
-        if self.trace is None:
-            return
-        budget = tenant_obj.cost_budget_pages
-        self.trace.emit(
-            TenantThrottled(
-                t=self.db.clock.now,
-                tenant=tenant_obj.name,
-                query=handle.name,
-                inflight_cost_pages=tenant_obj.inflight_cost_pages,
-                budget_pages=0.0 if budget is None else budget,
                 queued=len(self.queue),
             )
         )

@@ -9,10 +9,9 @@ the speed curves in the paper's Figures 5, 10 and 14.
 With a :class:`~repro.fault.FaultInjector` installed (``self.faults``),
 charged transfers may fail: transient faults (device timeouts, checksum
 mismatches) are retried here with bounded exponential backoff on the
-virtual clock — emitting ``fault_injected`` / ``io_retry`` /
-``io_gave_up`` trace events — while fatal faults (spill-space
-exhaustion) propagate immediately.  Slow-disk windows multiply the I/O
-cost instead of raising.  ``self.faults is None`` (the default) keeps
+virtual clock — counted in the injector's ``counters()`` — while fatal
+faults (spill-space exhaustion) propagate immediately.  Slow-disk windows
+multiply the I/O cost instead of raising.  ``self.faults is None`` (the default) keeps
 every hook a single identity test, the same near-zero pattern as tracing.
 """
 
@@ -189,12 +188,7 @@ class SimulatedDisk:
     # fault recovery (transient I/O retry with backoff)
 
     def _recover(
-        self,
-        fault: "InjectedFault",
-        handle: FileHandle,
-        page_no: int,
-        is_read: bool,
-        sequential: bool = True,
+        self, fault: "InjectedFault", is_read: bool, sequential: bool = True
     ) -> None:
         """Retry a faulted transfer with bounded exponential backoff.
 
@@ -207,58 +201,33 @@ class SimulatedDisk:
         injector = self.faults
         assert injector is not None
         policy = injector.plan.retry
-        clock = self._clock
-        if self.trace is not None:
-            from repro.obs.events import FaultInjected
-
-            self.trace.emit(FaultInjected(
-                t=clock.now, fault=fault.fault,
-                file_id=handle.file_id, page_no=page_no,
-            ))
         failures_left = fault.failures - 1  # the original attempt failed once
         attempts = 1
         while attempts < policy.max_attempts:
-            backoff = policy.backoff(attempts)
-            clock.advance_wall(backoff)
+            self._clock.advance_wall(policy.backoff(attempts))
             if is_read:
                 self._charge_read(sequential)
             else:
                 self._charge_write()
             attempts += 1
             injector.retries += 1
-            if self.trace is not None:
-                from repro.obs.events import IoRetried
-
-                self.trace.emit(IoRetried(
-                    t=clock.now, fault=fault.fault,
-                    file_id=handle.file_id, page_no=page_no,
-                    attempt=attempts, backoff=backoff,
-                ))
             if failures_left == 0:
                 return  # the retry went through clean
             failures_left -= 1
         injector.gave_up += 1
-        if self.trace is not None:
-            from repro.obs.events import IoGaveUp
-
-            self.trace.emit(IoGaveUp(
-                t=clock.now, fault=fault.fault,
-                file_id=handle.file_id, page_no=page_no,
-                attempts=attempts, error=repr(fault.error),
-            ))
         raise fault.error
 
     def _inject_read(self, handle: FileHandle, page_no: int, sequential: bool) -> None:
         assert self.faults is not None
         fault = self.faults.on_read(handle.file_id, page_no)
         if fault is not None:
-            self._recover(fault, handle, page_no, is_read=True, sequential=sequential)
+            self._recover(fault, is_read=True, sequential=sequential)
 
     def _inject_write(self, handle: FileHandle, page_no: int) -> None:
         assert self.faults is not None
         fault = self.faults.on_write(handle.file_id, page_no)
         if fault is not None:
-            self._recover(fault, handle, page_no, is_read=False)
+            self._recover(fault, is_read=False)
 
     # ------------------------------------------------------------------
     # page transfer

@@ -1,6 +1,6 @@
 """Integration: a traced run explains exactly what the indicator showed.
 
-The audit replays ``report_emitted`` events; the ProgressLog stores the
+The audit scores ``report_emitted`` events; the ProgressLog stores the
 reports the indicator actually emitted.  They must agree row for row —
 the trace is a faithful transcript, not a parallel implementation.
 """
@@ -10,7 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.obs import TraceBus, audit_events, chrome_trace, span_coverage
+from repro.obs import TraceBus, chrome_trace, span_coverage
+from repro.obs.events import ReportEmitted
+from repro.obs.observatory.scoring import render_audit, score_events
 from repro.workloads import queries, tpcr
 
 SCALE = 0.003
@@ -29,37 +31,42 @@ def traced_q1():
 class TestAuditMatchesProgressLog:
     def test_one_audit_row_per_report(self, traced_q1):
         monitored, trace = traced_q1
-        summary = audit_events(trace.events)
-        assert len(summary.rows) == len(monitored.log)
+        text, score = render_audit(trace.events)
+        assert score.reports_total == len(monitored.log)
+        table = text.split("\n\n")[0].splitlines()[2:]
+        assert len(table) == len(monitored.log)
 
     def test_rows_reproduce_the_log(self, traced_q1):
         monitored, trace = traced_q1
-        summary = audit_events(trace.events)
-        for row, report in zip(summary.rows, monitored.log.reports):
-            assert row.elapsed == report.elapsed
-            assert row.percent_done == pytest.approx(100.0 * report.fraction_done)
-            assert row.est_cost_pages == report.est_cost_pages
-            assert row.speed_pages_per_sec == report.speed_pages_per_sec
-            assert row.est_remaining == report.est_remaining_seconds
+        reports = [e for e in trace.events if isinstance(e, ReportEmitted)]
+        assert len(reports) == len(monitored.log.reports)
+        for event, report in zip(reports, monitored.log.reports):
+            assert event.elapsed == report.elapsed
+            assert event.fraction_done == report.fraction_done
+            assert event.est_cost_pages == report.est_cost_pages
+            assert event.speed_pages_per_sec == report.speed_pages_per_sec
+            assert event.est_remaining_seconds == report.est_remaining_seconds
 
     def test_ground_truth_is_the_run_itself(self, traced_q1):
         monitored, trace = traced_q1
-        summary = audit_events(trace.events)
-        assert summary.total_elapsed == pytest.approx(
-            monitored.log.total_elapsed
-        )
-        assert summary.actual_cost_pages == pytest.approx(
+        score = score_events(trace.events)
+        assert score.terminal == "finished" and score.scored
+        assert score.elapsed == pytest.approx(monitored.log.total_elapsed)
+        assert score.actual_cost_pages == pytest.approx(
             monitored.log.final().est_cost_pages
         )
-        # Final row: the query is done, so zero remaining and zero error.
-        assert summary.rows[-1].actual_remaining == 0.0
+        # Final row: the query is done, so zero remaining, q-error 1.
+        text, _score = render_audit(trace.events)
+        last_row = text.split("\n\n")[0].splitlines()[-1].split()
+        assert last_row[-2:] == ["0.0", "1.000"]
 
     def test_unloaded_q1_estimates_are_accurate(self, traced_q1):
         """Figure 6's shape: on an unloaded run the error stays small."""
         _monitored, trace = traced_q1
-        summary = audit_events(trace.events)
-        assert summary.mean_abs_error is not None
-        assert summary.mean_abs_error < 0.05 * summary.total_elapsed
+        score = score_events(trace.events)
+        assert score.qerror_geomean is not None
+        assert score.qerror_geomean < 1.05
+        assert score.monotonicity_violations == 0
 
 
 class TestTraceShape:

@@ -14,19 +14,17 @@ from repro.fault import (
     RetryPolicy,
     SlowDiskWindow,
 )
-from repro.obs.bus import TraceBus
 from repro.sim.clock import VirtualClock
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
 
 
-def _disk(plan=None, trace=None):
+def _disk(plan=None):
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModelConfig())
     if plan is not None:
         disk.faults = FaultInjector(plan, clock)
-    disk.trace = trace
     return disk
 
 
@@ -39,19 +37,16 @@ def _file_with_pages(disk, n=10, temp=False):
 
 class TestRetryLoop:
     def test_transient_fault_is_retried_and_recovers(self):
-        trace = TraceBus()
         plan = FaultPlan(seed=0, transient_read_rate=1.0, max_repeat=1)
-        disk = _disk(plan, trace)
+        disk = _disk(plan)
         handle = _file_with_pages(disk)
 
         disk.read_page(handle, 0)  # faults once, one retry succeeds
 
-        counts = trace.seal().counts()
-        assert counts.get("fault_injected") == 1
-        assert counts.get("io_retry") == 1
-        assert "io_gave_up" not in counts
-        assert disk.faults.retries == 1
-        assert disk.faults.gave_up == 0
+        counters = disk.faults.counters()
+        assert counters["transient_io"] == 1
+        assert counters["io_retries"] == 1
+        assert counters["io_gave_up"] == 0
 
     def test_retry_charges_io_and_backoff_time(self):
         plan = FaultPlan(seed=0, transient_read_rate=1.0, max_repeat=1)
@@ -71,31 +66,27 @@ class TestRetryLoop:
         )
 
     def test_exhausted_budget_raises_the_transient_error(self):
-        trace = TraceBus()
         # 5 consecutive failures > 3 retries -> the disk gives up.
         plan = FaultPlan(
             seed=0, transient_read_rate=1.0, max_repeat=5,
             retry=RetryPolicy(max_attempts=4),
         )
-        disk = _disk(plan, trace)
+        disk = _disk(plan)
         handle = _file_with_pages(disk)
         # max_repeat=5 draws failures in [1,5]; find a page that needs > 3.
         with pytest.raises(TransientIOError):
             for page_no in range(10):
                 disk.read_page(handle, page_no)
-        counts = trace.seal().counts()
-        assert counts.get("io_gave_up", 0) >= 1
-        assert disk.faults.gave_up >= 1
+        assert disk.faults.counters()["io_gave_up"] >= 1
 
     def test_write_faults_retry_too(self):
-        trace = TraceBus()
         plan = FaultPlan(seed=0, transient_write_rate=1.0, max_repeat=1)
-        disk = _disk(plan, trace)
+        disk = _disk(plan)
         handle = disk.allocate("w")
         disk.append_page(handle, Page(capacity=8192))
-        counts = trace.seal().counts()
-        assert counts.get("fault_injected") == 1
-        assert counts.get("io_retry") == 1
+        counters = disk.faults.counters()
+        assert counters["transient_write"] == 1
+        assert counters["io_retries"] == 1
 
     def test_uncharged_io_is_never_faulted(self):
         plan = FaultPlan(seed=0, transient_read_rate=1.0, max_repeat=1)

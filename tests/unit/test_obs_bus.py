@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TraceError
 from repro.obs.bus import TraceBus
 from repro.obs.events import (
+    _EVENT_TYPES,
     EVENT_KINDS,
     BufferAccess,
     CardinalityRefined,
@@ -114,12 +120,12 @@ class TestBusSubscribers:
 
 class TestEventWireFormat:
     def test_every_kind_is_registered_and_unique(self):
-        assert len(EVENT_KINDS) == 28
+        assert len(EVENT_KINDS) == len(_EVENT_TYPES)
         assert "event" not in EVENT_KINDS  # base class is not wire-visible
 
     def test_v1_payload_replays_without_new_fields(self):
-        """Schema evolution: fields added with defaults (schema v2's
-        ``ReportEmitted.estimator``) must not break old-trace replay."""
+        """A payload may omit a field that has a dataclass default
+        (``ReportEmitted.estimator``): it fills from the default."""
         payload = {
             "kind": "report_emitted", "t": 10.0, "elapsed": 10.0,
             "done_pages": 5.0, "est_cost_pages": 50.0, "fraction_done": 0.1,
@@ -146,3 +152,106 @@ class TestEventWireFormat:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown trace event kind"):
             event_from_dict({"kind": "nope", "t": 0.0})
+
+
+# ----------------------------------------------------------------------
+# the keep rule: every kind earns a reader
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Kinds kept although no module under ``src/repro/obs/`` reads them,
+#: each with its reason.  Nothing else may join without one.
+READERLESS = {
+    "ticker_fired": "the repo benchmark (benchmarks/e2e/layers.py) times "
+    "TraceBus.emit with it (obs.emit_ns) and imports the class",
+    "speed_sampled": "the cumulative pages a trace-replayed speed monitor "
+    "reads, to score every estimator from one logged execution",
+    "refinement_tick": "the per-segment, per-input refinement state an "
+    "explain view reads to say which estimate was wrong and by how much",
+}
+
+
+@lru_cache(maxsize=None)
+def _module_refs(path: Path) -> tuple[frozenset, frozenset]:
+    """(names called, every name and string constant used) in one
+    module; an import alone is neither."""
+    calls: set[str] = set()
+    uses: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            calls.add(node.func.id)
+        elif isinstance(node, ast.Name):
+            uses.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.add(node.value)
+    return frozenset(calls), frozenset(uses)
+
+
+def _emitted(cls: type) -> bool:
+    """Some module in ``src/repro/`` outside ``obs/`` constructs it."""
+    return any(
+        cls.__name__ in _module_refs(path)[0]
+        for path in SRC.rglob("*.py")
+        if "obs" not in path.relative_to(SRC).parts
+    )
+
+
+def _read(cls: type) -> bool:
+    """Some module under ``src/repro/obs/`` other than the vocabulary
+    itself names the class or its kind string."""
+    return any(
+        {cls.__name__, cls.kind} & _module_refs(path)[1]
+        for path in (SRC / "obs").rglob("*.py")
+        if path.name != "events.py"
+    )
+
+
+def _unread(kinds: dict[str, type]) -> list[str]:
+    return sorted(
+        k for k, cls in kinds.items() if k not in READERLESS and not _read(cls)
+    )
+
+
+class TestEventCensus:
+    def test_twenty_two_kinds(self):
+        assert len(EVENT_KINDS) == 22
+
+    def test_every_kind_has_an_emitter_outside_obs(self):
+        unemitted = [k for k, cls in EVENT_KINDS.items() if not _emitted(cls)]
+        assert unemitted == []
+
+    def test_every_kind_has_a_reader_or_a_reason(self):
+        assert _unread(EVENT_KINDS) == []
+
+    def test_the_allowlist_is_exactly_three_unread_kinds(self):
+        assert set(READERLESS) == {
+            "ticker_fired", "speed_sampled", "refinement_tick",
+        }
+        assert all(reason for reason in READERLESS.values())
+        # A kind that gains a reader comes off the list.
+        assert [k for k in READERLESS if _read(EVENT_KINDS[k])] == []
+
+    def test_a_removed_kind_back_without_a_reader_fails(self):
+        """The six kinds that mirrored a counter or nothing at all: were
+        one registered again, the census would name it."""
+
+        def kind(name: str, wire: str) -> type:
+            return dataclass(frozen=True)(
+                type(name, (TraceEvent,), {"kind": wire})
+            )
+
+        returned = {
+            wire: kind(name, wire)
+            for name, wire in (
+                ("ExecutionStarted", "execution_started"),
+                ("ExecutionFinished", "execution_finished"),
+                ("FaultInjected", "fault_injected"),
+                ("IoRetried", "io_retry"),
+                ("IoGaveUp", "io_gave_up"),
+                ("TenantThrottled", "tenant_throttled"),
+            )
+        }
+        assert _unread({**EVENT_KINDS, **returned}) == sorted(returned)
+        for wire in returned:
+            with pytest.raises(ValueError, match="unknown trace event kind"):
+                event_from_dict({"kind": wire, "t": 0.0})

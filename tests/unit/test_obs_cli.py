@@ -10,6 +10,7 @@ from pathlib import Path
 from repro.obs.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+DATA = Path(__file__).parent / "data"
 
 SCALE = ["--scale", "0.002"]
 
@@ -41,8 +42,8 @@ class TestAuditCommand:
     def test_audit_fresh_run(self, capsys):
         assert main(["audit", "--query", "q1", *SCALE]) == 0
         out = capsys.readouterr().out
-        assert "|error|" in out
-        assert "remaining-time error" in out
+        assert "q-error" in out
+        assert "qerror_geomean" in out
 
     def test_audit_saved_trace(self, tmp_path, capsys):
         assert main(["trace", "--query", "q1", "--out", str(tmp_path), *SCALE]) == 0
@@ -51,7 +52,35 @@ class TestAuditCommand:
         assert main(["audit", "--input", str(trace_file)]) == 0
         out = capsys.readouterr().out
         assert str(trace_file) in out
-        assert "query elapsed" in out
+        assert "terminal                 finished" in out
+
+    def test_committed_golden_replays(self, capsys):
+        assert main(["audit", "--input", str(DATA / "obs_golden.trace.jsonl")]) == 0
+        assert "scored                   True" in capsys.readouterr().out
+
+    def test_trace_without_query_finished_is_not_scored(self, tmp_path, capsys):
+        """No traceback: the report table, one line, exit 1."""
+        lines = (DATA / "obs_golden.trace.jsonl").read_text().splitlines()
+        kept = [line for line in lines if '"query_finished"' not in line]
+        assert len(kept) == len(lines) - 1
+        trace_file = tmp_path / "unfinished.trace.jsonl"
+        trace_file.write_text("\n".join(kept) + "\n")
+        assert main(["audit", "--input", str(trace_file)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "not scored: unterminated"
+        assert out[-3].split() == ["10.0", "53.8", "26.0", "2.0", "6.0", "-", "-"]
+
+    def test_shed_trace_is_not_scored(self, capsys):
+        golden = DATA / "obs_golden_service.trace.jsonl"
+        assert main(["audit", "--input", str(golden)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "not scored: shed"
+
+    def test_removed_kind_exits_two(self, tmp_path, capsys):
+        trace_file = tmp_path / "old.trace.jsonl"
+        trace_file.write_text('{"kind": "execution_started", "t": 0.0}\n')
+        assert main(["audit", "--input", str(trace_file)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown trace event kind 'execution_started'" in err
 
 
 class TestMetricsCommand:

@@ -28,7 +28,6 @@ from repro.obs.events import (
     SegmentMeta,
     SegmentStarted,
     SpeedEstimated,
-    TenantThrottled,
     TraceEvent,
 )
 from repro.obs.exporters import (
@@ -42,10 +41,7 @@ from repro.obs.exporters import (
 DATA = Path(__file__).parent / "data"
 GOLDEN_JSONL = DATA / "obs_golden.trace.jsonl"
 GOLDEN_CHROME = DATA / "obs_golden.trace.json"
-#: The schema-v1 JSONL (pre-``estimator`` field), pinned forever: new
-#: event fields must be additive-with-defaults so old traces replay.
-GOLDEN_V1_JSONL = DATA / "obs_golden_v1.trace.jsonl"
-#: The service-layer events (schema v3: admission / shedding / tenants).
+#: The service-layer events (admission and shedding).
 GOLDEN_SERVICE_JSONL = DATA / "obs_golden_service.trace.jsonl"
 
 
@@ -88,16 +84,13 @@ def golden_events() -> list[TraceEvent]:
 
 
 def golden_service_events() -> list[TraceEvent]:
-    """A fixed overload episode: admit, throttle, reject, shed."""
+    """A fixed overload episode: admit, queue on the tenant budget,
+    reject, shed."""
     return [
         AdmissionDecided(
             t=0.0, tenant="acme", query="q1", outcome="admitted",
             reason="capacity available", predicted_cost_pages=218.5,
             inflight=0, queued=0,
-        ),
-        TenantThrottled(
-            t=0.0, tenant="acme", query="q2",
-            inflight_cost_pages=218.5, budget_pages=300.0, queued=0,
         ),
         AdmissionDecided(
             t=0.0, tenant="acme", query="q2", outcome="queued",
@@ -142,17 +135,10 @@ class TestJsonl:
     def test_read_from_golden_path(self):
         assert read_jsonl(GOLDEN_JSONL) == golden_events()
 
-    def test_schema_v1_golden_still_replays(self):
-        """Traces recorded before ``ReportEmitted.estimator`` existed
-        (schema v1) must replay into the current vocabulary unchanged —
-        the missing field fills from its dataclass default."""
-        assert read_jsonl(GOLDEN_V1_JSONL) == golden_events()
-
 
 class TestServiceGolden:
-    """Schema v3 pins the service vocabulary (admission / shedding /
-    tenants): the golden file is the wire contract for dashboards that
-    consume ``admission_decided`` / ``tenant_throttled`` / ``query_shed``."""
+    """The golden file pins the service vocabulary: the wire contract
+    for dashboards that consume ``admission_decided`` / ``query_shed``."""
 
     def test_matches_golden_file(self, tmp_path):
         out = tmp_path / "svc.jsonl"
@@ -170,8 +156,8 @@ class TestServiceGolden:
         assert read_jsonl(GOLDEN_SERVICE_JSONL) == golden_service_events()
 
     def test_shed_reason_defaults_fill(self):
-        """A ``query_shed`` recorded without ``reason`` (the field has a
-        default) must replay — the additive-with-defaults schema rule."""
+        """A ``query_shed`` payload may omit ``reason``: the field has a
+        dataclass default."""
         line = json.dumps(
             {"kind": "query_shed", "t": 1.0, "elapsed": 1.0,
              "done_pages": 2.0, "fraction_done": 0.1}

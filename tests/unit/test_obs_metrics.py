@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.events import (
+    AdmissionDecided,
     BufferAccess,
+    IndicatorDegraded,
     PageRead,
     PageWritten,
     QueryFinished,
@@ -135,6 +137,23 @@ class TestCollector:
         assert reg.gauge("query.elapsed_seconds").value == 20.0
         # The None speed sample is not observed in the distribution.
         assert reg.histogram("speed.distribution", ()).count == 1
+
+    def test_degradations_and_admissions_counted_by_cause(self):
+        def decided(outcome: str) -> AdmissionDecided:
+            return AdmissionDecided(
+                t=0.0, tenant="acme", query="q", outcome=outcome, reason="r",
+                predicted_cost_pages=1.0, inflight=0, queued=0,
+            )
+
+        events = [
+            decided("admitted"), decided("queued"), decided("admitted"),
+            IndicatorDegraded(t=1.0, phase="report", fallback="last_good",
+                              error="boom"),
+        ]
+        reg = MetricsCollector().collect(events)
+        assert reg.counter("admission.admitted").value == 2
+        assert reg.counter("admission.queued").value == 1
+        assert reg.counter("degraded.report.last_good").value == 1
 
 
 def _query_started_two_segments() -> QueryStarted:

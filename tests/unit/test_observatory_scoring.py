@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.events import (
+    CandidateEstimated,
     QueryCancelled,
     QueryFailed,
     QueryFinished,
+    QueryShed,
     QueryTimedOut,
     ReportEmitted,
 )
 from repro.obs.observatory import QERROR_FLOOR_SECONDS, score_events
+from repro.obs.observatory.scoring import render_audit
 
 
 _ACCURATE = object()  # sentinel: "use the perfectly-accurate default"
@@ -71,6 +74,8 @@ class TestTerminals:
                            fraction_done=0.5), "timed_out"),
             (QueryFailed(t=50.0, elapsed=50.0, done_pages=10.0,
                          fraction_done=0.5, error="boom"), "failed"),
+            (QueryShed(t=50.0, elapsed=50.0, done_pages=10.0,
+                       fraction_done=0.5), "shed"),
         ],
     )
     def test_non_finished_terminals_are_coverage_only(
@@ -84,6 +89,15 @@ class TestTerminals:
         # ...but the reports still count toward coverage statistics.
         assert score.reports_total == 2
         assert score.reports_estimated == 2
+
+    def test_shed_query_is_shed_not_unterminated(self):
+        """The service's eviction is a terminal state of its own."""
+        shed = QueryShed(t=40.0, elapsed=40.0, done_pages=40.0,
+                         fraction_done=0.4, reason="predicted to miss deadline")
+        score = score_events([report(10.0), shed])
+        assert score.terminal == "shed"
+        assert not score.scored
+        assert score.reports_total == 1
 
     def test_unterminated_trace_is_not_scored(self):
         score = score_events([report(10.0)])
@@ -177,3 +191,59 @@ class TestMetrics:
     def test_time_to_within_10_never_locks(self):
         events = [report(50.0, est=500.0), finished()]
         assert score_events(events).time_to_within_10 == 1.0
+
+
+def candidate(
+    t: float, name: str, est: float, total: float = 100.0
+) -> CandidateEstimated:
+    return CandidateEstimated(
+        t=t, estimator=name, elapsed=t, done_pages=t, est_cost_pages=total,
+        fraction_done=t / total, est_remaining_seconds=est,
+        selected=name == "paper", score=None,
+    )
+
+
+class TestAudit:
+    """The audit prints what :func:`score_events` computes, one way."""
+
+    def test_one_row_per_report_with_its_qerror(self):
+        events = [report(10.0, est=45.0), report(60.0), finished()]
+        text, score = render_audit(events)
+        assert score == score_events(events)
+        rows = text.splitlines()[2:4]
+        # est 45 s vs actual 90 s remaining: q-error 2.
+        assert rows[0].split() == [
+            "10.0", "10.0", "100.0", "1.0", "45.0", "90.0", "2.000",
+        ]
+        assert rows[1].split()[-1] == "1.000"
+
+    def test_score_card_is_the_query_score(self):
+        events = [report(10.0, est=45.0), report(60.0), finished()]
+        text, score = render_audit(events)
+        assert f"qerror_geomean           {score.qerror_geomean:.6g}" in text
+        assert "monotonicity_violations  0" in text
+        assert "not scored" not in text
+
+    def test_degraded_report_shows_but_carries_no_qerror(self):
+        events = [report(10.0, degraded=True), report(60.0), finished()]
+        text, _score = render_audit(events)
+        degraded_row = text.splitlines()[2]
+        assert degraded_row.endswith("-  degraded")
+
+    def test_trace_without_ground_truth_ends_not_scored(self):
+        shed = QueryShed(t=40.0, elapsed=40.0, done_pages=40.0, fraction_done=0.4)
+        text, score = render_audit([report(10.0), shed])
+        lines = text.splitlines()
+        assert lines[2].split()[-2:] == ["-", "-"]  # no actual, no q-error
+        assert lines[-1] == "not scored: shed"
+        assert not score.scored
+
+    def test_candidates_get_a_row_each(self):
+        events = [
+            report(10.0), candidate(10.0, "paper", 90.0),
+            candidate(10.0, "dne", 45.0), finished(),
+        ]
+        text, _score = render_audit(events)
+        rows = {line.split()[0]: line.split() for line in text.splitlines()[-2:]}
+        assert rows["paper"][1:3] == ["1", "1.000"]
+        assert rows["dne"][1:3] == ["1", "2.000"]

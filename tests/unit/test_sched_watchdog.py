@@ -123,7 +123,7 @@ class TestContainment:
 
     def test_exhausted_retries_surface_the_transient_error(self):
         db = _db()
-        db.install_faults(FaultPlan(
+        injector = db.install_faults(FaultPlan(
             seed=1, transient_read_rate=1.0, max_repeat=10,
             retry=RetryPolicy(max_attempts=2),
         ))
@@ -134,7 +134,8 @@ class TestContainment:
         finally:
             db.clear_faults()
         assert handle.state == FAILED
-        assert handle.trace().counts().get("io_gave_up", 0) >= 1
+        assert injector.counters()["io_gave_up"] >= 1
+        assert handle.trace().counts().get("query_failed") == 1
 
     def test_every_terminal_state_is_exactly_one(self):
         db = _db(work_mem_pages=8)

@@ -111,10 +111,17 @@ class TestAdmission:
         service.run()
         counts = service.trace.counts()
         # a admitted; b queued (tenant budget) then promoted; c rejected.
-        assert counts["admission_decided"] == 4
-        assert counts["tenant_throttled"] == 1
-        outcomes = [e.outcome for e in service.trace.of_kind("admission_decided")]
-        assert outcomes == ["admitted", "queued", "rejected", "admitted"]
+        assert counts == {"admission_decided": 4}
+        decided = list(service.trace.of_kind("admission_decided"))
+        assert [e.outcome for e in decided] == [
+            "admitted", "queued", "rejected", "admitted",
+        ]
+        # The queued verdict states the budget arithmetic itself.
+        assert decided[1].query == "b"
+        assert decided[1].reason.startswith(
+            "tenant 'acme' over cost budget ("
+        )
+        assert decided[1].reason.endswith(" > 1 pages)")
 
     def test_duplicate_name_rejected(self):
         service = _db().service()
