@@ -94,21 +94,31 @@ def _synthetic_database(work_mem: int) -> "Database":
     return db
 
 
-def _build_database(name: str, scale: float, work_mem: int) -> "Database":
-    """The instance target ``name`` is planned against: the synthetic one,
+def _instance(name: str) -> str:
+    """Which database target ``name`` is planned against: the synthetic one,
     the correlated generator for Q3, TPC-R with the ``shapecheck`` indexes
     for its templates, plain TPC-R for everything else."""
     from repro.bench.perf import SHAPE_TEMPLATES
+
+    if name in SYNTHETIC_STATEMENTS:
+        return "synthetic"
+    if name == "Q3":
+        return "correlated"
+    return "indexed" if name in SHAPE_TEMPLATES else "tpcr"
+
+
+def _build_database(instance: str, scale: float, work_mem: int) -> "Database":
+    """Build one :func:`_instance` database."""
     from repro.config import SystemConfig
     from repro.workloads import correlated, tpcr
 
-    if name in SYNTHETIC_STATEMENTS:
+    if instance == "synthetic":
         return _synthetic_database(work_mem)
     config = SystemConfig(work_mem_pages=work_mem)
-    if name == "Q3":
+    if instance == "correlated":
         return correlated.build_database(scale=scale, config=config)
     return tpcr.build_database(
-        scale=scale, config=config, with_indexes=name in SHAPE_TEMPLATES
+        scale=scale, config=config, with_indexes=instance == "indexed"
     )
 
 
@@ -171,9 +181,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shapes = {k: t.format(n=1) for k, t in SHAPE_TEMPLATES.items()}
         targets = {**queries.PAPER_QUERIES, **SYNTHETIC_STATEMENTS, **shapes}
 
+    # Planning and compiling leave a database as built: one per instance.
+    databases: dict[str, "Database"] = {}
     results: dict[str, list[Violation]] = {}
     for name, sql in targets.items():
-        db = _build_database(name, args.scale, args.work_mem)
+        instance = _instance(name)
+        if instance not in databases:
+            databases[instance] = _build_database(instance, args.scale, args.work_mem)
+        db = databases[instance]
         try:
             planned = db.prepare(sql)
         except ReproError as exc:

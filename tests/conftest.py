@@ -19,6 +19,7 @@ from repro.database import Database
 from repro.storage.schema import Column, Schema
 from repro.storage.types import FLOAT, INTEGER, string
 from repro.workloads import queries, tpcr
+from tests.grid_runs import Tier1Runs
 
 
 @pytest.fixture
@@ -53,6 +54,12 @@ def tiny_tpcr() -> Database:
 @pytest.fixture(scope="session")
 def tpcr_queries() -> dict[str, str]:
     return queries.PAPER_QUERIES
+
+
+@pytest.fixture(scope="session")
+def tier1_runs() -> Tier1Runs:
+    """Every tier-1 grid cell, run once per session (``tests/grid_runs.py``)."""
+    return Tier1Runs()
 
 
 @pytest.fixture(scope="session")

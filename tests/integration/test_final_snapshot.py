@@ -9,39 +9,28 @@ of one query would end on different totals.
 
 import pytest
 
-from repro.obs.observatory.leaderboard import grid_config
-from repro.workloads import queries, tpcr
-from repro.workloads.grid import resolve_grid
+from repro.workloads import grid, queries
+from tests.grid_runs import observe
 
 
-def _assert_identical(handle) -> None:
-    handle.result()
-    assert handle.state == "finished"
-    estimator = handle.task.indicator.estimator
-    final, full = estimator.final_snapshot(), estimator.snapshot()
+def _assert_identical(cell) -> None:
+    assert cell.state == "finished"
+    final, full = cell.closing
     assert full.segments and not final.segments
     assert final.est_total_bytes == full.est_total_bytes
 
 
 @pytest.mark.parametrize("name", sorted(queries.PAPER_QUERIES))
-def test_paper_query(name):
-    db = tpcr.build_database(scale=0.002, subset_rows=60)
-    handle = db.connect().submit(
-        queries.PAPER_QUERIES[name], name=name, keep_rows=False,
-        trace=False, estimator="paper",
-    )
-    _assert_identical(handle)
+def test_paper_query(tier1_runs, name):
+    _assert_identical(observe(
+        tier1_runs.fresh("tpcr-60"), queries.PAPER_QUERIES[name],
+        name=name, keep_rows=False, trace=False, estimator="paper",
+    ))
 
 
-def test_tier1_grid():
-    datasets = {}
-    for variant in resolve_grid("tier1"):
-        db = datasets.get(variant.dataset_key)
-        if db is None:
-            db = datasets[variant.dataset_key] = variant.build_database(grid_config())
-        db.restart()
-        handle = db.connect().submit(
-            variant.sql, name=variant.name, keep_rows=False,
-            trace=False, estimator="paper",
-        )
-        _assert_identical(handle)
+def test_tier1_grid(tier1_runs):
+    """Every paper-estimator cell of the grid: at the leaderboard's
+    work_mem (``spill``) and at the default one, on both engines."""
+    for name in grid.TIER1_NAMES:
+        for lane in ("spill", "row", "cold", "warm", "prepared"):
+            _assert_identical(tier1_runs(name)[lane])

@@ -8,10 +8,15 @@ and plain:
   maps to two texts (the invariant a cache hit relies on), and statements
   of one template that differ in their literals share one key;
 * **a hit is a forced miss** — the same statement runs on two databases
-  built alike, once with the cache cleared just before (a miss: compiled
-  from this plan) and once straight after (a hit: bound to the program the
-  other database's plan compiled).  Rows, ProgressLog, final ``clock.now``,
-  ``cost_charged`` and the storage counters must be identical.
+  that are copies of one build and have run the same statements, once with
+  the cache cleared just before (a miss: compiled from this plan) and once
+  straight after (a hit: bound to the program the other database's plan
+  compiled).  Neither database has planned the text before.  Rows,
+  ProgressLog, final ``clock.now``, ``cost_charged`` and the storage
+  counters must be identical.
+
+The grid cells are the ``tier1_runs`` fixture's ``cold`` and ``warm``
+lanes; keys and texts are taken on a copy that only plans.
 """
 
 from __future__ import annotations
@@ -19,32 +24,14 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.perf import SHAPE_TEMPLATES
-from repro.config import SystemConfig
 from repro.core.indicator import ProgressIndicator
 from repro.executor import fused
 from repro.executor.base import ExecContext
-from repro.workloads import grid, tpcr
+from repro.workloads import grid
+from tests.grid_runs import VARIANTS, observe
 
-#: label -> (database the misses run on, database the hits run on).
-_PAIRS: dict = {}
 #: Plan-shape key -> (text, statement) of everything this module compiled.
 _TEXT_OF: dict = {}
-
-
-def _pair(label, build):
-    if label not in _PAIRS:
-        _PAIRS[label] = (build(), build())
-    return _PAIRS[label]
-
-
-def _shape_pair():
-    config = SystemConfig(work_mem_pages=1)
-    return _pair(
-        "shapes",
-        lambda: tpcr.build_database(
-            scale=0.002, subset_rows=60, config=config, with_indexes=True
-        ),
-    )
 
 
 def _record_text(db, sql, monitored):
@@ -64,48 +51,35 @@ def _record_text(db, sql, monitored):
     return key
 
 
-def _observe(db, sql, monitored):
-    db.restart()
-    handle = db.connect().submit(sql, monitor=monitored)
-    result = handle.result()
-    return (
-        result.rows,
-        handle.log,
-        db.clock.now,
-        dict(db.clock.cost_charged),
-        db.disk.io_counters(),
-        (db.buffer_pool.hits, db.buffer_pool.misses),
-        db.disk.temp_file_count(),
-    )
-
-
-def _hit_equals_forced_miss(pair, sql, monitored):
-    miss_db, hit_db = pair
-    _record_text(miss_db, sql, monitored)
-    fused.code_cache_clear()
-    missed = _observe(miss_db, sql, monitored)
-    compiled = fused.code_cache_info()
-    assert compiled.misses >= 1 and compiled.hits == 0
-    hit = _observe(hit_db, sql, monitored)
-    after = fused.code_cache_info()
-    assert after.misses == compiled.misses and after.hits == compiled.misses
-    assert hit == missed
+def _assert_hit_equals_forced_miss(missed, hit) -> None:
+    assert missed.statements == hit.statements == (0, 1)
+    compiled = missed.programs[1]
+    assert compiled >= 1 and missed.programs[0] == 0
+    assert hit.programs == (compiled, 0)
+    assert hit.outcome == missed.outcome
 
 
 @pytest.mark.parametrize("monitored", [True, False], ids=["monitored", "plain"])
 @pytest.mark.parametrize("name", grid.TIER1_NAMES)
-def test_tier1_variant(name, monitored):
-    variant = grid.variants_by_name()[name]
-    pair = _pair(variant.dataset_key, variant.build_database)
-    _hit_equals_forced_miss(pair, variant.sql, monitored)
+def test_tier1_variant(tier1_runs, name, monitored):
+    variant = VARIANTS[name]
+    prefix = "" if monitored else "plain-"
+    cells = tier1_runs(name)
+    _assert_hit_equals_forced_miss(cells[prefix + "cold"], cells[prefix + "warm"])
+    plans = tier1_runs.database("plans", variant.dataset_key)
+    _record_text(plans, variant.sql, monitored)
 
 
 @pytest.mark.parametrize("monitored", [True, False], ids=["monitored", "plain"])
 @pytest.mark.parametrize("name", SHAPE_TEMPLATES)
-def test_shape_template(name, monitored):
-    pair = _shape_pair()
+def test_shape_template(tier1_runs, name, monitored):
+    # Both cache suites run the templates on one pair of shape_database()s.
+    miss_db, hit_db = (tier1_runs.database(side, "shapes") for side in ("miss", "hit"))
     template = SHAPE_TEMPLATES[name]
-    keys = {_record_text(pair[0], template.format(n=n), monitored) for n in (1, 7, 23)}
+    plans = tier1_runs.database("plans", "shapes")
+    keys = {_record_text(plans, template.format(n=n), monitored) for n in (1, 7, 23)}
     assert len(keys) == 1  # literals are not in the key
     for n in (1, 7):
-        _hit_equals_forced_miss(pair, template.format(n=n), monitored)
+        sql = tier1_runs.unique_text(template.format(n=n))
+        missed = observe(miss_db, sql, monitor=monitored, clear=True)
+        _assert_hit_equals_forced_miss(missed, observe(hit_db, sql, monitor=monitored))

@@ -29,7 +29,8 @@ from repro.core.indicator import ProgressIndicator
 from repro.executor.base import PULSE, ExecContext
 from repro.executor.batch import Batch
 from repro.executor.runtime import execute
-from repro.workloads import grid, queries, tpcr
+from repro.workloads import queries
+from tests.grid_runs import VARIANTS
 
 #: Small enough that most batches fill (and flush) in the middle of a page.
 BATCH_ROWS = 6
@@ -45,22 +46,6 @@ GRID_CASES = (
     "xs-uniform-selfjoin-half",
     "xs-uniform-multi4-tenth",
 )
-
-#: (engine, dataset) -> Database; both engines run the same query sequence
-#: on their own database, so their clock histories stay pairwise equal.
-_DATABASES: dict[tuple, object] = {}
-
-
-def _database(engine: str, dataset: str):
-    db = _DATABASES.get((engine, dataset))
-    if db is None:
-        config = SystemConfig().with_progress(engine=engine, batch_rows=BATCH_ROWS)
-        if dataset == "tpcr":
-            db = tpcr.build_database(scale=0.002, subset_rows=120, config=config)
-        else:
-            db = grid.build_dataset("xs", dataset, config=config)
-        _DATABASES[(engine, dataset)] = db
-    return db
 
 
 def _assert_exact(tracker) -> None:
@@ -102,11 +87,16 @@ def _drive(db, sql: str, at=None):
     return reports, rows, indicator.finalize()
 
 
-def _assert_same_at_every_observation_point(dataset: str, sql: str) -> None:
-    batch_reports, batch_rows, batch_log = _drive(_database("batch", dataset), sql)
-    row_reports, row_rows, row_log = _drive(
-        _database("row", dataset), sql, at=batch_reports.keys()
+def _assert_same_at_every_observation_point(tier1_runs, dataset, sql) -> None:
+    # Each engine runs the same query sequence on its own copy of the
+    # dataset, so their clock histories stay pairwise equal.
+    batch, row = (
+        tier1_runs.database(f"pull-{engine}", dataset, SystemConfig().with_progress(
+            engine=engine, batch_rows=BATCH_ROWS))
+        for engine in ("batch", "row")
     )
+    batch_reports, batch_rows, batch_log = _drive(batch, sql)
+    row_reports, row_rows, row_log = _drive(row, sql, at=batch_reports.keys())
     assert batch_rows == row_rows
     assert batch_reports.keys() == row_reports.keys()
     for position, report in batch_reports.items():
@@ -119,11 +109,12 @@ def _assert_same_at_every_observation_point(dataset: str, sql: str) -> None:
 
 
 @pytest.mark.parametrize("name", GRID_CASES)
-def test_grid_variant_reports_equal_after_every_item(name):
-    variant = grid.variants_by_name()[name]
-    _assert_same_at_every_observation_point(variant.skew, variant.sql)
+def test_grid_variant_reports_equal_after_every_item(tier1_runs, name):
+    case = VARIANTS[name]
+    _assert_same_at_every_observation_point(tier1_runs, case.dataset_key, case.sql)
 
 
 @pytest.mark.parametrize("name", ["Q2", "Q5"])
-def test_paper_query_reports_equal_after_every_item(name):
-    _assert_same_at_every_observation_point("tpcr", queries.PAPER_QUERIES[name])
+def test_paper_query_reports_equal_after_every_item(tier1_runs, name):
+    sql = queries.PAPER_QUERIES[name]
+    _assert_same_at_every_observation_point(tier1_runs, "tpcr", sql)
