@@ -1538,8 +1538,8 @@ def _every_level(test: Callable[[Run, int], bool]) -> Claim:
 
 
 # ----------------------------------------------------------------------
-# L - the tier-1 accuracy leaderboard: 40 grid cells run under the
-# ensemble, every candidate estimator scored from its recorded stream
+# L - the tier-1 accuracy leaderboard: 40 grid cells run once under
+# ``paper``, every estimator and the selector scored by replaying the trace
 
 TIER1_CELLS = 40
 #: Ceilings on the headline errors: the values the committed board holds.
@@ -1570,7 +1570,7 @@ def _no_monotonicity_violation(r: Run) -> bool:
 
 
 def _selector_no_worse_than_paper(r: Run) -> bool:
-    """The selector's displayed stream does not lose to its own default."""
+    """The selector's replayed stream does not lose to its own default."""
     paper = r.doc["estimators"]["paper"]
     return all(
         r.doc["aggregates"][m] <= paper[m] for m in ("qerror_geomean", "progress_err_mean")

@@ -43,11 +43,11 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.analysis.gate import gate_plan
-from repro.config import SystemConfig
+from repro.config import ProgressConfig, SystemConfig
 from repro.core.history import ProgressLog
 from repro.core.report import ProgressReport
 from repro.core.segments import planned_cost_pages, planned_segments
-from repro.core.speed import make_speed_estimator
+from repro.core.speed import SpeedEstimator, make_speed_estimator
 from repro.errors import ProgressError
 from repro.estimators import (
     EstimateSnapshot,
@@ -58,7 +58,6 @@ from repro.estimators.history import HistoryStore
 from repro.executor.work import WorkTracker
 from repro.obs.bus import TraceBus
 from repro.obs.events import (
-    CandidateEstimated,
     CardinalityRefined,
     DominantSwitched,
     IndicatorDegraded,
@@ -86,6 +85,46 @@ from repro.sim.clock import VirtualClock
 SPEED_SAMPLE_INTERVAL = 1.0
 #: Decay factor per sample of the "decay" speed estimator.
 DECAY_ALPHA = 0.3
+
+
+def speed_monitor(progress: ProgressConfig) -> SpeedEstimator:
+    """The §4.6 speed estimator ``progress`` selects, with no samples."""
+    return make_speed_estimator(
+        progress.speed_estimator, progress.speed_window, DECAY_ALPHA
+    )
+
+
+def build_report(
+    t: float,
+    started_at: float,
+    snapshot: EstimateSnapshot,
+    speed: SpeedEstimator,
+    config: SystemConfig,
+    finished: bool,
+    estimator: str,
+) -> ProgressReport:
+    """One report from a refinement snapshot and the speed monitor.
+
+    The one copy of the warm-up, speed and remaining-time arithmetic: the
+    live indicator and a trace replay (:func:`repro.obs.replay.replay`)
+    both build every report here."""
+    elapsed = t - started_at
+    rate = speed.speed()
+    if elapsed < config.progress.warmup:
+        rate = None  # the indicator "watches" before first estimate
+    done, total, _ = snapshot.pages(config.page_size)
+    return ProgressReport(
+        time=t,
+        elapsed=elapsed,
+        done_pages=done,
+        est_cost_pages=total,
+        fraction_done=snapshot.fraction_done,
+        speed_pages_per_sec=rate,
+        est_remaining_seconds=snapshot.remaining_seconds(config.page_size, rate),
+        current_segment=snapshot.current_segment,
+        finished=finished,
+        estimator=estimator,
+    )
 
 
 class ProgressIndicator:
@@ -128,11 +167,7 @@ class ProgressIndicator:
             name, self.segments, self.tracker,
             EstimatorContext(history=history),
         )
-        self._speed = make_speed_estimator(
-            self._progress_cfg.speed_estimator,
-            self._progress_cfg.speed_window,
-            DECAY_ALPHA,
-        )
+        self._speed = speed_monitor(self._progress_cfg)
         #: The optimizer's initial total cost, in U (pages) — what a trivial
         #: optimizer-based indicator would use for its whole life.
         self.initial_cost_pages = planned_cost_pages(planned)
@@ -165,11 +200,15 @@ class ProgressIndicator:
                             label=s.label,
                             final=s.final,
                             inputs=tuple(
-                                (i.kind, i.label, i.dominant, i.child_segment)
+                                (i.kind, i.label, i.dominant, i.child_segment,
+                                 i.est_rows, i.est_width)
                                 for i in s.inputs
                             ),
                             est_output_rows=s.est_output_rows,
                             est_cost_bytes=s.initial_cost_bytes(),
+                            est_output_width=s.est_output_width,
+                            card_factor=s.card_factor,
+                            est_extra_bytes=s.est_extra_bytes,
                         )
                         for s in self.segments
                     ),
@@ -246,23 +285,9 @@ class ProgressIndicator:
     def _build_report(
         self, t: float, snapshot: EstimateSnapshot, finished: bool
     ) -> ProgressReport:
-        elapsed = t - self.started_at
-        speed = self._speed.speed()
-        if elapsed < self._progress_cfg.warmup:
-            speed = None  # the indicator "watches" before first estimate
-        remaining = snapshot.remaining_seconds(self._page_size, speed)
-        done, total, _ = snapshot.pages(self._page_size)
-        return ProgressReport(
-            time=t,
-            elapsed=elapsed,
-            done_pages=done,
-            est_cost_pages=total,
-            fraction_done=snapshot.fraction_done,
-            speed_pages_per_sec=speed,
-            est_remaining_seconds=remaining,
-            current_segment=snapshot.current_segment,
-            finished=finished,
-            estimator=self.estimator.provenance,
+        return build_report(
+            t, self.started_at, snapshot, self._speed, self._config,
+            finished, self.estimator.provenance,
         )
 
     def _safe_record(self, t: float, finished: bool) -> ProgressReport:
@@ -350,7 +375,6 @@ class ProgressIndicator:
             self._emit_refinement(t, snapshot)
         report = self._build_report(t, snapshot, finished)
         self._emit_report(t, report)
-        self._emit_candidates(t)
         return report
 
     def _emit_report(self, t: float, report: ProgressReport) -> None:
@@ -376,49 +400,15 @@ class ProgressIndicator:
             estimator=report.estimator,
         ))
 
-    def _emit_candidates(self, t: float) -> None:
-        """Trace every racing candidate's estimate (ensemble runs only).
-
-        One :class:`CandidateEstimated` per candidate per report tick —
-        the per-estimator audit and the leaderboard's per-estimator
-        columns are scored entirely from this stream.  Remaining-time
-        uses the same speed/warmup rule as the displayed report, so the
-        candidates differ only by their cost estimates.
-        """
-        if self._trace is None:
-            return
-        candidates = self.estimator.candidate_estimates()
-        if not candidates:
-            return
-        elapsed = t - self.started_at
-        speed = self._speed.speed()
-        if elapsed < self._progress_cfg.warmup:
-            speed = None
-        for cand in candidates:
-            done = cand.done_bytes / self._page_size
-            total = cand.est_total_bytes / self._page_size
-            remaining = None
-            if speed is not None and speed > 0:
-                remaining = max(total - done, 0.0) / speed
-            self._trace.emit(CandidateEstimated(
-                t=t,
-                estimator=cand.name,
-                elapsed=elapsed,
-                done_pages=done,
-                est_cost_pages=total,
-                fraction_done=cand.fraction_done,
-                est_remaining_seconds=remaining,
-                selected=cand.selected,
-                score=cand.score,
-            ))
-
     def _emit_refinement(self, t: float, snapshot: EstimateSnapshot) -> None:
-        """Emit the per-tick §4.5 provenance and §4.3 transitions."""
+        """Emit the per-tick §4.5 provenance and §4.3 transitions, with
+        the synced counters the snapshot read."""
         trace = self._trace
         assert trace is not None
         segment_traces: list[_SegmentTrace] = []
         for est in snapshot.segments:
             seg_id = est.spec.id
+            counters = self.tracker.segments[seg_id]
             input_traces: list[_InputTrace] = []
             for inp in est.inputs:
                 key = (seg_id, inp.index)
@@ -442,6 +432,7 @@ class ProgressIndicator:
                     dominant=inp.dominant,
                     q=inp.progress,
                     rows_read=inp.rows_read,
+                    bytes_read=counters.input_bytes[inp.index],
                     est_rows=inp.est_rows,
                     source=inp.source,
                 ))
@@ -471,6 +462,9 @@ class ProgressIndicator:
                 est_cost_bytes=est.est_cost_bytes,
                 done_bytes=est.done_bytes,
                 inputs=tuple(input_traces),
+                output_rows=counters.output_rows,
+                output_bytes=counters.output_bytes,
+                extra_bytes=counters.extra_bytes,
             ))
         trace.emit(RefinementTick(
             t=t,

@@ -33,8 +33,8 @@ Registering your own::
 
 A registered estimator automatically joins the ensemble's candidate set
 and gets its own column in the accuracy leaderboard (the observatory
-scores every candidate's trace stream).  Registration order is the
-ensemble's tie-break order, so built-ins keep priority.
+replays it over each cell's logged execution).  Registration order is
+the ensemble's tie-break order, so built-ins keep priority.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Callable, Optional
 from repro.core.segments import SegmentSpec
 from repro.estimators.base import (
     INPUT_SOURCES,
-    CandidateEstimate,
     EstimateSnapshot,
     Estimator,
     InputEstimate,
@@ -137,7 +136,6 @@ __all__ = [
     "INPUT_SOURCES",
     "DEFAULT_ESTIMATOR",
     "ENSEMBLE",
-    "CandidateEstimate",
     "EstimateSnapshot",
     "Estimator",
     "EstimatorContext",

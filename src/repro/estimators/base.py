@@ -135,27 +135,6 @@ class EstimateSnapshot:
         return (self.remaining_bytes / page_size) / speed_pages_per_sec
 
 
-@dataclass(frozen=True)
-class CandidateEstimate:
-    """One registered candidate's totals at a selector tick.
-
-    Only ensemble estimators produce these (plain estimators report an
-    empty tuple from :meth:`Estimator.candidate_estimates`); the
-    indicator forwards them onto the TraceBus as ``candidate_estimated``
-    events so the observatory can replay and score *every* candidate
-    from one sealed trace, not just the stream the selector displayed.
-    """
-
-    name: str
-    est_total_bytes: float
-    done_bytes: float
-    fraction_done: float
-    #: The selector's accumulated backtest penalty (lower is better).
-    score: float
-    #: Whether this candidate's snapshot is the one being reported.
-    selected: bool
-
-
 class Estimator(abc.ABC):
     """One progress-estimation strategy bound to a running query.
 
@@ -196,10 +175,6 @@ class Estimator(abc.ABC):
     def provenance(self) -> str:
         """What to stamp on reports (selectors append their choice)."""
         return self.name
-
-    def candidate_estimates(self) -> tuple[CandidateEstimate, ...]:
-        """Per-candidate totals of the last snapshot (selectors only)."""
-        return ()
 
     def on_finish(self) -> None:
         """Hook called once when the monitored query completes normally.

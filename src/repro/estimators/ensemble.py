@@ -29,9 +29,10 @@ completed fraction (the new choice may carry a larger total estimate).
 The selector therefore clamps its reported total so ``fraction_done``
 never decreases: the fraction floor is the maximum fraction it has ever
 reported, and the reported total is capped at ``done / floor``.  Only
-the *selected, reported* totals are clamped — the per-candidate streams
-traced as ``candidate_estimated`` events stay raw, so the observatory
-scores each candidate on its own merits.
+the *selected, reported* totals are clamped — each candidate's own
+snapshots stay raw, and the observatory scores each candidate on its own
+merits by replaying it alone over the logged execution
+(:func:`repro.obs.replay.replay`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from dataclasses import replace
 from typing import Optional
 
-from repro.estimators.base import CandidateEstimate, Estimator, EstimateSnapshot
+from repro.estimators.base import Estimator, EstimateSnapshot
 
 #: Cumulative back-test advantage (in |log-ratio| units) a challenger
 #: needs before the selector abandons the incumbent: ln 2.
@@ -68,7 +69,6 @@ class EnsembleEstimator(Estimator):
         self._scored_segments: set[int] = set()
         #: Monotone display floor for the reported fraction.
         self._fraction_floor = 0.0
-        self._last_candidates: tuple[CandidateEstimate, ...] = ()
 
     # ------------------------------------------------------------------
 
@@ -84,9 +84,6 @@ class EnsembleEstimator(Estimator):
     def provenance(self) -> str:
         return f"{self.name}:{self._selected.name}"
 
-    def candidate_estimates(self) -> tuple[CandidateEstimate, ...]:
-        return self._last_candidates
-
     # ------------------------------------------------------------------
 
     def snapshot(self) -> EstimateSnapshot:
@@ -95,19 +92,7 @@ class EnsembleEstimator(Estimator):
         self._backtest(snapshots)
         self._select()
         chosen = next(s for c, s in snapshots if c is self._selected)
-        reported = self._clamp_monotone(chosen)
-        self._last_candidates = tuple(
-            CandidateEstimate(
-                name=c.name,
-                est_total_bytes=s.est_total_bytes,
-                done_bytes=s.done_bytes,
-                fraction_done=s.fraction_done,
-                score=self.scores[c.name],
-                selected=c is self._selected,
-            )
-            for c, s in snapshots
-        )
-        return reported
+        return self._clamp_monotone(chosen)
 
     def on_finish(self) -> None:
         for candidate in self._candidates:

@@ -6,17 +6,14 @@ Subcommands:
   tracing on, write the JSONL event log and the Chrome ``trace_event``
   JSON (open it in ``chrome://tracing`` or https://ui.perfetto.dev), and
   print the event census, span coverage, and per-segment span table.
-* ``audit`` — replay a trace (fresh run or ``--input trace.jsonl``) and
-  score it with the leaderboard's definitions: the per-report q-error
-  table, then the score card (exit 1 when the trace has no ground truth:
-  ``not scored: <terminal>``).
+* ``audit`` — score a trace (fresh run or ``--input trace.jsonl``): the
+  per-report q-error table, the score card, then a row per estimator
+  replayed from it (exit 1 without ground truth: ``not scored: ...``).
 * ``metrics`` — run one monitored query and print the flat metrics dump.
-* ``leaderboard`` — run the workload grid (tier-1 subset by default),
-  score every variant's progress accuracy from its sealed trace and print
-  the board; ``--out`` also saves the schema-versioned JSON.  The
-  committed tier-1 board is the experiment registry's
-  ``leaderboard_tier1`` entry, checked by ``python -m repro reproduce
-  --check``.
+* ``leaderboard`` — run the workload grid (tier-1 by default) once,
+  replay and score every estimator over each trace, print the board;
+  ``--out`` also saves the JSON.  The committed tier-1 board is checked
+  by ``python -m repro reproduce --check``.
 
 Examples::
 
@@ -27,7 +24,7 @@ Examples::
     python -m repro.obs metrics --query q5
     python -m repro.obs leaderboard --list
     python -m repro.obs leaderboard --grid tier1
-    python -m repro.obs leaderboard --estimator paper --out /tmp/board.json
+    python -m repro.obs leaderboard --out /tmp/board.json
 """
 
 from __future__ import annotations
@@ -185,7 +182,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
         return 0
 
     echo = None if args.quiet else print
-    board = run_leaderboard(variants, args.grid, echo=echo, estimator=args.estimator)
+    board = run_leaderboard(variants, args.grid, echo=echo)
     if args.out is not None:
         write_leaderboard(board, args.out)
         print(f"\nleaderboard written: {args.out}")
@@ -234,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     board.add_argument("--grid", choices=["tier1", "full"], default="tier1",
                        help="which variant set to run (default tier1)")
-    board.add_argument("--estimator", default="ensemble",
-                       help="estimator to submit cells with (default "
-                            "ensemble: race every registered candidate "
-                            "and score each one's stream)")
     board.add_argument("--out", default=None, metavar="JSON",
                        help="also save the board as JSON (default: print only)")
     board.add_argument("--list", action="store_true",

@@ -12,7 +12,8 @@ QueryStarted           §3 (indicator attaches; optimizer's initial cost)
 SegmentStarted/
 SegmentFinished        §4.2 (segment lifecycle at blocking boundaries)
 RefinementTick         §4.5 (the full ``E = p*E2 + (1-p)*E1`` blend per
-                       segment, with p, q per input, and the dominant input)
+                       segment, with p, q per input, and the dominant input,
+                       plus the synced raw counters it was computed from)
 CardinalityRefined     §4.3 (a base input's estimate source transitioned:
                        optimizer Ne -> running count -> exact)
 DominantSwitched       §4.5 (sort-merge p = max(qA, qB): the arg-max side
@@ -21,9 +22,6 @@ SpeedSampled/
 SpeedEstimated         §4.6 (cumulative-work sample; current speed estimate)
 TickerFired            §3 "acceptable pacing" (a periodic ticker ran)
 ReportEmitted          Figure 2 (one user-facing progress report)
-CandidateEstimated     pluggable estimators: one registered candidate's
-                       estimate at a report tick (the ensemble selector
-                       races all of them; ``selected`` marks the winner)
 BufferAccess           §4.1 (time-per-U between disk-bound and cached poles)
 PageRead/PageWritten   §4.1 (disk page transfer counters)
 ExtraPass              §4.5 (multi-stage extra pass bytes)
@@ -45,7 +43,7 @@ QueryShed              §6 (the load-shedding policy evicted a query its
 Events are frozen dataclasses with a stable ``kind`` string, a lossless
 ``to_dict`` and a ``event_from_dict`` inverse, so a JSONL trace round-trips
 exactly — the audit (:mod:`repro.obs.observatory.scoring`) replays traces
-through these types.
+through these types, and :mod:`repro.obs.replay` any estimator over one.
 
 **Keep rule.**  Every kind has an emitter outside ``repro.obs`` and a
 reader inside it (metrics, exporters, scoring), or a named reason on the
@@ -85,15 +83,19 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SegmentMeta:
-    """Static per-segment facts recorded once at query start."""
+    """One :class:`~repro.core.segments.SegmentSpec`, lossless."""
 
     id: int
     label: str
     final: bool
-    #: (kind, label, dominant, child_segment) per input, in input order.
-    inputs: tuple[tuple[str, str, bool, Optional[int]], ...]
+    #: (kind, label, dominant, child_segment, est_rows, est_width) per
+    #: input, in input order.
+    inputs: tuple[tuple[str, str, bool, Optional[int], float, float], ...]
     est_output_rows: float
     est_cost_bytes: float
+    est_output_width: float
+    card_factor: float
+    est_extra_bytes: float
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,7 @@ class InputTrace:
     #: This input's processed fraction (the q of §4.5).
     q: float
     rows_read: int
+    bytes_read: float
     est_rows: float
     #: Where the estimate comes from: "ne" (optimizer's Ne), "overrun"
     #: (running count exceeded Ne), "exact" (scan finished), "child"
@@ -240,11 +243,14 @@ class SegmentTrace:
     est_cost_bytes: float
     done_bytes: float
     inputs: tuple[InputTrace, ...]
+    output_rows: int
+    output_bytes: float
+    extra_bytes: float
 
 
 @dataclass(frozen=True)
 class RefinementTick(TraceEvent):
-    """A full §4.5 refinement pass, with per-segment provenance."""
+    """A full §4.5 refinement pass: provenance and the counters it read."""
 
     segments: tuple[SegmentTrace, ...]
     est_total_bytes: float
@@ -344,32 +350,6 @@ class ReportEmitted(TraceEvent):
     kind = "report_emitted"
 
 
-@dataclass(frozen=True)
-class CandidateEstimated(TraceEvent):
-    """One registered estimator's view of the query at a report tick.
-
-    Emitted once per candidate per report when the indicator runs the
-    ensemble selector (or any estimator exposing candidate estimates) —
-    the per-estimator accuracy audit and the leaderboard's per-estimator
-    columns are scored entirely from these events.  ``selected`` marks
-    the candidate whose estimate the selector is currently serving;
-    ``score`` is the selector's backtest score (mean absolute log-error
-    of this candidate's past predictions on since-finished segments;
-    ``None`` before anything finished).
-    """
-
-    estimator: str
-    elapsed: float
-    done_pages: float
-    est_cost_pages: float
-    fraction_done: float
-    est_remaining_seconds: Optional[float]
-    selected: bool
-    score: Optional[float]
-
-    kind = "candidate_estimated"
-
-
 # ----------------------------------------------------------------------
 # storage (§4.1)
 
@@ -414,10 +394,9 @@ class PageWritten(TraceEvent):
 class IndicatorDegraded(TraceEvent):
     """Monitoring raised; the indicator degraded instead of dying.
 
-    ``phase`` is where the exception surfaced ("report", "speed",
-    "final"); ``fallback`` is what estimate was served instead
-    ("last_good" or "optimizer").  The query itself is never affected.
-    """
+    ``phase`` is where the exception surfaced ("refine", "report",
+    "speed", ...); ``fallback`` is what was served instead
+    ("last_report", "optimizer" or "skip").  The query never notices."""
 
     phase: str
     fallback: str
@@ -493,7 +472,6 @@ _EVENT_TYPES: tuple[Type[TraceEvent], ...] = (
     SpeedSampled,
     SpeedEstimated,
     ReportEmitted,
-    CandidateEstimated,
     AdmissionDecided,
     QueryShed,
     BufferAccess,

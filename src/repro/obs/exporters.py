@@ -200,7 +200,6 @@ def chrome_trace_concurrent(
             entry = dict(entry)
             entry["pid"] = pid
             if entry.get("ph") == "M" and entry.get("name") == "process_name":
-                entry = dict(entry)
                 entry["args"] = {"name": f"{label} (virtual time)"}
             merged.append(entry)
     return {"traceEvents": merged, "displayTimeUnit": "ms"}

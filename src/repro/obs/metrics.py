@@ -217,8 +217,7 @@ def compute_spans(events: list[TraceEvent]) -> list[SegmentSpan]:
             for meta in event.segments:
                 spans[meta.id] = SegmentSpan(segment_id=meta.id, label=meta.label)
                 children[meta.id] = [
-                    child for (_kind, _label, _dom, child) in meta.inputs
-                    if child is not None
+                    inp[3] for inp in meta.inputs if inp[3] is not None
                 ]
         elif isinstance(event, SegmentStarted):
             span = spans.setdefault(

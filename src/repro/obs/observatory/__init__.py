@@ -1,10 +1,9 @@
 """The progress-accuracy observatory: grid scoring and leaderboards.
 
-Built on the trace machinery of :mod:`repro.obs`: every workload-grid
-variant (:mod:`repro.workloads.grid`) executes under the Session API with
-tracing on, the sealed trace is replayed into exact per-query accuracy
-metrics (:mod:`.scoring`), and the per-cell scores aggregate into a
-schema-versioned JSON leaderboard (:mod:`.leaderboard`).  The tier-1
+Every workload-grid variant (:mod:`repro.workloads.grid`) executes once
+with tracing on, every estimator is replayed over its trace
+(:mod:`repro.obs.replay`) and scored (:mod:`.scoring`), and the per-cell
+scores aggregate into a JSON leaderboard (:mod:`.leaderboard`).  The tier-1
 board is committed as the experiment registry's ``leaderboard_tier1``
 entry, so every estimator or re-optimization change gets its accuracy
 trial from ``python -m repro reproduce --check`` and the entry's claims:
@@ -14,7 +13,6 @@ trial from ``python -m repro reproduce --check`` and the entry's claims:
 """
 
 from repro.obs.observatory.leaderboard import (
-    DEFAULT_RUN_ESTIMATOR,
     LEADERBOARD_SCHEMA,
     Leaderboard,
     LeaderboardCell,
@@ -26,12 +24,10 @@ from repro.obs.observatory.leaderboard import (
 from repro.obs.observatory.scoring import (
     QERROR_FLOOR_SECONDS,
     QueryScore,
-    score_candidate_events,
     score_events,
 )
 
 __all__ = [
-    "DEFAULT_RUN_ESTIMATOR",
     "LEADERBOARD_SCHEMA",
     "Leaderboard",
     "LeaderboardCell",
@@ -41,6 +37,5 @@ __all__ = [
     "write_leaderboard",
     "QERROR_FLOOR_SECONDS",
     "QueryScore",
-    "score_candidate_events",
     "score_events",
 ]

@@ -1,10 +1,11 @@
 """Run workload-grid variants, score them, persist the leaderboard.
 
-One leaderboard run executes a list of :class:`~repro.workloads.grid.Variant`
-cells under the Session API with tracing on — databases are built once
-per (scale × skew) dataset cell and restarted (cold buffer pool) between
-variants, mirroring the paper's Section 5.1 protocol — and replays each
-sealed trace through :mod:`repro.obs.observatory.scoring`.
+One leaderboard run executes each :class:`~repro.workloads.grid.Variant`
+once under ``paper`` with tracing on — databases are built once per
+(scale × skew) dataset cell and restarted (cold buffer pool) between
+variants, the paper's Section 5.1 protocol — then replays every column
+over the trace (:mod:`repro.obs.replay`) and scores it
+(:mod:`repro.obs.observatory.scoring`).
 
 The persisted form is schema-versioned JSON (``repro.leaderboard/2``).
 Runs are deterministic — simulated engine, seeded generators, virtual
@@ -16,14 +17,10 @@ its claims (full coverage, no monotonicity violation, the selector no
 worse than ``paper``, ceilings on the headline errors) are the accuracy
 gate.
 
-Schema version 2 (the pluggable-estimator redesign): cells run under the
-ensemble selector by default, the board records which ``estimator``
-submitted the queries, and ``estimators`` holds one aggregate column per
-registered candidate, scored from its ``candidate_estimated`` stream with
-the identical metric definitions as the displayed reports.  The selector
-row is the board's top-level ``aggregates`` (the displayed stream *is*
-the selector's choice); the ``paper`` column is the pre-redesign
-baseline path, bit-identical by construction.
+Schema version 2: ``estimators`` holds one column per registered
+estimator; ``aggregates`` scores the replayed ``ensemble``, the column
+``estimator`` names.  History is threaded in cell order: one
+:class:`~repro.estimators.HistoryStore` per dataset and column.
 
 Aggregates (over *scored* cells; the q-error percentiles come from an
 :class:`repro.obs.metrics.Histogram`, the same estimator whose p50/p95/p99
@@ -53,20 +50,14 @@ from typing import Callable, Optional, TextIO, Union
 
 from repro.config import SystemConfig
 from repro.database import Database
+from repro.estimators import DEFAULT_ESTIMATOR, ENSEMBLE, HistoryStore, estimator_names
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import Histogram
-from repro.obs.observatory.scoring import (
-    QueryScore,
-    score_candidate_events,
-    score_events,
-)
+from repro.obs.observatory.scoring import QueryScore, score_events
+from repro.obs.replay import replay
 from repro.workloads.grid import Variant
 
 LEADERBOARD_SCHEMA = "repro.leaderboard/2"
-
-#: The estimator leaderboard runs submit queries with (races every
-#: registered candidate and scores each one's stream).
-DEFAULT_RUN_ESTIMATOR = "ensemble"
 
 #: Histogram bounds for per-cell q-error geomeans.  A q-error is >= 1 by
 #: definition, so the leaderboard clamps the histogram's interpolated
@@ -103,14 +94,11 @@ class Leaderboard:
     grid: str
     cells: tuple[LeaderboardCell, ...]
     aggregates: dict[str, float]
-    #: Which estimator the cells were submitted with ("ensemble": the
-    #: online selector; ``aggregates`` then scores the selector's
-    #: displayed stream).
-    estimator: str = DEFAULT_RUN_ESTIMATOR
-    #: Per-candidate aggregate columns, keyed by estimator name, each
-    #: computed with :func:`aggregate_cells` over that candidate's
-    #: ``candidate_estimated`` stream.  Empty when the run's estimator
-    #: emitted no candidate events (any non-ensemble estimator).
+    #: The replayed column ``aggregates`` scores (the online selector).
+    estimator: str = ENSEMBLE
+    #: Per-estimator aggregate columns, keyed by registered name, each
+    #: computed with :func:`aggregate_cells` over that estimator's
+    #: replayed streams.
     estimators: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def cell(self, name: str) -> Optional[LeaderboardCell]:
@@ -140,25 +128,18 @@ def run_leaderboard(
     grid_name: str,
     config: Optional[SystemConfig] = None,
     echo: Optional[Callable[[str], None]] = None,
-    estimator: str = DEFAULT_RUN_ESTIMATOR,
 ) -> Leaderboard:
-    """Execute and score every variant; return the aggregated board.
+    """Run every variant once, replay and score every column.
 
-    Databases are cached per (scale × skew) dataset cell and restarted
-    before each variant, so every query starts on a cold buffer pool.
     A variant whose query raises is still scored from its trace (the
     terminal event records the failure) and counts against coverage.
-
-    ``estimator`` is the submit-time strategy; the default ensemble also
-    emits every candidate's estimates, which land in per-estimator
-    aggregate columns.  Dataset caching is per invocation, so learned
-    history never leaks between runs — two identical calls produce
-    byte-identical boards.
+    Datasets and history stores are per invocation, so two identical
+    calls produce byte-identical boards.
     """
     config = config if config is not None else grid_config()
     datasets: dict[tuple[str, str], Database] = {}
-    cells: list[LeaderboardCell] = []
-    candidate_cells: dict[str, list[LeaderboardCell]] = {}
+    stores: dict[tuple[tuple[str, str], str], HistoryStore] = {}
+    columns: dict[str, list[LeaderboardCell]] = {n: [] for n in estimator_names()}
     for variant in variants:
         db = datasets.get(variant.dataset_key)
         if db is None:
@@ -169,7 +150,7 @@ def run_leaderboard(
         try:
             handle = db.connect().submit(
                 variant.sql, name=variant.name, trace=trace, keep_rows=False,
-                estimator=estimator,
+                estimator=DEFAULT_ESTIMATOR,
             )
             row_count = handle.result().row_count
         except Exception:  # noqa: BLE001 - a failing cell is a data point,
@@ -177,23 +158,22 @@ def run_leaderboard(
             # nothing, for a plan-time failure) scores it as unscored.
             pass
         events = list(trace.events)
-        score = score_events(events)
-        cells.append(_cell_from_score(variant, score, row_count))
-        for name, cand_score in score_candidate_events(events).items():
-            candidate_cells.setdefault(name, []).append(
-                _cell_from_score(variant, cand_score, row_count)
-            )
+        for name, column in columns.items():
+            store = stores.setdefault((variant.dataset_key, name), HistoryStore())
+            reports = replay(events, name, config, history=store)
+            score = score_events(events, reports)
+            column.append(_cell_from_score(variant, score, row_count))
         if echo is not None:
-            echo(_cell_line(cells[-1]))
+            echo(_cell_line(columns[ENSEMBLE][-1]))
+    cells = columns.pop(ENSEMBLE)
     return Leaderboard(
         schema=LEADERBOARD_SCHEMA,
         grid=grid_name,
         cells=tuple(cells),
         aggregates=aggregate_cells(cells),
-        estimator=estimator,
         estimators={
-            name: aggregate_cells(cand)
-            for name, cand in sorted(candidate_cells.items())
+            name: aggregate_cells(column)
+            for name, column in sorted(columns.items())
         },
     )
 
@@ -287,15 +267,12 @@ def write_leaderboard(
 ) -> dict:
     """Serialize one leaderboard run to schema-versioned JSON."""
     doc = leaderboard_doc(board)
-    if hasattr(target, "write"):
-        json.dump(doc, target, indent=2, sort_keys=True)  # type: ignore[arg-type]
-        target.write("\n")  # type: ignore[union-attr]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if isinstance(target, (str, Path)):
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
+        Path(target).write_text(text)
     else:
-        path = Path(target)  # type: ignore[arg-type]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        target.write(text)
     return doc
 
 
@@ -317,20 +294,16 @@ def render_aggregates(board: Leaderboard) -> str:
     ]
     for key in sorted(board.aggregates):
         lines.append(f"  {key:<24} {board.aggregates[key]:.6g}")
-    if board.estimators:
-        lines.append("")
-        lines.append("per-estimator candidate streams "
-                     "(selector row = the aggregates above):")
-        header = f"  {'estimator':<12}" + "".join(
-            f" {short:>10}" for _, short in _COLUMN_METRICS
+    lines.append("")
+    lines.append("per-estimator replays (selector row = the aggregates above):")
+    lines.append(f"  {'estimator':<12}" + "".join(
+        f" {short:>10}" for _, short in _COLUMN_METRICS
+    ))
+    rows = [(f"[{board.estimator}]", board.aggregates)]
+    for name, aggs in rows + sorted(board.estimators.items()):
+        cols = "".join(
+            f" {aggs[metric]:>10.4g}" if metric in aggs else f" {'-':>10}"
+            for metric, _ in _COLUMN_METRICS
         )
-        lines.append(header)
-        rows = [(f"[{board.estimator}]", board.aggregates)]
-        rows += sorted(board.estimators.items())
-        for name, aggs in rows:
-            cols = "".join(
-                f" {aggs[metric]:>10.4g}" if metric in aggs else f" {'-':>10}"
-                for metric, _ in _COLUMN_METRICS
-            )
-            lines.append(f"  {name:<12}{cols}")
+        lines.append(f"  {name:<12}{cols}")
     return "\n".join(lines)

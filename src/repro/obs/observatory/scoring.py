@@ -4,7 +4,9 @@ This module commits to *exact* metric definitions (documented in
 ``docs/observability.md``); the leaderboard, its registry claims, the
 ``python -m repro.obs audit`` command (:func:`render_audit`) and the
 tests all rely on them.  All inputs come from one query's recorded trace
-events, so a trace is scored one way wherever it is scored.
+events, so a trace is scored one way wherever it is scored: the reports
+it displayed, or any estimator's reports replayed from it
+(:func:`repro.obs.replay.replay`).
 
 **Ground truth.**  The trace's own ``query_finished`` event: total
 elapsed virtual time ``T`` and the exact total cost.  Queries that end in
@@ -43,10 +45,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+from repro.estimators import estimator_names
 from repro.obs.events import (
-    CandidateEstimated,
     QueryCancelled,
     QueryFailed,
     QueryFinished,
@@ -55,6 +57,7 @@ from repro.obs.events import (
     ReportEmitted,
     TraceEvent,
 )
+from repro.obs.replay import replay
 
 #: Floor, in virtual seconds, applied to both operands of the q-error
 #: ratio and to the within-10% band.
@@ -128,48 +131,20 @@ def _terminal_of(events: list[TraceEvent]) -> tuple[str, Optional[QueryFinished]
     return ("unterminated", None)
 
 
-def score_events(events: list[TraceEvent]) -> QueryScore:
-    """Score one query's recorded trace (see module docstring)."""
-    reports = [e for e in events if isinstance(e, ReportEmitted)]
+def score_events(
+    events: list[TraceEvent], reports: Optional[Sequence] = None
+) -> QueryScore:
+    """Score ``reports`` (default: the trace's ``report_emitted`` events;
+    or a replay's reports) against the trace's ground truth."""
+    if reports is None:
+        reports = [e for e in events if isinstance(e, ReportEmitted)]
     terminal, finished = _terminal_of(events)
     eligible = [r for r in reports if not r.degraded]
-    return _score_stream(terminal, finished, len(reports), eligible)
-
-
-def score_candidate_events(events: list[TraceEvent]) -> dict[str, QueryScore]:
-    """Score each estimator's candidate stream from one query's trace.
-
-    Groups ``candidate_estimated`` events by estimator name and scores
-    each stream with exactly the metric definitions above — one
-    :class:`QueryScore` per racing candidate, against the same
-    ``query_finished`` ground truth as the displayed reports.  Empty for
-    traces recorded without the ensemble (no candidate events).
-    """
-    terminal, finished = _terminal_of(events)
-    by_name: dict[str, list[CandidateEstimated]] = {}
-    for event in events:
-        if isinstance(event, CandidateEstimated):
-            by_name.setdefault(event.estimator, []).append(event)
-    return {
-        name: _score_stream(terminal, finished, len(stream), stream)
-        for name, stream in by_name.items()
-    }
-
-
-def _score_stream(
-    terminal: str,
-    finished: Optional[QueryFinished],
-    reports_total: int,
-    eligible: "list",
-) -> QueryScore:
-    """Shared metric core: ``eligible`` is any sample sequence exposing
-    ``elapsed``, ``fraction_done`` and ``est_remaining_seconds`` (both
-    :class:`ReportEmitted` and :class:`CandidateEstimated` qualify)."""
     estimated = [r for r in eligible if r.est_remaining_seconds is not None]
 
     coverage = dict(
-        reports_total=reports_total,
-        reports_degraded=reports_total - len(eligible),
+        reports_total=len(reports),
+        reports_degraded=len(reports) - len(eligible),
         reports_estimated=len(estimated),
     )
     if terminal != "finished" or finished is None or not eligible:
@@ -180,7 +155,6 @@ def _score_stream(
     qerrors = [
         _qerror(r.est_remaining_seconds, max(total - r.elapsed, 0.0))
         for r in estimated
-        if r.est_remaining_seconds is not None  # narrowing for type-checkers
     ]
     # absolute progress error vs. true linear progress
     progress_errors = [
@@ -238,8 +212,9 @@ def _column(value: Optional[float], width: int, spec: str) -> str:
 def render_audit(events: list[TraceEvent]) -> tuple[str, QueryScore]:
     """A row per ``report_emitted`` event (its q-error against the
     trace's ground truth), then the score card of :func:`score_events`
-    and a row per candidate of :func:`score_candidate_events`.  A trace
-    without ground truth ends in one ``not scored: <terminal>`` line."""
+    and a row per registered estimator plus ``ensemble``, each replayed
+    from the trace under the default config.  A trace without ground
+    truth ends in one ``not scored: <terminal>`` line."""
     score = score_events(events)
     header = (
         f"{'t (s)':>8} {'% done':>7} {'cost (U)':>10} {'speed':>8} "
@@ -267,19 +242,18 @@ def render_audit(events: list[TraceEvent]) -> tuple[str, QueryScore]:
             f"{f.name:<24} {value:.6g}" if isinstance(value, float)
             else f"{f.name:<24} {value}"
         )
-    candidates = score_candidate_events(events)
-    if candidates:
-        lines.append("")
+    lines.append("")
+    lines.append(
+        f"{'estimator':<12} {'ticks':>6} {'qerr_gm':>8} {'qerr_max':>9} "
+        f"{'perr_mean':>10} {'tt10':>6}"
+    )
+    for name in estimator_names():
+        cand = score_events(events, replay(events, name))
         lines.append(
-            f"{'estimator':<12} {'ticks':>6} {'qerr_gm':>8} {'qerr_max':>9} "
-            f"{'perr_mean':>10} {'tt10':>6}"
+            f"{name:<12} {cand.reports_total:>6} "
+            f"{_column(cand.qerror_geomean, 8, '.3f')} "
+            f"{_column(cand.qerror_max, 9, '.3f')} "
+            f"{_column(cand.progress_err_mean, 10, '.4f')} "
+            f"{_column(cand.time_to_within_10, 6, '.2f')}"
         )
-        for name, cand in candidates.items():
-            lines.append(
-                f"{name:<12} {cand.reports_total:>6} "
-                f"{_column(cand.qerror_geomean, 8, '.3f')} "
-                f"{_column(cand.qerror_max, 9, '.3f')} "
-                f"{_column(cand.progress_err_mean, 10, '.4f')} "
-                f"{_column(cand.time_to_within_10, 6, '.2f')}"
-            )
     return "\n".join(lines), score

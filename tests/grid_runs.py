@@ -1,7 +1,7 @@
 """The tier-1 grid, executed once per session and recorded cell by cell.
 
 A *cell* is one run of a grid variant's statement under one combination of
-engine, monitored or plain, estimator, statement-cache hit or miss, and
+engine, monitored or plain, traced or not, statement-cache hit or miss, and
 program-cache hit or forced miss.  Each combination is a *lane*: one
 database per dataset that runs every tier-1 variant of that dataset, in
 ``TIER1_NAMES`` order.  Reports carry absolute virtual times: two lanes'
@@ -36,11 +36,11 @@ _ROW = SystemConfig().with_progress(engine="row")
 #: the cache, and only ``prepared`` is a statement hit.
 LANES: dict[str, tuple[Optional[SystemConfig], dict]] = {
     "row": (_ROW, {"estimator": "paper"}),
-    "row-ensemble": (_ROW, {"estimator": "ensemble"}),
     "cold": (None, {"estimator": "paper", "clear": True}),
     "warm": (None, {"estimator": "paper"}),
     "prepared": (None, {"estimator": "paper", "prepare": True}),
-    "ensemble": (None, {"estimator": "ensemble"}),
+    # The logged execution every estimator is replayed over.
+    "traced": (None, {"estimator": "paper", "trace": True}),
     "plain-cold": (None, {"monitor": False, "clear": True}),
     "plain-warm": (None, {"monitor": False}),
     "plain-prepared": (None, {"monitor": False, "prepare": True}),
@@ -78,6 +78,8 @@ class Cell:
     closing: Optional[tuple]
     #: ``prepare=True``: the plan before and after the run, and a fresh plan.
     planned: Optional[tuple]
+    #: ``trace=True``: the sealed trace's events.
+    events: Optional[tuple]
 
     @property
     def outcome(self) -> tuple:
@@ -105,6 +107,7 @@ def observe(db, sql, *, monitor=True, prepare=False, clear=False, **options) -> 
         planned_segments(fresh)
         planned = (planned, db.prepare(sql), fresh)
     estimator = handle.task.indicator.estimator if monitor else None
+    trace = handle.trace()
     return Cell(
         result=result,
         log=handle.log,
@@ -117,6 +120,7 @@ def observe(db, sql, *, monitor=True, prepare=False, clear=False, **options) -> 
         programs=programs,
         closing=(estimator.final_snapshot(), estimator.snapshot()) if monitor else None,
         planned=planned,
+        events=None if trace is None else trace.events,
     )
 
 

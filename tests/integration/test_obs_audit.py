@@ -11,8 +11,11 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.obs import TraceBus, chrome_trace, span_coverage
-from repro.obs.events import ReportEmitted
+from repro.estimators import HistoryStore
+from repro.estimators.history import signature_of
+from repro.obs.events import QueryFinished, ReportEmitted
 from repro.obs.observatory.scoring import render_audit, score_events
+from repro.obs.replay import replay
 from repro.workloads import queries, tpcr
 
 SCALE = 0.003
@@ -59,6 +62,27 @@ class TestAuditMatchesProgressLog:
         text, _score = render_audit(trace.events)
         last_row = text.split("\n\n")[0].splitlines()[-1].split()
         assert last_row[-2:] == ["0.0", "1.000"]
+
+    def test_replayed_paper_row_is_the_live_score(self, traced_q1):
+        """The audit's ``paper`` row replays the run that was traced."""
+        monitored, trace = traced_q1
+        text, score = render_audit(trace.events)
+        paper = next(
+            line.split() for line in text.splitlines() if line.startswith("paper ")
+        )
+        assert paper[1:3] == [
+            str(len(monitored.log)), f"{score.qerror_geomean:.3f}",
+        ]
+
+    def test_replayed_history_learns_once_from_a_finished_run(self, traced_q1):
+        monitored, trace = traced_q1
+        store = HistoryStore()
+        unfinished = [e for e in trace.events if not isinstance(e, QueryFinished)]
+        replay(unfinished, "history", history=store)
+        assert len(store) == 0
+        replay(trace.events, "history", history=store)
+        signatures = {signature_of(s) for s in monitored.indicator.segments}
+        assert {store.observations(sig) for sig in signatures} == {1}
 
     def test_unloaded_q1_estimates_are_accurate(self, traced_q1):
         """Figure 6's shape: on an unloaded run the error stays small."""

@@ -128,9 +128,6 @@ class TestBlendRules:
         assert PaperEstimator(*partial_run()).provenance == "paper"
         assert DriverNodeEstimator(*partial_run()).provenance == "dne"
 
-    def test_plain_estimators_expose_no_candidates(self):
-        assert PaperEstimator(*partial_run()).candidate_estimates() == ()
-
 
 class TestHistoryStore:
     SIG = ("seg0", (("base", "t"),))
@@ -299,20 +296,6 @@ class TestEnsembleSelector:
         second = ens.snapshot()
         assert second.est_total_bytes == pytest.approx(1000.0)
         assert second.fraction_done == pytest.approx(0.5)
-
-    def test_candidate_estimates_expose_raw_streams(self):
-        specs, tracker, a, b = self._pair()
-        ens = EnsembleEstimator(specs, tracker, [a, b])
-        a.done, a.total = 500.0, 1000.0
-        ens.snapshot()
-        a.total = 2000.0  # selected stream clamps; candidates must not
-        ens.snapshot()
-        cands = ens.candidate_estimates()
-        assert [c.name for c in cands] == ["a", "b"]
-        assert [c.selected for c in cands] == [True, False]
-        by_name = {c.name: c for c in cands}
-        assert by_name["a"].est_total_bytes == pytest.approx(2000.0)
-        assert by_name["a"].fraction_done == pytest.approx(0.25)
 
     def test_on_finish_fans_out_to_candidates(self):
         specs, tracker = partial_run()

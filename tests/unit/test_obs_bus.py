@@ -39,9 +39,12 @@ def _started(t: float = 0.0) -> QueryStarted:
                 id=0,
                 label="scan",
                 final=True,
-                inputs=(("base", "t", True, None),),
+                inputs=(("base", "t", True, None, 100.0, 819.2),),
                 est_output_rows=100.0,
                 est_cost_bytes=81920.0,
+                est_output_width=819.2,
+                card_factor=1.0,
+                est_extra_bytes=0.0,
             ),
         ),
     )
@@ -164,10 +167,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 READERLESS = {
     "ticker_fired": "the repo benchmark (benchmarks/e2e/layers.py) times "
     "TraceBus.emit with it (obs.emit_ns) and imports the class",
-    "speed_sampled": "the cumulative pages a trace-replayed speed monitor "
-    "reads, to score every estimator from one logged execution",
-    "refinement_tick": "the per-segment, per-input refinement state an "
-    "explain view reads to say which estimate was wrong and by how much",
 }
 
 
@@ -213,8 +212,8 @@ def _unread(kinds: dict[str, type]) -> list[str]:
 
 
 class TestEventCensus:
-    def test_twenty_two_kinds(self):
-        assert len(EVENT_KINDS) == 22
+    def test_twenty_one_kinds(self):
+        assert len(EVENT_KINDS) == 21
 
     def test_every_kind_has_an_emitter_outside_obs(self):
         unemitted = [k for k, cls in EVENT_KINDS.items() if not _emitted(cls)]
@@ -223,10 +222,8 @@ class TestEventCensus:
     def test_every_kind_has_a_reader_or_a_reason(self):
         assert _unread(EVENT_KINDS) == []
 
-    def test_the_allowlist_is_exactly_three_unread_kinds(self):
-        assert set(READERLESS) == {
-            "ticker_fired", "speed_sampled", "refinement_tick",
-        }
+    def test_the_allowlist_is_exactly_one_unread_kind(self):
+        assert set(READERLESS) == {"ticker_fired"}
         assert all(reason for reason in READERLESS.values())
         # A kind that gains a reader comes off the list.
         assert [k for k in READERLESS if _read(EVENT_KINDS[k])] == []

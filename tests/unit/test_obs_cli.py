@@ -53,6 +53,9 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert str(trace_file) in out
         assert "terminal                 finished" in out
+        # Every estimator replayed from the file, one row each.
+        names = [line.split()[0] for line in out.splitlines()[-5:]]
+        assert names == ["paper", "dne", "tgn", "history", "ensemble"]
 
     def test_committed_golden_replays(self, capsys):
         assert main(["audit", "--input", str(DATA / "obs_golden.trace.jsonl")]) == 0
@@ -103,6 +106,13 @@ class TestLeaderboardCommand:
         for sub in ("trace", "audit", "metrics", "leaderboard"):
             assert sub in out, sub
 
+    def test_no_estimator_flag(self, capsys):
+        import pytest
+
+        with pytest.raises(SystemExit) as exc:
+            main(["leaderboard", "--estimator", "paper"])
+        assert exc.value.code == 2
+
     def test_list_prints_the_grid(self, capsys):
         assert main(["leaderboard", "--grid", "tier1", "--list"]) == 0
         out = capsys.readouterr().out
@@ -117,9 +127,9 @@ class TestLeaderboardCommand:
         # benchmarks/results/ (relative to any cwd) unless asked to.
         _one_variant_grid(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        assert main(["leaderboard", "--quiet", "--estimator", "paper"]) == 0
+        assert main(["leaderboard", "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "leaderboard: grid=tier1 cells=1 estimator=paper" in out
+        assert "leaderboard: grid=tier1 cells=1 estimator=ensemble" in out
         assert "written" not in out
         assert list(tmp_path.iterdir()) == []
 

@@ -53,11 +53,15 @@ def golden_events() -> list[TraceEvent]:
             initial_cost_pages=24.0,
             segments=(
                 SegmentMeta(id=0, label="sort [SeqScan(t)]", final=False,
-                            inputs=(("base", "t", True, None),),
-                            est_output_rows=64.0, est_cost_bytes=98304.0),
+                            inputs=(("base", "t", True, None, 64.0, 768.0),),
+                            est_output_rows=64.0, est_cost_bytes=98304.0,
+                            est_output_width=768.0, card_factor=1.0,
+                            est_extra_bytes=0.0),
                 SegmentMeta(id=1, label="output", final=True,
-                            inputs=(("child", "sort", True, 0),),
-                            est_output_rows=64.0, est_cost_bytes=98304.0),
+                            inputs=(("child", "sort", True, 0, 64.0, 768.0),),
+                            est_output_rows=64.0, est_cost_bytes=98304.0,
+                            est_output_width=768.0, card_factor=1.0,
+                            est_extra_bytes=0.0),
             ),
         ),
         SegmentStarted(t=0.5, segment_id=0),

@@ -162,11 +162,15 @@ def _query_started_two_segments() -> QueryStarted:
         t=0.0, label="q", num_segments=2, initial_cost_pages=20.0,
         segments=(
             SegmentMeta(id=0, label="sort", final=False,
-                        inputs=(("base", "t", True, None),),
-                        est_output_rows=10.0, est_cost_bytes=81920.0),
+                        inputs=(("base", "t", True, None, 10.0, 4096.0),),
+                        est_output_rows=10.0, est_cost_bytes=81920.0,
+                        est_output_width=4096.0, card_factor=1.0,
+                        est_extra_bytes=0.0),
             SegmentMeta(id=1, label="output", final=True,
-                        inputs=(("child", "sort", True, 0),),
-                        est_output_rows=10.0, est_cost_bytes=81920.0),
+                        inputs=(("child", "sort", True, 0, 10.0, 4096.0),),
+                        est_output_rows=10.0, est_cost_bytes=81920.0,
+                        est_output_width=4096.0, card_factor=1.0,
+                        est_extra_bytes=0.0),
         ),
     )
 

@@ -16,8 +16,9 @@ import shutil
 import pytest
 
 from repro.bench import experiments
-from repro.core.indicator import ProgressIndicator
+from repro.core import indicator
 from repro.estimators import estimator_names
+from repro.obs import replay
 from repro.obs.observatory import (
     LEADERBOARD_SCHEMA,
     Leaderboard,
@@ -184,10 +185,8 @@ class TestSabotage:
     """The claims demonstrably fail on an injected accuracy regression."""
 
     def test_skewed_estimates_fail_the_gate(self, small_board, monkeypatch):
-        original = ProgressIndicator._build_report
-
-        def sabotaged(self, t, snapshot, finished):
-            report = original(self, t, snapshot, finished)
+        def sabotaged(*args):
+            report = indicator.build_report(*args)
             if report.est_remaining_seconds is None:
                 return report
             # A quietly-introduced 4x overestimate: exactly the class of
@@ -197,7 +196,8 @@ class TestSabotage:
                 est_remaining_seconds=report.est_remaining_seconds * 4.0,
             )
 
-        monkeypatch.setattr(ProgressIndicator, "_build_report", sabotaged)
+        # The board scores replays: they build reports in the replay module.
+        monkeypatch.setattr(replay, "build_report", sabotaged)
         by_name = variants_by_name()
         skewed = run_leaderboard([by_name[n] for n in SMALL_GRID], "small")
 
@@ -216,14 +216,6 @@ class TestEstimatorColumns:
         )
         for aggs in small_board.estimators.values():
             assert aggs["coverage"] == 1.0
-
-    def test_non_ensemble_run_has_no_columns(self):
-        by_name = variants_by_name()
-        board = run_leaderboard(
-            [by_name[SMALL_GRID[0]]], "small", estimator="paper"
-        )
-        assert board.estimator == "paper"
-        assert board.estimators == {}
 
     def test_render_shows_the_selector_row_and_columns(self, small_board):
         text = render_aggregates(small_board)
@@ -248,7 +240,7 @@ class TestSelectorGate:
         assert _broken(board_copy) == ["selector_no_worse_than_paper"]
 
     def test_run_without_candidates_breaks_the_claim(self, board_copy):
-        # A board not run under the ensemble is not the committed board.
+        # A board without its replayed columns is not the committed board.
         _edit(board_copy, lambda doc: doc.update(estimators={}))
         assert _broken(board_copy) == ["selector_no_worse_than_paper"]
 

@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.events import (
-    CandidateEstimated,
+    InputTrace,
     QueryCancelled,
     QueryFailed,
     QueryFinished,
     QueryShed,
+    QueryStarted,
     QueryTimedOut,
+    RefinementTick,
     ReportEmitted,
+    SegmentMeta,
+    SegmentTrace,
+    SpeedSampled,
 )
 from repro.obs.observatory import QERROR_FLOOR_SECONDS, score_events
 from repro.obs.observatory.scoring import render_audit
@@ -193,14 +198,56 @@ class TestMetrics:
         assert score_events(events).time_to_within_10 == 1.0
 
 
-def candidate(
-    t: float, name: str, est: float, total: float = 100.0
-) -> CandidateEstimated:
-    return CandidateEstimated(
-        t=t, estimator=name, elapsed=t, done_pages=t, est_cost_pages=total,
-        fraction_done=t / total, est_remaining_seconds=est,
-        selected=name == "paper", score=None,
-    )
+PAGE = 8192.0
+
+
+def logged_run() -> list:
+    """A two-segment execution logged at one tick (t = 10 s, 6 U/s):
+    ``sort`` has read 50 of its 100 estimated one-page rows and written
+    10 of an estimated 100; ``output`` has not started.  The run ends
+    when the ``paper`` blend said it would (E = 10 + 0.5 * 100 = 60:
+    160 U to go of 220), so ``dne`` (E = y/p = 20) says half that and
+    ``tgn`` (E = max(E1, y) = 100) 1.5 times it."""
+
+    def meta(seg_id, label, final, inp):
+        return SegmentMeta(
+            id=seg_id, label=label, final=final, inputs=(inp,),
+            est_output_rows=100.0, est_cost_bytes=200 * PAGE,
+            est_output_width=PAGE, card_factor=1.0, est_extra_bytes=0.0,
+        )
+
+    def trace(seg_id, status, rows, out):
+        return SegmentTrace(
+            segment_id=seg_id, status=status, p=rows / 100, e1=100.0,
+            e2=None, estimate=100.0, dominant_input=None,
+            est_cost_bytes=200 * PAGE, done_bytes=(rows + out) * PAGE,
+            inputs=(InputTrace(
+                index=0, label="t", dominant=True, q=rows / 100,
+                rows_read=rows, bytes_read=rows * PAGE, est_rows=100.0,
+                source="ne",
+            ),),
+            output_rows=out, output_bytes=out * PAGE, extra_bytes=0.0,
+        )
+
+    total = 10.0 + 160.0 / 6.0
+    return [
+        QueryStarted(
+            t=0.0, label="q", num_segments=2, initial_cost_pages=300.0,
+            segments=(
+                meta(0, "sort", False, ("base", "t", True, None, 100.0, PAGE)),
+                meta(1, "output", True, ("child", "sort", True, 0, 100.0, PAGE)),
+            ),
+        ),
+        SpeedSampled(t=5.0, cumulative_pages=30.0),
+        SpeedSampled(t=10.0, cumulative_pages=60.0),
+        RefinementTick(
+            t=10.0,
+            segments=(trace(0, "running", 50, 10), trace(1, "pending", 0, 0)),
+            est_total_bytes=220 * PAGE, done_bytes=60 * PAGE, current_segment=0,
+        ),
+        report(10.0, total=total),
+        finished(total),
+    ]
 
 
 class TestAudit:
@@ -239,11 +286,12 @@ class TestAudit:
         assert not score.scored
 
     def test_candidates_get_a_row_each(self):
-        events = [
-            report(10.0), candidate(10.0, "paper", 90.0),
-            candidate(10.0, "dne", 45.0), finished(),
-        ]
-        text, _score = render_audit(events)
-        rows = {line.split()[0]: line.split() for line in text.splitlines()[-2:]}
+        """Every registered estimator and the selector, replayed."""
+        text, _score = render_audit(logged_run())
+        rows = {line.split()[0]: line.split() for line in text.splitlines()[-5:]}
+        assert list(rows) == ["paper", "dne", "tgn", "history", "ensemble"]
         assert rows["paper"][1:3] == ["1", "1.000"]
         assert rows["dne"][1:3] == ["1", "2.000"]
+        assert rows["tgn"][1:3] == ["1", "1.500"]
+        assert rows["history"][1:] == rows["paper"][1:]
+        assert rows["ensemble"][1:] == rows["paper"][1:]
