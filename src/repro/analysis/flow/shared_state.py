@@ -96,8 +96,8 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
     SharedObject(
         cls="repro.executor.work.WorkTracker",
         aliases=frozenset({"tracker", "_tracker"}),
-        attrs=frozenset({"sync"}),
-        description="a query's work tracker: only its running program sets sync",
+        attrs=frozenset({"sync", "total_done_bytes"}),
+        description="a query's work tracker: only it or its program stores sync, total",
     ),
 )
 

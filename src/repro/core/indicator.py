@@ -109,21 +109,14 @@ def build_report(
     live indicator and a trace replay (:func:`repro.obs.replay.replay`)
     both build every report here."""
     elapsed = t - started_at
-    rate = speed.speed()
-    if elapsed < config.progress.warmup:
-        rate = None  # the indicator "watches" before first estimate
+    # The indicator "watches" before its first speed estimate.
+    rate = None if elapsed < config.progress.warmup else speed.speed()
     done, total, _ = snapshot.pages(config.page_size)
+    # Every field, in declaration order: positional arguments are cheaper.
     return ProgressReport(
-        time=t,
-        elapsed=elapsed,
-        done_pages=done,
-        est_cost_pages=total,
-        fraction_done=snapshot.fraction_done,
-        speed_pages_per_sec=rate,
-        est_remaining_seconds=snapshot.remaining_seconds(config.page_size, rate),
-        current_segment=snapshot.current_segment,
-        finished=finished,
-        estimator=estimator,
+        t, elapsed, done, total, snapshot.fraction_done, rate,
+        snapshot.remaining_seconds(config.page_size, rate),
+        snapshot.current_segment, finished, False, estimator,
     )
 
 
@@ -147,7 +140,6 @@ class ProgressIndicator:
         self._clock = clock
         self._on_report = on_report
         self._trace = trace
-        self._label = label
 
         self.segments = planned_segments(planned)
         # Pre-execution invariant gate (warn by default, strict in tests),
@@ -181,13 +173,14 @@ class ProgressIndicator:
         #: (several indicators share one clock under the scheduler, and a
         #: refinement pass touches shared tracker state).
         self._sampling = False
-        #: Last seen estimate source per (segment, input) and last deciding
-        #: dominant input per segment — for trace transition events only.
-        self._last_sources: dict[tuple[int, int], str] = {}
-        self._last_rows: dict[tuple[int, int], float] = {}
-        self._last_dominant: dict[int, Optional[int]] = {}
 
         if trace is not None:
+            #: Last seen estimate source per (segment, input) and last
+            #: deciding dominant input per segment: only the trace's
+            #: transition events read them, so an untraced query has none.
+            self._last_sources: dict[tuple[int, int], str] = {}
+            self._last_rows: dict[tuple[int, int], float] = {}
+            self._last_dominant: dict[int, Optional[int]] = {}
             trace.emit(
                 QueryStarted(
                     t=clock.now,

@@ -75,15 +75,13 @@ class RefinementEstimator(Estimator):
         """Once every segment finished, each one's estimate is exact and
         costs what it did: :meth:`snapshot`'s totals without its
         per-segment objects.  The costs are whole numbers of bytes, so
-        ``sum`` here and ``fsum`` there both add them exactly."""
-        counters = self._tracker.segments
-        if not all(c.finished for c in counters):
-            return self.snapshot()
+        the tracker's running total and ``fsum`` there agree exactly."""
+        for counters in self._tracker.segments:
+            if not counters.finished:
+                return self.snapshot()
+        done = self._tracker.total_done_bytes
         return EstimateSnapshot(
-            segments=[],
-            est_total_bytes=sum(c.done_bytes for c in counters),  # noqa: REPRO112 - whole-number bytes, exact
-            done_bytes=self._tracker.total_done_bytes,
-            current_segment=None,
+            segments=[], est_total_bytes=done, done_bytes=done, current_segment=None
         )
 
     # ------------------------------------------------------------------

@@ -27,8 +27,10 @@ The compiler therefore follows four rules:
 * work accounting is integer arithmetic, so only its value at each
   observation point matters: row loops count in bare local names at the
   volcano engine's stream positions, and the nested ``_sync`` installed
-  as ``tracker.sync`` folds those counts in whenever the indicator, the
-  scheduler or a segment end reads — no row loop writes to the tracker;
+  as ``tracker.sync`` folds those counts into the segments and their
+  running total whenever the indicator, the scheduler or a segment end
+  reads, and once more at ``close()``, which unhooks it — no row loop
+  writes to the tracker;
 * every storage call (buffer-pool page get/pin/unpin, disk read, temp
   write) keeps its exact order, because fault injection draws one RNG
   value per charged I/O;
@@ -200,8 +202,11 @@ class _Compiler:
         self.depth = 1
         self._n = 0
         self._seg_names: dict[int, str] = {}
-        #: The program's tracker state: names shared with ``_sync``; its body.
+        #: The program's tracker state: names shared with ``_sync``; the
+        #: body's reads, the byte counts it adds to the total, its folds.
         self._cells: List[str] = []
+        self._pre: List[str] = []
+        self._total: List[str] = []
         self._sync: List[str] = []
         #: Row variable -> per-slot ``(source row, slot)`` for tuples built
         #: from slots of other rows (None where a slot is computed).
@@ -355,9 +360,10 @@ class _Compiler:
             emit_body()
 
     # tracker counting: the row loop counts in bare names, ``_sync`` adds
-    # them to the SegmentCounters and zeroes them.  Every count is an
-    # integer, so the fold commutes with the cold call sites that still
-    # push straight into the tracker (per spilled page, per hash table).
+    # them to the SegmentCounters and their total and zeroes them, skipping
+    # a count still at zero.  Every count is an integer, so the fold
+    # commutes with the cold call sites that push straight into the
+    # tracker (per spilled page, per hash table).
 
     def _emit_start(self, seg_id: int) -> None:
         """``tracker._start`` at the segment's first row, as the row engine."""
@@ -385,10 +391,13 @@ class _Compiler:
         seg = self._seg(seg_id)
         what, sub = ("output", "") if idx is None else ("input", f"[{idx}]")
         self._sync += [
-            f"{seg}.{what}_rows{sub} += {rows}",
-            f"{seg}.{what}_bytes{sub} += {nbytes}",
-            zero,
+            f"if {rows}:",
+            f"    {seg}.{what}_rows{sub} += {rows}",
+            f"    {seg}.{what}_bytes{sub} += {nbytes}",
+            f"    {zero}",
         ]
+        if idx is not None or seg_id != self._final:  # final output: not work
+            self._total.append(nbytes)
 
     # batch / pulse plumbing ---------------------------------------------
 
@@ -677,15 +686,19 @@ class _Compiler:
 
     def compile(self, root: PhysicalNode) -> str:
         """The program's text; ``bindings`` then holds what it reads by name."""
+        self._final = root.segment_id  # the plan key holds it
         self._node(root, self._driver)
         sync: List[str] = []
         if self._sync:
             # The program's tracker state and the reader-side fold over it.
+            tr = self.local(lambda q: q.tracker, "tr")
+            if self._total:  # before any fold zeroes what it adds
+                self._pre.append(f"{tr}.total_done_bytes += {' + '.join(self._total)}")
             sync.append(" = ".join(self._cells) + " = 0")
             sync.append("def _sync():")
             sync.append("    nonlocal " + ", ".join(self._cells))
-            sync.extend("    " + s for s in self._sync)
-            sync.append(f"{self.local(lambda q: q.tracker, 'tr')}.sync = _sync")
+            sync.extend("    " + s for s in self._pre + self._sync)
+            sync.append(f"{tr}.sync = _sync")
         lines = ["def _fused_run():"]
         lines.append("    out = []")
         lines.append("    out_append = out.append")
@@ -741,9 +754,12 @@ class _Compiler:
             self._cells.append(n)
             it, pb, dr, db = (self.cell(c) for c in ("it", "pb", "dr", "db"))
             k, share = self.fresh("k"), self.fresh("share")
-            self._sync += [
+            self._pre += [
                 f"{k} = {n} - {it}.__length_hint__() if {it} else 0",
                 f"{share} = {k} * {pb} // {n} if {k} else 0",
+            ]
+            self._total += [db, share]
+            self._sync += [
                 f"{segv}.input_rows[{ref[1]}] += {dr} + {k}",
                 f"{segv}.input_bytes[{ref[1]}] += {db} + {share}",
                 f"{dr} = -{k}; {db} = -{share}",
@@ -1718,8 +1734,11 @@ class FusedQuery:
         return self._gen
 
     def close(self) -> None:
-        """Release resources: pins (via generator unwind), temps, operators."""
+        """Release resources: pins (via generator unwind), the tracker's
+        hook (after a last fold), temps, operators."""
         self._gen.close()
+        if self.tracker is not None:
+            self.tracker.detach()
         for op in self.ops:
             op.close()
         for sort in self.sorts:

@@ -4,15 +4,16 @@ The paper measures work in bytes processed at segment boundaries
 (Section 4.1/4.5): a byte is counted when a segment reads it as input,
 when a segment writes it as output (unless that output is the final query
 result), and once more per extra multi-stage pass.  :class:`WorkTracker`
-holds those counters per segment; the global total the speed monitor
-consumes is their sum, taken when it is read.
+holds those counters per segment and their running total, which every
+fold adds to as it adds to a segment: each read of U is O(1).
 
 Every byte count is an integer (row widths, ``Page.bytes_used``, the
 per-row :func:`page_share` of a page), held in a float only so traces
-print as before: sums are exact in any order, so the engines agree on U
-by arithmetic.  The row engine *pushes* each row into the counters; a
-fused program counts in its own variables and installs
-:attr:`WorkTracker.sync`, which readers call first to fold those in.
+print as before: sums are exact in any order, so the total is the
+segments' sum and the engines agree on U by arithmetic.  The row engine
+*pushes* each row into the counters; a fused program counts in its own
+variables and installs :attr:`WorkTracker.sync`, which readers call first
+to fold those in, until :meth:`WorkTracker.detach` folds the last.
 
 This module lives in the executor package (not in :mod:`repro.core`) so
 operators can report without importing the estimator; the estimator reads
@@ -96,11 +97,16 @@ class WorkTracker:
     result shown to the user are not work.
     """
 
+    __slots__ = ("segments", "total_done_bytes", "_clock", "sync",
+                 "on_segment_finished", "trace")
+
     def __init__(self, num_inputs: list[int], final_segment: int, clock=None):
         self.segments = [
             SegmentCounters(i, n, final=i == final_segment)
             for i, n in enumerate(num_inputs)
         ]
+        #: Every segment's ``done_bytes`` as of the last :attr:`sync`.
+        self.total_done_bytes = 0.0
         self._clock = clock
         #: Installed by a running fused program: folds the counts it keeps
         #: in its own variables into ``segments``; whatever reads counters
@@ -125,6 +131,7 @@ class WorkTracker:
             self._start(seg)
         seg.input_rows[input_index] += rows
         seg.input_bytes[input_index] += nbytes
+        self.total_done_bytes += nbytes
 
     def output_rows(self, segment_id: int, rows: int, nbytes: float) -> None:
         """Record tuples produced at a segment's output."""
@@ -133,17 +140,37 @@ class WorkTracker:
             self._start(seg)
         seg.output_rows += rows
         seg.output_bytes += nbytes
+        if not seg.final:
+            self.total_done_bytes += nbytes
 
     def extra_pass(self, segment_id: int, nbytes: float) -> None:
         """Record a multi-stage extra pass over ``nbytes`` (Section 4.5)."""
         seg = self.segments[segment_id]
         seg.extra_bytes += nbytes
+        self.total_done_bytes += nbytes
         if self.trace is not None:
             from repro.obs.events import ExtraPass
 
             self.trace.emit(
                 ExtraPass(t=self._now(), segment_id=segment_id, nbytes=nbytes)
             )
+
+    def load(self, segment_id: int, input_rows: list[int], input_bytes: list[float],
+             output_rows: int, output_bytes: float, extra_bytes: float,
+             started: bool, finished: bool) -> None:
+        """Set a segment's counters to recorded ones; the total follows."""
+        seg = self.segments[segment_id]
+        before = seg.done_bytes
+        seg.input_rows, seg.input_bytes = input_rows, input_bytes
+        seg.output_rows, seg.output_bytes = output_rows, output_bytes
+        seg.extra_bytes, seg.started, seg.finished = extra_bytes, started, finished
+        self.total_done_bytes += seg.done_bytes - before
+
+    def detach(self) -> None:
+        """Fold a closing program's last counts and unhook its :attr:`sync`."""
+        if self.sync is not None:
+            self.sync()
+            self.sync = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -211,28 +238,11 @@ class WorkTracker:
                 break
         return current
 
-    @property
-    def total_done_bytes(self) -> float:
-        """Work done so far, in bytes, as of the last :attr:`sync`: every
-        segment's ``done_bytes`` in one loop (integer-valued: order-free)."""
-        return _done_bytes(self.segments)
-
     def done_pages(self, page_size: int) -> float:
         """Total work done so far, in U (pages), synced first."""
         if self.sync is not None:
             self.sync()
-        return _done_bytes(self.segments) / page_size
-
-
-def _done_bytes(segments: list[SegmentCounters]) -> float:
-    total = 0.0
-    for seg in segments:
-        for nbytes in seg.input_bytes:
-            total += nbytes
-        total += seg.extra_bytes
-        if not seg.final:
-            total += seg.output_bytes
-    return total
+        return self.total_done_bytes / page_size
 
 
 def check_tracker_alignment(root: "PhysicalNode", tracker: WorkTracker) -> None:

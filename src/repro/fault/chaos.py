@@ -23,7 +23,9 @@ guarantees:
 5. a query whose refinement was sabotaged still **finishes correctly**,
    serving degraded fallback reports (the ``degraded`` trace event) —
    the paper's Section 3 "monitoring must not endanger the query",
-   demonstrated under fire.
+   demonstrated under fire;
+6. in whatever state a query ends, its closing program **folded its last
+   counts** (the tracker total is its segments' sum) and unhooked ``sync``.
 
 Everything is deterministic: the same seed replays the same faults, the
 same interleaving, and the same verdict.
@@ -31,6 +33,7 @@ same interleaving, and the same verdict.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -273,6 +276,11 @@ class ChaosHarness:
             result.violations.append(
                 f"{name}: {terminal} terminal trace events (want exactly 1)"
             )
+        if task.indicator is not None:
+            tracker = task.indicator.tracker
+            walk = math.fsum(c.done_bytes for c in tracker.segments)
+            if tracker.sync is not None or tracker.total_done_bytes != walk:
+                result.violations.append(f"{name}: tracker unfolded or still hooked")
         if task.state == "failed" and task.error is not None:
             if not isinstance(task.error, ReproError):
                 result.violations.append(

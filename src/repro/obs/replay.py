@@ -31,6 +31,14 @@ from repro.obs.events import (
 )
 
 
+def load_tick(tracker: WorkTracker, tick: RefinementTick) -> None:
+    """Set ``tracker``'s counters, its total too, to those ``tick`` saw."""
+    for s in tick.segments:
+        tracker.load(s.segment_id, [i.rows_read for i in s.inputs],
+                     [i.bytes_read for i in s.inputs], s.output_rows, s.output_bytes,
+                     s.extra_bytes, s.status != "pending", s.status == "finished")
+
+
 def replay(
     events: list[TraceEvent],
     estimator: str,
@@ -67,15 +75,7 @@ def replay(
         if isinstance(event, SpeedSampled):
             speed.record(event.t, event.cumulative_pages)
         elif isinstance(event, RefinementTick):
-            for seg in event.segments:
-                counters = tracker.segments[seg.segment_id]
-                counters.input_rows = [i.rows_read for i in seg.inputs]
-                counters.input_bytes = [i.bytes_read for i in seg.inputs]
-                counters.output_rows = seg.output_rows
-                counters.output_bytes = seg.output_bytes
-                counters.extra_bytes = seg.extra_bytes
-                counters.started = seg.status != "pending"
-                counters.finished = seg.status == "finished"
+            load_tick(tracker, event)
             snapshot = live.snapshot()
         elif isinstance(event, ReportEmitted) and snapshot is not None:
             reports.append(build_report(

@@ -27,6 +27,10 @@ _EPSILON = 1e-12
 _BY_SEQ = itemgetter(1)
 
 
+def _cancelled(t: float) -> None:
+    """A cancelled ticker's callback."""
+
+
 class Ticker:
     """A periodic callback registered on a :class:`VirtualClock`."""
 
@@ -41,8 +45,10 @@ class Ticker:
         self.active = True
 
     def cancel(self) -> None:
-        """Stop this ticker from firing again."""
+        """Stop this ticker from firing again.  It stays in the clock's heap
+        until its fire time, so it lets go of what its callback reaches."""
         self.active = False
+        self.callback = _cancelled
 
 
 class VirtualClock:

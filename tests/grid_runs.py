@@ -76,6 +76,8 @@ class Cell:
     programs: tuple
     #: Monitored runs: ``(final_snapshot(), snapshot())`` after the end.
     closing: Optional[tuple]
+    #: Monitored runs: the query's work tracker as the run left it.
+    tracker: Any
     #: ``prepare=True``: the plan before and after the run, and a fresh plan.
     planned: Optional[tuple]
     #: ``trace=True``: the sealed trace's events.
@@ -119,6 +121,7 @@ def observe(db, sql, *, monitor=True, prepare=False, clear=False, **options) -> 
         statements=statements,
         programs=programs,
         closing=(estimator.final_snapshot(), estimator.snapshot()) if monitor else None,
+        tracker=estimator.tracker if monitor else None,
         planned=planned,
         events=None if trace is None else trace.events,
     )

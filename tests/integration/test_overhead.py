@@ -10,9 +10,14 @@ claim splits in two:
 * **Real (host) time**: the executing query only counts — at most a
   couple of integer increments of its own local variables per tuple —
   and the indicator pulls those counts when it samples or reports
-  (``tracker.sync``); the repo benchmark (``benchmarks/e2e/``:
-  ``monitor_ratio``, ``core.tracking_ratio``, ``obs.trace_ratio``)
-  measures the wall-clock cost that leaves.
+  (``tracker.sync``, which folds them into one running total, so every
+  U read is O(1)).  A closing program folds its last counts and unhooks
+  ``sync``, and cancelled tickers drop their callbacks, so a finished
+  query's indicator is released at once.  What a monitored lookup still
+  pays is its tickers, the sample at its start and one closing report;
+  the repo benchmark (``benchmarks/e2e/``: ``monitor_ratio``,
+  ``core.tracking_ratio``, ``obs.trace_ratio``) measures the wall-clock
+  cost that leaves.
 """
 
 import pytest

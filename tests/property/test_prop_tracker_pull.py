@@ -17,7 +17,10 @@ pulse is skipped, because the fused program has by then run on to the end
 of the page while the row engine's driver saw those rows one by one.
 
 The same drive checks U's exactness: every byte counter holds an integer
-at every report and the per-segment done-bytes sum to the total exactly.
+at every report and the per-segment done-bytes sum to the running total
+exactly.  Over every monitored cell of the ``tier1_runs`` grid, the total
+a run ends on is its segments' sum and the program let go of the tracker,
+and a replay's loaded tracker is the live one at every refinement tick.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from repro.core.indicator import ProgressIndicator
 from repro.executor.base import PULSE, ExecContext
 from repro.executor.batch import Batch
 from repro.executor.runtime import execute
-from repro.workloads import queries
+from repro.executor.work import WorkTracker
+from repro.obs.events import QueryStarted, RefinementTick
+from repro.obs.replay import load_tick
+from repro.workloads import grid, queries
 from tests.grid_runs import VARIANTS
 
 #: Small enough that most batches fill (and flush) in the middle of a page.
@@ -118,3 +124,44 @@ def test_grid_variant_reports_equal_after_every_item(tier1_runs, name):
 def test_paper_query_reports_equal_after_every_item(tier1_runs, name):
     sql = queries.PAPER_QUERIES[name]
     _assert_same_at_every_observation_point(tier1_runs, "tpcr", sql)
+
+
+def _walk(tracker) -> float:
+    """Every segment's done bytes, added up one counter at a time."""
+    total = 0.0
+    for seg in tracker.segments:
+        total += seg.done_bytes
+    return total
+
+
+def _counters(seg) -> tuple:
+    return (list(seg.input_rows), list(seg.input_bytes), seg.output_rows,
+            seg.output_bytes, seg.extra_bytes, seg.started, seg.finished)
+
+
+@pytest.mark.parametrize("name", grid.TIER1_NAMES)
+def test_tier1_running_total(tier1_runs, name):
+    cells = tier1_runs(name)
+    monitored = {lane: c for lane, c in cells.items() if c.tracker is not None}
+    assert "traced" in monitored and "spill" in monitored
+    for lane, cell in monitored.items():
+        assert cell.tracker.sync is None, lane
+        assert cell.tracker.total_done_bytes == _walk(cell.tracker), lane
+
+    live = monitored["traced"].tracker
+    events = monitored["traced"].events
+    started = next(e for e in events if isinstance(e, QueryStarted))
+    loaded = WorkTracker([len(m.inputs) for m in started.segments],
+                         final_segment=live.segments[-1].segment_id)
+    ticks = [e for e in events if isinstance(e, RefinementTick)]
+    assert ticks
+    for tick in ticks:
+        load_tick(loaded, tick)
+        assert loaded.total_done_bytes == tick.done_bytes == _walk(loaded), tick.t
+        for seg in tick.segments:
+            assert loaded.segments[seg.segment_id].done_bytes == seg.done_bytes
+    # The closing tick saw the counters the run ended on.
+    assert loaded.total_done_bytes == live.total_done_bytes
+    assert [_counters(s) for s in loaded.segments] == [
+        _counters(s) for s in live.segments
+    ]

@@ -1,5 +1,8 @@
 """Unit tests for the indicator facade, reports and history."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.history import ProgressLog
@@ -43,6 +46,27 @@ class TestIndicatorLifecycle:
         assert monitored.log.initial_cost_pages == pytest.approx(
             monitored.log.reports[0].est_cost_pages, rel=0.05
         )
+
+
+class TestRetention:
+    """A finished query's indicator is released at once."""
+
+    def test_cancelled_tickers_do_not_keep_the_indicator_alive(self, tiny_tpcr):
+        tiny_tpcr.restart()
+        session = tiny_tpcr.connect()
+        handle = session.submit(queries.Q1, keep_rows=False)
+        handle.result()
+        indicator = handle.task.indicator
+        assert indicator.tracker.sync is None  # the program let go of it
+        # The clock has not advanced past their fire times: both cancelled
+        # tickers are still queued, as the clock drops them only there.
+        queued = {id(t) for _, _, t in tiny_tpcr.clock._tickers}
+        assert id(indicator._speed_ticker) in queued
+        assert id(indicator._report_ticker) in queued
+        ref = weakref.ref(indicator)
+        del indicator, handle, session
+        gc.collect()
+        assert ref() is None
 
 
 class TestReportContents:

@@ -194,15 +194,18 @@ class TestSync:
         assert make_tracker().sync is None
 
     def test_done_pages_and_segment_finished_sync_first(self):
+        # A sync folds each count into its segment and the running total.
         tracker = make_tracker()
         pending = [8192]
 
         def sync():
             if pending:
-                tracker.segments[0].input_bytes[0] += pending.pop()
+                nbytes = pending.pop()
+                tracker.segments[0].input_bytes[0] += nbytes
+                tracker.total_done_bytes += nbytes
 
         tracker.sync = sync
-        assert tracker.total_done_bytes == 0  # the raw sum does not pull
+        assert tracker.total_done_bytes == 0  # the total does not pull
         assert tracker.done_pages(8192) == 1.0
         pending.append(8192)
         finished = []
@@ -211,3 +214,39 @@ class TestSync:
         )
         tracker.finish_all()
         assert finished == [16384.0, 0.0]
+
+
+class TestDetach:
+    """A closing program folds its last counts and lets go of the tracker."""
+
+    def test_detach_folds_then_unhooks(self):
+        tracker = make_tracker()
+        calls = []
+
+        def sync():
+            calls.append(1)
+            tracker.input_rows(0, 0, 1, 64)
+
+        tracker.sync = sync
+        tracker.detach()
+        assert calls == [1] and tracker.sync is None
+        assert tracker.total_done_bytes == 64.0
+        tracker.detach()  # nothing left to fold
+        assert calls == [1]
+
+
+class TestLoad:
+    """A replay sets recorded counters; the running total follows them."""
+
+    def test_load_moves_the_total_by_the_segment_change(self):
+        tracker = make_tracker((1, 2), final=1)
+        tracker.input_rows(0, 0, 1, 50)
+        tracker.load(0, [3], [120.0], 2, 64.0, 1000.0, True, False)
+        tracker.load(1, [1, 1], [7.0, 9.0], 5, 333.0, 0.0, True, True)
+        assert tracker.total_done_bytes == 120 + 64 + 1000 + 7 + 9
+        tracker.load(0, [4], [160.0], 2, 64.0, 1000.0, True, True)
+        assert tracker.total_done_bytes == sum(
+            seg.done_bytes for seg in tracker.segments
+        )
+        seg = tracker.segments[0]
+        assert (seg.input_rows, seg.started, seg.finished) == ([4], True, True)
