@@ -16,10 +16,10 @@ from repro.storage.types import StringType
 class ProjectOp(Operator):
     """Computes the SELECT-list expressions.
 
-    Always the top of the pipeline that forms the plan's *final* segment:
-    it reports output cardinality/width to the tracker for the indicator's
-    statistics, but those bytes are not counted as work (the paper excludes
-    the final result returned to the user).
+    Reports output cardinality/width to the tracker for the indicator's
+    statistics; at the top of the plan's *final* segment the tracker keeps
+    the rows only (the paper excludes the final result returned to the
+    user from the work).
     """
 
     def __init__(self, node: ProjectNode, ctx: ExecContext):

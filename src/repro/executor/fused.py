@@ -30,7 +30,8 @@ The compiler therefore follows four rules:
   as ``tracker.sync`` folds those counts into the segments and their
   running total whenever the indicator, the scheduler or a segment end
   reads, and once more at ``close()``, which unhooks it — no row loop
-  writes to the tracker;
+  writes to the tracker, and none counts the query result (no bytes; its
+  rows are the flushed batches' plus ``nout``).  A waiting query is parked;
 * every storage call (buffer-pool page get/pin/unpin, disk read, temp
   write) keeps its exact order, because fault injection draws one RNG
   value per charged I/O;
@@ -375,49 +376,50 @@ class _Compiler:
             with self.block(f"if not {seg}.started:"):
                 self.line(f"{self._tr_start}({seg})")
 
-    def _emit_count(self, seg_id: int, idx: Optional[int], width: "int | str") -> None:
-        """Count one row of ``width`` bytes (a constant int, or source for
-        one) into input ``idx`` of a segment, or its output when None."""
+    def _emit_count(self, seg_id: int, idx: Optional[int],
+                    width: "int | str | None") -> None:
+        """Count one row of ``width`` bytes (an int, source for one, or None:
+        rows only) into input ``idx`` of a segment, or its output when None."""
         self._emit_start(seg_id)
         rows = self.cell("n")
         self.line(f"{rows} += 1")
-        zero = f"{rows} = 0"
-        if isinstance(width, int):
-            nbytes = f"{rows} * {width}"
-        else:
-            nbytes = self.cell("b")
-            self.line(f"{nbytes} += {width}")
-            zero = f"{nbytes} = {zero}"
         seg = self._seg(seg_id)
         what, sub = ("output", "") if idx is None else ("input", f"[{idx}]")
-        self._sync += [
-            f"if {rows}:",
-            f"    {seg}.{what}_rows{sub} += {rows}",
-            f"    {seg}.{what}_bytes{sub} += {nbytes}",
-            f"    {zero}",
-        ]
-        if idx is not None or seg_id != self._final:  # final output: not work
+        fold = [f"    {seg}.{what}_rows{sub} += {rows}"]
+        zero = f"{rows} = 0"
+        if width is not None:
+            if isinstance(width, int):
+                nbytes = f"{rows} * {width}"
+            else:
+                nbytes = self.cell("b")
+                self.line(f"{nbytes} += {width}")
+                zero = f"{nbytes} = {zero}"
+            fold.append(f"    {seg}.{what}_bytes{sub} += {nbytes}")
             self._total.append(nbytes)
+        self._sync += [f"if {rows}:", *fold, f"    {zero}"]
 
     # batch / pulse plumbing ---------------------------------------------
+
+    def _flush(self) -> None:
+        """Hand the pending batch to the driver (its rows leave ``nout``)."""
+        self.line("yield _B(out)")
+        self.line("out = []")
+        self.line("out_append = out.append")
+        if self._fout is not None:
+            self.line(f"{self._fout} += nout")
+        self.line("nout = 0")
 
     def _emit_pulse(self) -> None:
         """Yield PULSE, flushing any pending output batch first."""
         with self.block("if nout:"):
-            self.line("yield _B(out)")
-            self.line("out = []")
-            self.line("out_append = out.append")
-            self.line("nout = 0")
+            self._flush()
         self.line("yield PULSE")
 
     def _driver(self, rowvar: str) -> None:
         self.line(f"out_append({self._whole(rowvar)})")
         self.line("nout += 1")
         with self.block(f"if nout >= {self.batch_rows}:"):
-            self.line("yield _B(out)")
-            self.line("out = []")
-            self.line("out_append = out.append")
-            self.line("nout = 0")
+            self._flush()
 
     # width arithmetic ----------------------------------------------------
 
@@ -687,6 +689,12 @@ class _Compiler:
     def compile(self, root: PhysicalNode) -> str:
         """The program's text; ``bindings`` then holds what it reads by name."""
         self._final = root.segment_id  # the plan key holds it
+        self._fout = None
+        if self.monitored and getattr(root, "pi_output_segment", None) is not None:
+            # The result's rows: flushed since the last fold, plus ``nout``.
+            self._fout = fout = self.cell("fout")
+            seg = self._seg(self._final)
+            self._sync += [f"{seg}.output_rows += {fout} + nout", f"{fout} = -nout"]
         self._node(root, self._driver)
         sync: List[str] = []
         if self._sync:
@@ -820,7 +828,7 @@ class _Compiler:
         get = self.local(lambda q: q.ctx.buffer_pool.get_page, "get")
         pin = self.local(lambda q: q.ctx.buffer_pool.pin, "pin")
         unpin = self.local(lambda q: q.ctx.buffer_pool.unpin, "unpin")
-        rw = self.node_local(node, lambda n: n.table.schema.row_width, "rw")
+        fixed, var_slots = node.table.schema.width_parts()  # of the heap row
         seen = self.fresh("seen")
         k = self.fresh("k")
         rid = self.fresh("rid")
@@ -842,7 +850,8 @@ class _Compiler:
                 self.line(f"{r} = {pg}.rows[{slot}]")
                 self._emit_advance(per_row_cpu, "_CPU")
                 if monitored:
-                    self._emit_count(ref[0], ref[1], f"{rw}({r})")
+                    w = self._emit_width(r, fixed + len(var_slots), var_slots)
+                    self._emit_count(ref[0], ref[1], w)
                 self._emit_predicates(node.filters, layout, r)
                 if slots is None:
                     consume(r)
@@ -918,9 +927,10 @@ class _Compiler:
                     else part_src(i, e, rowvar)
                     for i, e in enumerate(node.exprs)
                 ])
-            if monitored:
-                w = self._emit_width(o, fixed, var_slots)
-                self._emit_count(segment, None, w)
+            if monitored and segment != self._final:
+                self._emit_count(segment, None, self._emit_width(o, fixed, var_slots))
+            elif monitored and consume != self._driver:  # a stage in between
+                self._emit_count(segment, None, None)
             consume(o)
 
         self._node(node.child, stage)
@@ -1587,6 +1597,7 @@ def _node_key(node: PhysicalNode, nodes: list, exprs: list) -> tuple:
             node.table_index, len(node.table.schema),
             node.index.height, node.index.fanout,
             node.low_inclusive, node.high_inclusive,
+            node.table.schema.width_parts(),  # the heap row's, for its width
         )
         own = node.filters
     elif cls is HashJoinNode:
@@ -1722,7 +1733,7 @@ class FusedQuery:
         for name, bind in program.bindings:  # the only way env is filled
             env[name] = bind(self)
         exec(program.code, env)  # noqa: S102 - engine-generated source, no user input
-        self._gen = env["_fused_run"]()
+        self._gen = env.pop("_fused_run")()  # env must not hold its own function
 
     def _compiler(self) -> _Compiler:
         return _Compiler(

@@ -5,7 +5,8 @@ The paper measures work in bytes processed at segment boundaries
 when a segment writes it as output (unless that output is the final query
 result), and once more per extra multi-stage pass.  :class:`WorkTracker`
 holds those counters per segment and their running total, which every
-fold adds to as it adds to a segment: each read of U is O(1).
+fold adds to as it adds to a segment: each read of U is O(1).  Of the
+final segment's output only the rows are kept (the refiner reads them).
 
 Every byte count is an integer (row widths, ``Page.bytes_used``, the
 per-row :func:`page_share` of a page), held in a float only so traces
@@ -13,7 +14,8 @@ print as before: sums are exact in any order, so the total is the
 segments' sum and the engines agree on U by arithmetic.  The row engine
 *pushes* each row into the counters; a fused program counts in its own
 variables and installs :attr:`WorkTracker.sync`, which readers call first
-to fold those in, until :meth:`WorkTracker.detach` folds the last.
+to fold those in, until :meth:`WorkTracker.detach` folds the last; while
+its query waits for a slice the program cannot count, and is parked.
 
 This module lives in the executor package (not in :mod:`repro.core`) so
 operators can report without importing the estimator; the estimator reads
@@ -62,7 +64,7 @@ class SegmentCounters:
         self.output_rows = 0
         self.output_bytes = 0.0
         self.extra_bytes = 0.0
-        #: The final segment's output is the query result, which is not work.
+        #: The final segment's output is the query result: rows, no bytes.
         self.final = final
         self.started = False
         self.finished = False
@@ -73,7 +75,7 @@ class SegmentCounters:
     def done_bytes(self) -> float:
         """Bytes of this segment counted toward the query's done work."""
         done = sum(self.input_bytes) + self.extra_bytes  # noqa: REPRO112 - whole-number bytes, exact
-        return done if self.final else done + self.output_bytes
+        return done + self.output_bytes
 
     def avg_output_width(self) -> Optional[float]:
         """Observed mean output tuple width, or None before any output."""
@@ -93,11 +95,9 @@ class WorkTracker:
 
     ``num_inputs`` lists the input count of each segment, indexed by
     segment id (segment ids are dense, assigned by the segment builder).
-    ``count_final_output`` is False per the paper: bytes of the final
-    result shown to the user are not work.
     """
 
-    __slots__ = ("segments", "total_done_bytes", "_clock", "sync",
+    __slots__ = ("segments", "total_done_bytes", "_clock", "sync", "_parked",
                  "on_segment_finished", "trace")
 
     def __init__(self, num_inputs: list[int], final_segment: int, clock=None):
@@ -112,6 +112,8 @@ class WorkTracker:
         #: in its own variables into ``segments``; whatever reads counters
         #: mid-query calls it first.  None: they are already current.
         self.sync: Optional[Callable[[], None]] = None
+        #: A parked program's ``sync`` (see :meth:`park`).
+        self._parked: Optional[Callable[[], None]] = None
         #: Optional hook invoked as segments finish (indicator refresh).
         self.on_segment_finished: Optional[Callable[[int], None]] = None
         #: Optional TraceBus for segment-lifecycle events.  None (default)
@@ -134,13 +136,13 @@ class WorkTracker:
         self.total_done_bytes += nbytes
 
     def output_rows(self, segment_id: int, rows: int, nbytes: float) -> None:
-        """Record tuples produced at a segment's output."""
+        """Record tuples produced at a segment's output (final: rows only)."""
         seg = self.segments[segment_id]
         if not seg.started:
             self._start(seg)
         seg.output_rows += rows
-        seg.output_bytes += nbytes
         if not seg.final:
+            seg.output_bytes += nbytes
             self.total_done_bytes += nbytes
 
     def extra_pass(self, segment_id: int, nbytes: float) -> None:
@@ -171,6 +173,17 @@ class WorkTracker:
         if self.sync is not None:
             self.sync()
             self.sync = None
+        self._parked = None
+
+    def park(self) -> None:
+        """Unhook a just-folded program that cannot run until :meth:`resume`."""
+        if self.sync is not None:
+            self._parked, self.sync = self.sync, None
+
+    def resume(self) -> None:
+        """Re-hook a parked program's :attr:`sync` before it runs again."""
+        if self._parked is not None:
+            self.sync, self._parked = self._parked, None
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -243,7 +243,9 @@ class SegmentTrace:
     est_cost_bytes: float
     done_bytes: float
     inputs: tuple[InputTrace, ...]
+    #: Rows the segment produced (the final segment's: the query result).
     output_rows: int
+    #: Bytes of those rows; 0 for the final segment, whose output is not work.
     output_bytes: float
     extra_bytes: float
 

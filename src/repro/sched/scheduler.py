@@ -312,7 +312,9 @@ class CooperativeScheduler:
                 task.deadline = started + task.timeout
             start_pages = 0.0  # nothing has run: every counter is zero
         else:
-            start_pages = self._done_pages(task)
+            start_pages = self._done_pages(task)  # parked: no fold
+            if task.indicator is not None:
+                task.indicator.tracker.resume()
         pulses = 0
         reason = "quantum"
         keep = task.keep_rows
@@ -382,6 +384,8 @@ class CooperativeScheduler:
                 pages=self._done_pages(task) - start_pages,
                 reason=reason,
             )
+            if task.indicator is not None and not task.done:  # that read folded
+                task.indicator.tracker.park()
             task.last_sliced = self._seq
             self._seq += 1
             task.slices.append(record)

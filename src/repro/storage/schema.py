@@ -65,7 +65,7 @@ class Schema:
                 self._fixed.append(w)
                 fixed_total += w
         self._fixed_total = fixed_total
-        self._varying = [i for i, w in enumerate(self._fixed) if w is None]
+        self._varying = tuple([i for i, w in enumerate(self._fixed) if w is None])
 
     # ------------------------------------------------------------------
 
@@ -105,7 +105,7 @@ class Schema:
             width += 1 if value is None else 1 + len(value)
         return width
 
-    def width_parts(self) -> tuple[int, list[int]]:
+    def width_parts(self) -> tuple[int, tuple[int, ...]]:
         """``row_width`` as data: fixed bytes, and the slots that add
         ``1 + len(value)`` (NULL: 1) each — for callers inlining the sum."""
         return self._fixed_total, self._varying

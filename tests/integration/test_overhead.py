@@ -7,18 +7,25 @@ claim splits in two:
 * **Simulated time**: the tracker charges *no* virtual time at all, so
   monitored and unmonitored runs take identical simulated seconds and do
   identical I/O.
-* **Real (host) time**: the executing query only counts — at most a
-  couple of integer increments of its own local variables per tuple —
+* **Real (host) time**: the executing query only counts work — at most
+  a couple of integer increments of its own local variables per tuple,
+  and none for the query result, whose rows the output batches count —
   and the indicator pulls those counts when it samples or reports
   (``tracker.sync``, which folds them into one running total, so every
-  U read is O(1)).  A closing program folds its last counts and unhooks
-  ``sync``, and cancelled tickers drop their callbacks, so a finished
-  query's indicator is released at once.  What a monitored lookup still
-  pays is its tickers, the sample at its start and one closing report;
-  the repo benchmark (``benchmarks/e2e/``: ``monitor_ratio``,
-  ``core.tracking_ratio``, ``obs.trace_ratio``) measures the wall-clock
-  cost that leaves.
+  U read is O(1)).  A query waiting for its scheduler slice is parked:
+  its readers skip the fold.  A closing program folds its last counts
+  and unhooks ``sync``, and cancelled tickers drop their callbacks, so a
+  finished query's indicator is released at once.  What a monitored
+  lookup still pays is its tickers, the sample at its start and one
+  closing report; the repo benchmark (``benchmarks/e2e/``:
+  ``monitor_ratio``, ``core.tracking_ratio``, ``obs.trace_ratio``)
+  measures the wall-clock cost that leaves, and
+  :class:`TestRealOverheadCounted` its exact, host-independent
+  counterpart: the generated program's line events, monitored over
+  plain.
 """
+
+import sys
 
 import pytest
 
@@ -75,3 +82,44 @@ class TestPacing:
         elapsed = monitored.result.elapsed
         periodic = [r for r in monitored.log.reports if not r.finished]
         assert len(periodic) == int(elapsed / 10.0)
+
+
+def _fused_line_events(db, sql: str, monitor: bool) -> int:
+    """Python line events in the query's generated program (its ``_sync``
+    included) for one cold run: the work monitoring adds, counted exactly."""
+    count = 0
+
+    def lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == "<fused-plan>" else None
+
+    db.restart()
+    session = db.connect()
+    sys.settrace(calls)
+    try:
+        session.submit(sql, monitor=monitor, keep_rows=False).result()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+class TestRealOverheadCounted:
+    """The exact counterpart of the benchmark's wall-clock ratio: the
+    monitored program executes at most 3% more lines than the plain one.
+    The query result is not counted per row (the driver's batches count
+    it) and a query waiting for its slice is not folded."""
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q5"])
+    def test_monitored_program_runs_at_most_three_percent_more_lines(
+        self, pair, name
+    ):
+        plain_db, monitored_db = pair
+        sql = queries.PAPER_QUERIES[name]
+        plain = _fused_line_events(plain_db, sql, monitor=False)
+        monitored = _fused_line_events(monitored_db, sql, monitor=True)
+        assert plain > 0
+        assert monitored / plain <= 1.03

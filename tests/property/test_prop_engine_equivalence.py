@@ -54,6 +54,28 @@ def test_tier1_variant_bit_identical(tier1_runs, name):
     assert cells["row-again"].statements == cells["warm-again"].statements == (1, 0)
 
 
+def _counters(cell) -> list[tuple]:
+    return [
+        (seg.input_rows, seg.input_bytes, seg.output_rows, seg.output_bytes,
+         seg.extra_bytes, seg.started, seg.finished)
+        for seg in cell.tracker.segments
+    ]
+
+
+@pytest.mark.parametrize("name", grid.TIER1_NAMES)
+def test_tier1_variant_same_counters(tier1_runs, name):
+    """No report reads every counter, so the outcome alone could hide a
+    counting difference: each batch lane leaves the row lane's counters,
+    and the query result's segment keeps rows but no bytes."""
+    cells = tier1_runs(name)
+    row = _counters(cells["row"])
+    assert [c[3] for c, seg in zip(row, cells["row"].tracker.segments)
+            if seg.final] == [0]
+    for lane in ("cold", "warm", "prepared", "traced"):
+        assert _counters(cells[lane]) == row, lane
+    assert _counters(cells["warm-again"]) == _counters(cells["row-again"])
+
+
 def test_each_cell_runs_once(tier1_runs):
     """A second request for a variant's records runs nothing."""
     first = tier1_runs("xs-hot-join2-half")

@@ -290,6 +290,28 @@ class TestSpecializationsAreInTheKey:
             assert both(pair, sql) == [(k,) for k in want]
         assert fused.code_cache_info().misses == 3
 
+    def test_index_heap_row_width_is_in_the_key(self):
+        """A monitored index scan counts the width of the heap row it
+        fetched, inline: the heap row's width parts are shape even where
+        the scan reads only columns the two tables share."""
+        fused.code_cache_clear()
+        sql = "select k from t where k = 18"
+        counted = []
+        for pad, value in ((string(40), "x" * 40), (INTEGER, 7)):
+            for engine in ("row", "batch"):
+                db = Database(SystemConfig().with_progress(engine=engine))
+                schema = Schema([Column("k", INTEGER), Column("pad", pad)])
+                db.create_table("t", schema, [(i, value) for i in range(5000)])
+                db.create_index("t", "k")
+                db.analyze()
+                assert isinstance(db.prepare(sql).root.children[0], IndexScanNode)
+                handle = db.connect().submit(sql)
+                assert handle.result().rows == [(18,)]
+                tracker = handle.task.indicator.tracker
+                counted.append((engine, pad, tracker.segments[0].input_bytes))
+        assert counted[0][2] == counted[1][2] != counted[2][2] == counted[3][2]
+        assert fused.code_cache_info().misses == 2
+
 
 class TestCatalogFactsChange:
     """A mutable fact the text interpolates gives a new key: there is no
@@ -583,6 +605,10 @@ MUTANTS = {
     "index height": (
         lambda: without(FACTS, IndexScanNode, fact=2),
         Facts.test_rows_loaded_until_index_height_changes,
+    ),
+    "index heap row width": (
+        lambda: without(FACTS, IndexScanNode, fact=6),
+        Key.test_index_heap_row_width_is_in_the_key,
     ),
     "index fanout": (
         lambda: without(FACTS, IndexScanNode, fact=3),

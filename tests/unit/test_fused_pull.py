@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -102,6 +103,111 @@ class TestStoppedMidPage:
         assert logs[0] == logs[1]
         assert counters[0] == counters[1]
         assert counters[0][0][0] == [10]  # ten rows into the first page
+
+
+class TestResultCountedInRows:
+    """The query result is not work: its segment's output keeps a row count
+    and no bytes.  A projection that hands rows straight to the driver is
+    counted per flushed batch; with a stage in between, per row, where the
+    row engine counts it."""
+
+    @pytest.mark.parametrize("sql", [
+        "select orderkey, orderstatus from orders",
+        "select orderkey, orderstatus from orders limit 7",
+        "select distinct orderstatus from orders",
+        "select custkey, count(*) from orders group by custkey "
+        "having count(*) > 2",
+    ])
+    def test_engines_agree_and_the_result_keeps_no_bytes(self, sql):
+        finals = []
+        for engine in ("batch", "row"):
+            handle = _db(engine).connect().submit(sql, keep_rows=False)
+            result = handle.result()
+            tracker = handle.task.indicator.tracker
+            final = next(seg for seg in tracker.segments if seg.final)
+            assert final.output_bytes == 0
+            assert 0 < final.output_rows and result.row_count <= final.output_rows
+            finals.append((final.output_rows, _counters(tracker)))
+        assert finals[0] == finals[1]
+
+
+class TestParkedWhileWaiting:
+    """A query waiting for its slice is parked: the scheduler's slice-end
+    read of its U folded the program's counts, and the program cannot count
+    until its next slice, so every reader takes the running total as it
+    stands — no fold — until that slice re-hooks ``sync``."""
+
+    def _session(self, on_report=None):
+        db = _db(work_mem_pages=1)
+        session = db.connect()
+        tasks = [
+            session.submit(sql, name=name, keep_rows=False, on_report=on_report).task
+            for name, sql in (("a", SPILLING_SORT), ("b", queries.Q2))
+        ]
+        return db, session, tasks
+
+    def test_a_waiting_tracker_is_unhooked_at_its_slice_end_value(self):
+        db, session, tasks = self._session()
+        waited = 0
+        for _ in range(12):
+            ran = session.step().task
+            for task in tasks:
+                tracker = task.indicator.tracker
+                if task is ran or task.done or not task.slices:
+                    continue
+                waited += 1
+                assert tracker.sync is None
+                counters = _counters(tracker)
+                total = tracker.total_done_bytes
+                assert tracker.done_pages(db.config.page_size) == (
+                    total / db.config.page_size
+                )
+                task.indicator.report()  # a reader does not re-hook it
+                assert tracker.sync is None
+                # Parked right after a fold: folding again adds nothing.
+                tracker._parked()
+                assert (_counters(tracker), tracker.total_done_bytes) == (
+                    counters, total
+                )
+        assert waited >= 10
+
+    def test_the_next_slice_re_hooks_sync(self):
+        seen = []
+
+        def on_report(report):
+            for task in tasks:
+                if task.slices or task.state == "running":
+                    seen.append((task.state, task.indicator.tracker.sync is None))
+
+        _, session, tasks = self._session(on_report)
+        session.run()
+        assert all(task.state == "finished" for task in tasks)
+        assert ("running", False) in seen and ("suspended", True) in seen
+        assert set(seen) <= {("running", False), ("suspended", True),
+                             ("finished", True)}
+
+    @pytest.mark.parametrize("how", ["cancel", "timeout", "shed"])
+    def test_a_task_stopped_while_parked_ends_folded_and_unhooked(self, how):
+        db, session, tasks = self._session()
+        for _ in range(5):
+            session.step()
+        task = tasks[0]
+        tracker = task.indicator.tracker
+        assert task.state == "suspended" and tracker.sync is None
+        counters = _counters(tracker)
+        if how == "cancel":
+            session.handles[0].cancel()
+        elif how == "shed":
+            session.scheduler.shed(task, reason="test eviction")
+        else:
+            task.deadline = db.clock.now  # the next watchdog sweep fires
+            session.step()
+        assert task.done and task.state != "finished"
+        assert tracker.sync is None and tracker._parked is None
+        assert [c[:5] for c in _counters(tracker)] == [c[:5] for c in counters]
+        assert tracker.total_done_bytes == math.fsum(
+            seg.done_bytes for seg in tracker.segments
+        )
 
 
 class TestSyncFailureIsAbsorbed:
