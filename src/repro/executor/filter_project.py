@@ -47,6 +47,8 @@ class ProjectOp(Operator):
         ctx = self.ctx
         tracker = ctx.tracker
         segment = getattr(self.node, "pi_output_segment", None)
+        final = (tracker is not None and segment is not None
+                 and tracker.segments[segment].final)  # its width is never read
         # Plain column references are near-free slot copies; only computed
         # expressions pay the per-operator CPU cost.
         from repro.expr.bound import ColumnExpr
@@ -65,7 +67,7 @@ class ProjectOp(Operator):
             ctx.clock.advance(per_row, CPU)
             out = tuple(fn(row) for fn in fns)
             if tracker is not None and segment is not None:
-                tracker.output_rows(segment, 1, self._width(out))
+                tracker.output_rows(segment, 1, 0.0 if final else self._width(out))
             yield out
 
     def close(self) -> None:

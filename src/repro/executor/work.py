@@ -78,8 +78,8 @@ class SegmentCounters:
         return done + self.output_bytes
 
     def avg_output_width(self) -> Optional[float]:
-        """Observed mean output tuple width, or None before any output."""
-        if self.output_rows <= 0:
+        """Observed mean output tuple width; None before any output or if final."""
+        if self.output_rows <= 0 or self.final:
             return None
         return self.output_bytes / self.output_rows
 
@@ -112,8 +112,7 @@ class WorkTracker:
         #: in its own variables into ``segments``; whatever reads counters
         #: mid-query calls it first.  None: they are already current.
         self.sync: Optional[Callable[[], None]] = None
-        #: A parked program's ``sync`` (see :meth:`park`).
-        self._parked: Optional[Callable[[], None]] = None
+        self._parked: Optional[Callable[[], None]] = None  # sync, while parked
         #: Optional hook invoked as segments finish (indicator refresh).
         self.on_segment_finished: Optional[Callable[[int], None]] = None
         #: Optional TraceBus for segment-lifecycle events.  None (default)
@@ -164,7 +163,8 @@ class WorkTracker:
         seg = self.segments[segment_id]
         before = seg.done_bytes
         seg.input_rows, seg.input_bytes = input_rows, input_bytes
-        seg.output_rows, seg.output_bytes = output_rows, output_bytes
+        seg.output_rows = output_rows
+        seg.output_bytes = 0.0 if seg.final else output_bytes  # as output_rows
         seg.extra_bytes, seg.started, seg.finished = extra_bytes, started, finished
         self.total_done_bytes += seg.done_bytes - before
 
@@ -172,13 +172,11 @@ class WorkTracker:
         """Fold a closing program's last counts and unhook its :attr:`sync`."""
         if self.sync is not None:
             self.sync()
-            self.sync = None
-        self._parked = None
+        self.sync = self._parked = None
 
     def park(self) -> None:
         """Unhook a just-folded program that cannot run until :meth:`resume`."""
-        if self.sync is not None:
-            self._parked, self.sync = self.sync, None
+        self._parked, self.sync = self.sync, None
 
     def resume(self) -> None:
         """Re-hook a parked program's :attr:`sync` before it runs again."""

@@ -25,7 +25,7 @@ guarantees:
    the paper's Section 3 "monitoring must not endanger the query",
    demonstrated under fire;
 6. in whatever state a query ends, its closing program **folded its last
-   counts** (the tracker total is its segments' sum) and unhooked ``sync``.
+   counts** (the total is its segments' sum) and holds no ``sync``, parked or not.
 
 Everything is deterministic: the same seed replays the same faults, the
 same interleaving, and the same verdict.
@@ -279,7 +279,7 @@ class ChaosHarness:
         if task.indicator is not None:
             tracker = task.indicator.tracker
             walk = math.fsum(c.done_bytes for c in tracker.segments)
-            if tracker.sync is not None or tracker.total_done_bytes != walk:
+            if tracker.sync or tracker._parked or tracker.total_done_bytes != walk:
                 result.violations.append(f"{name}: tracker unfolded or still hooked")
         if task.state == "failed" and task.error is not None:
             if not isinstance(task.error, ReproError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.chaos import CI_SEEDS, ChaosHarness, plan_for_seed
+from repro.fault.chaos import CI_SEEDS, ChaosHarness, ChaosResult, plan_for_seed
 
 #: 11 seeds x 5 queries = 55 fault-injected query runs.
 SEEDS = list(range(1, 12))
@@ -60,3 +60,19 @@ class TestChaosSuite:
         for seed in CI_SEEDS:
             result = harness.run_seed(seed)
             assert result.ok, result.summary()
+
+    @pytest.mark.parametrize("hook", ["sync", "_parked"])
+    def test_a_hook_held_after_the_end_is_a_violation(self, harness, hook):
+        """Invariant 6 sees a program held live or parked past its end."""
+        name, sql = next(iter(harness.suite.items()))
+        handle = harness.db.connect().submit(sql, name=name, trace=True)
+        handle.result()
+        task = handle.task
+        tracker = task.indicator.tracker
+        assert task.state == "finished" and tracker.sync is tracker._parked is None
+        setattr(tracker, hook, lambda: None)
+        result = ChaosResult(seed=0, plan=plan_for_seed(0))
+        harness._check_query(result, name, task, None)
+        assert [v for v in result.violations if "still hooked" in v] == [
+            f"{name}: tracker unfolded or still hooked"
+        ]

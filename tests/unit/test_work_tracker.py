@@ -35,6 +35,8 @@ class TestCounting:
         assert tracker.segments[1].output_rows == 3
         assert tracker.segments[1].output_bytes == 0.0
         assert tracker.total_done_bytes == 0.0
+        # Its width is not observed: the refiner falls back to the estimate.
+        assert tracker.segments[1].avg_output_width() is None
 
     def test_extra_pass_counts(self):
         tracker = make_tracker()
@@ -243,9 +245,9 @@ class TestLoad:
         tracker = make_tracker((1, 2), final=1)
         tracker.input_rows(0, 0, 1, 50)
         tracker.load(0, [3], [120.0], 2, 64.0, 1000.0, True, False)
-        # The final segment's recorded output is rows only (no bytes).
-        tracker.load(1, [1, 1], [7.0, 9.0], 5, 0.0, 0.0, True, True)
+        tracker.load(1, [1, 1], [7.0, 9.0], 5, 333.0, 0.0, True, True)
         assert tracker.total_done_bytes == 120 + 64 + 1000 + 7 + 9
+        assert tracker.segments[1].output_bytes == 0.0  # the result: rows only
         tracker.load(0, [4], [160.0], 2, 64.0, 1000.0, True, True)
         assert tracker.total_done_bytes == sum(
             seg.done_bytes for seg in tracker.segments
