@@ -13,7 +13,8 @@ paper's figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import ProgressError
@@ -211,6 +212,12 @@ class SystemConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     progress: ProgressConfig = field(default_factory=ProgressConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
+
+    @cached_property
+    def values(self) -> tuple:
+        """Every setting, nested ones flattened, as one tuple of plain
+        values: equal exactly when the configs are, and hashed in C."""
+        return astuple(self)
 
     def with_planner(self, **kwargs) -> "SystemConfig":
         """Return a copy with planner flags replaced."""

@@ -23,7 +23,11 @@ The compiler therefore follows four rules:
 * every per-row ``clock.advance`` is emitted at the same point in the
   row stream as the volcano operator performs it — never merged, split,
   or reordered (virtual time is a float; float addition is not
-  associative);
+  associative) — on *registers*: locals holding ``now``, the next event,
+  each resource's ``cost_charged`` and load factor, and ``cost * factor``
+  per constant cost, stored to the clock before and reloaded after every
+  yield, slow path, charging call and hand-written iterator step, and
+  stored on every exit (``finally``);
 * work accounting is integer arithmetic, so only its value at each
   observation point matters: row loops count in bare local names at the
   volcano engine's stream positions, and the nested ``_sync`` installed
@@ -73,7 +77,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
-from collections import OrderedDict
+import itertools
 from operator import attrgetter
 from types import CodeType
 from typing import Callable, Iterator, List, NamedTuple, Optional
@@ -123,6 +127,18 @@ from repro.storage.types import IntegerType, StringType
 #: Comparison / arithmetic operator spellings for fused expression source.
 _CMP_SRC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH_SRC = {"+": "+", "-": "-", "*": "*", "/": "/"}
+#: Resource -> its registers (``cost_charged`` total, load factor), its local.
+_REGISTERS = {"_CPU": ("ccpu", "fcpu", "_rcpu"), "_IO": ("cio", "fio", "_rio")}
+#: Per-query objects a program binds once (``_Compiler._hot``), by hint.
+_HOT: dict[str, Callable] = {
+    "clk": attrgetter("ctx.clock"),
+    "cch": attrgetter("ctx.clock.cost_charged"),  # mutated, never rebound
+    "adv": attrgetter("ctx.clock.advance"),
+    "slow": attrgetter("ctx.clock._advance_slow"),
+    "trst": attrgetter("tracker._start"),
+    "segfin": attrgetter("tracker.segment_finished"),
+    "trin": attrgetter("tracker.input_rows"),
+}
 #: Literal types fused expressions bind as hoisted locals (NULL stays
 #: inline); anything else keeps its ``compile_expr`` closure.
 _SAFE_LITERALS = (int, float, str, bool)
@@ -200,7 +216,7 @@ class _Compiler:
         self.body: List[str] = []
         #: (position in ``body``, lines to splice in there) — see hole().
         self._holes: List[tuple[int, List[str]]] = []
-        self.depth = 1
+        self.depth = 2  # the body runs inside the registers' try/finally
         self._n = 0
         self._seg_names: dict[int, str] = {}
         #: The program's tracker state: names shared with ``_sync``; the
@@ -219,6 +235,13 @@ class _Compiler:
         #: Source row -> ``slots -> name`` binding those slots' string-length
         #: sum once, where the source row is bound (see _emit_width).
         self._hoist: dict[str, Callable[[List[int]], str]] = {}
+        #: Row variable -> its length, where known exactly (see _picked).
+        self._arity: dict[str, int] = {}
+        #: Hot bindings; registers: resources, cf<N>, store / reload holes.
+        self._hots: dict[str, str] = {}
+        self._charged: set[str] = set()
+        self._cfs: dict[tuple[str, str], str] = {}
+        self._syncs: List[tuple[bool, Callable[[str], None]]] = []  # reload?
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -266,37 +289,15 @@ class _Compiler:
         self.line(header)
         return _Block(self)
 
-    # cached hot bindings ------------------------------------------------
+    def _hot(self, hint: str) -> str:
+        """The program's one local of the bound query's ``_HOT[hint]``."""
+        if hint not in self._hots:
+            self._hots[hint] = self.local(_HOT[hint], hint)
+        return self._hots[hint]
 
-    @functools.cached_property
-    def _adv(self) -> str:
-        return self.local(lambda q: q.ctx.clock.advance, "adv")
-
-    @functools.cached_property
-    def _clk(self) -> str:
-        return self.local(lambda q: q.ctx.clock, "clk")
-
-    @functools.cached_property
-    def _cch(self) -> str:
-        """The clock's ``cost_charged`` dict (mutated in place, never rebound)."""
-        return self.local(lambda q: q.ctx.clock.cost_charged, "cch")
-
-    @functools.cached_property
-    def _slow(self) -> str:
-        return self.local(lambda q: q.ctx.clock._advance_slow, "slow")
-
-    @functools.cached_property
-    def _tr_start(self) -> str:
-        return self.local(lambda q: q.tracker._start, "trst")
-
-    @functools.cached_property
-    def _tr_segfin(self) -> str:
-        return self.local(lambda q: q.tracker.segment_finished, "segfin")
-
-    @functools.cached_property
-    def _tr_input(self) -> str:
-        """The bound ``input_rows`` method, for cold per-page call sites."""
-        return self.local(lambda q: q.tracker.input_rows, "trin")
+    def _call(self, hint: str, *args) -> None:
+        """``_HOT[hint](*args)``, which charges or stamps time."""
+        self._foreign(f"{self._hot(hint)}({', '.join(map(str, args))})")
 
     def _seg(self, seg_id: int) -> str:
         """One segment's counters; ``<name>st``: the program saw it started."""
@@ -310,55 +311,80 @@ class _Compiler:
 
     # inlined clock charge (must mirror VirtualClock.advance exactly) ----
 
+    def _foreign(self, text: str) -> None:
+        """A statement in which other code runs: a yield, a charging call."""
+        self._syncs.append((False, self.hole()))
+        self.line(text)
+        self._syncs.append((True, self.hole()))
+
+    @contextlib.contextmanager
+    def _foreign_loop(self, header: str) -> Iterator[None]:
+        """A row loop over charging code; its body must not ``continue``."""
+        self._syncs.append((False, self.hole()))
+        with self.block(header):
+            self._syncs.append((True, self.hole()))
+            yield
+            self._syncs.append((False, self.hole()))
+        self._syncs.append((True, self.hole()))
+
+    def _registers(self) -> tuple[str, List[str], List[str]]:
+        """The store, the reload, and ``_factors``, which takes the factors of
+        the resources the program charges and its ``cf<N>`` anew."""
+        clk, cch = self._hot("clk"), self._hot("cch")
+        res = [r for r in _REGISTERS if r in self._charged]
+        cc, fs = [_REGISTERS[r][0] for r in res], [_REGISTERS[r][1] for r in res]
+        cells = [f"{cch}[{_REGISTERS[r][2]}]" for r in res]
+        reload = [
+            ", ".join(["now", "nev", *cc]) + " = "
+            + ", ".join([f"{clk}.now", f"{clk}._next_event", *cells]),
+            f"if {clk}._factors is not fac:",
+            "    " + ", ".join(["fac", *fs, *self._cfs.values()]) + " = _factors()",
+        ]
+        define = ["fac = None", "def _factors():", f"    fac = {clk}._factors"]
+        define += [f"    {f} = fac[{r}]" for r, f in zip(res, fs)]
+        cfs = [f"{c} * {_REGISTERS[r][1]}" for c, r in self._cfs]
+        define.append("    return " + ", ".join(["fac", *fs, *cfs]))
+        store = ", ".join([f"{clk}.now", *cells, "now"]) + " = "
+        return store + ", ".join(["now", *cc, "None"]), reload, define
+
     def _emit_advance(self, cost, res: str, maybe_zero: bool = True) -> None:
-        """Inline ``clock.advance(cost, res)``'s fast path.
+        """Inline ``clock.advance(cost, res)``'s fast path, on the registers.
 
         ``cost`` is either a float (compile-time constant) or a source
         expression.  The emitted sequence is ``VirtualClock.advance``
-        minus the function call: same ``cost_charged`` update, same
-        fast-path float arithmetic, and the bound ``_advance_slow`` for
-        the event-crossing path (which fires tickers exactly as the real
-        method does).  ``advance(0)`` is a no-op, so zero constants emit
-        nothing and runtime expressions guard with ``if cost:`` unless
-        the caller proves them nonzero.
+        minus the function call: the same float operations (a constant's
+        ``cost * factor`` is taken once per factor), and the bound
+        ``_advance_slow`` for the event-crossing path (which fires tickers
+        exactly as the real method does).  ``advance(0)`` is a no-op, so
+        zero constants emit nothing and runtime expressions guard with
+        ``if cost:`` unless the caller proves them nonzero.
         """
         if isinstance(cost, (int, float)):
             if cost == 0:
                 return
             if cost < 0:
                 # Invalid config: keep the real method's ValueError.
-                self.line(f"{self._adv}({_lit(cost)}, {res})")
+                self._call("adv", _lit(cost), res)
                 return
-            c = _lit(cost)
-            guard = False
+            c, guard = _lit(cost), False
+            if (c, res) not in self._cfs:
+                self._cfs[c, res] = self.fresh("cf")
         elif cost.isidentifier():
-            c = cost
-            guard = maybe_zero
+            c, guard = cost, maybe_zero
         else:
             c = self.fresh("c")
             self.line(f"{c} = {cost}")
             guard = maybe_zero
-        clk = self._clk
-        cch = self._cch
-        slow = self._slow
-        rloc = "_rcpu" if res == "_CPU" else "_rio"
-
-        def emit_body() -> None:  # the commonest block: appended in one go
-            pad, deeper = _PADS[self.depth], _PADS[self.depth + 1]
-            self.body += (
-                f"{pad}{cch}[{rloc}] += {c}",
-                f"{pad}_end = {clk}.now + {c} * {clk}._factors[{rloc}]",
-                f"{pad}if _end < {clk}._next_event:",
-                f"{deeper}{clk}.now = _end",
-                f"{pad}else:",
-                f"{deeper}{slow}({c}, {rloc})",
-            )
-
-        if guard:
-            with self.block(f"if {c}:"):
-                emit_body()
-        else:
-            emit_body()
+        self._charged.add(res)
+        cc, factor, rloc = _REGISTERS[res]
+        step = self._cfs.get((c, res)) or f"{c} * {factor}"
+        with self.block(f"if {c}:") if guard else contextlib.nullcontext():
+            self.line(f"{cc} += {c}")
+            self.line(f"_end = now + {step}")
+            with self.block("if _end < nev:"):
+                self.line("now = _end")
+            with self.block("else:"):
+                self._call("slow", c, rloc)
 
     # tracker counting: the row loop counts in bare names, ``_sync`` adds
     # them to the SegmentCounters and their total and zeroes them, skipping
@@ -374,7 +400,7 @@ class _Compiler:
         with self.block(f"if not {seg}st:"):
             self.line(f"{seg}st = True")
             with self.block(f"if not {seg}.started:"):
-                self.line(f"{self._tr_start}({seg})")
+                self._call("trst", seg)
 
     def _emit_count(self, seg_id: int, idx: Optional[int],
                     width: "int | str | None") -> None:
@@ -402,7 +428,7 @@ class _Compiler:
 
     def _flush(self) -> None:
         """Hand the pending batch to the driver (its rows leave ``nout``)."""
-        self.line("yield _B(out)")
+        self._foreign("yield _B(out)")
         self.line("out = []")
         self.line("out_append = out.append")
         if self._fout is not None:
@@ -413,7 +439,7 @@ class _Compiler:
         """Yield PULSE, flushing any pending output batch first."""
         with self.block("if nout:"):
             self._flush()
-        self.line("yield PULSE")
+        self._foreign("yield PULSE")
 
     def _driver(self, rowvar: str) -> None:
         self.line(f"out_append({self._whole(rowvar)})")
@@ -461,16 +487,34 @@ class _Compiler:
         so what may raise runs exactly when the row engine runs it."""
         o = self.fresh("o")
         picks = [p if isinstance(p, str) else self._src(*p) for p in parts]
-        text = f"{o} = " + _tuple_display(
-            [p if isinstance(p, str) else "%s[%d]" % p for p in picks]
-        )
         self._origin[o] = origin = [None if isinstance(p, str) else p for p in picks]
+        self._arity[o] = len(parts)
         if None in origin:
-            self.line(text)
+            self.line(f"{o} = " + _tuple_display(
+                [p if isinstance(p, str) else "%s[%d]" % p for p in picks]
+            ))
         else:
-            at = self.hole()
+            at, text = self.hole(), f"{o} = {self._picked(picks)}"
             self._unbuilt[o] = lambda: at(text)
         return o
+
+    def _picked(self, picks: List[tuple[str, int]]) -> str:
+        """A row of picks only: a tuple display or, when each run of slots
+        of one source row holds two or more (fewer opcodes), the runs added:
+        a source row whole (its length known), else a slice."""
+        runs: List[list] = []
+        for src, slot in picks:
+            if runs and runs[-1][0] == src and runs[-1][2] == slot:
+                runs[-1][2] += 1
+            else:
+                runs.append([src, slot, slot + 1])
+        terms = [
+            src if lo == 0 and hi == self._arity.get(src) else f"{src}[{lo or ''}:{hi}]"
+            for src, lo, hi in runs
+        ]
+        if min([hi - lo for _, lo, hi in runs], default=0) < 2:
+            return _tuple_display(["%s[%d]" % p for p in picks])
+        return " + ".join(terms)
 
     def _whole(self, rowvar: str) -> str:
         """``rowvar`` for a consumer that takes the row as one object."""
@@ -535,6 +579,7 @@ class _Compiler:
         """Emit a join's output tuple; return its name."""
         left_slots = layout_of(left_cols)
         right_slots = layout_of(right_cols)
+        self._arity[lvar], self._arity[rvar] = len(left_cols), len(right_cols)
         return self._tuple([
             (lvar, left_slots[col.coordinate])
             if col.coordinate in left_slots
@@ -696,6 +741,9 @@ class _Compiler:
             seg = self._seg(self._final)
             self._sync += [f"{seg}.output_rows += {fout} + nout", f"{fout} = -nout"]
         self._node(root, self._driver)
+        with self.block("if out:"):
+            self._foreign("yield _B(out)")
+        store, reload, define = self._registers()
         sync: List[str] = []
         if self._sync:
             # The program's tracker state and the reader-side fold over it.
@@ -713,13 +761,15 @@ class _Compiler:
         lines.append("    nout = 0")
         lines.append("    _rcpu = _CPU")
         lines.append("    _rio = _IO")
-        lines.extend("    " + p for p in self.pre + sync)
+        lines.extend("    " + p for p in self.pre + sync + define)
+        for reloads, at in self._syncs:
+            for text in reload if reloads else [store]:
+                at(text)
         for at, late in reversed(self._holes):  # back to front: positions hold
             if late:
                 self.body[at:at] = late
-        lines.extend(self.body)
-        lines.append("    if out:")
-        lines.append("        yield _B(out)")
+        lines += [*["    " + r for r in reload], "    try:", *self.body, "    finally:"]
+        lines += ["        if now is not None:", "            " + store]  # exceptions
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------
@@ -751,6 +801,7 @@ class _Compiler:
         rows = self.fresh("rows")
         n = self.fresh("n")
         r = self.fresh("r")
+        self._arity[r] = len(node.table.schema)  # a heap row
         if per_row:
             # The row loop does not count at all: the scan's position is the
             # open page's list iterator ``it`` (how many of its ``n`` rows are
@@ -773,7 +824,7 @@ class _Compiler:
                 f"{dr} = -{k}; {db} = -{share}",
             ]
         with self.block(f"for {pno} in range({num_pages}):"):
-            self.line(f"{pg} = {get}({h}, {pno}, sequential=True)")
+            self._foreign(f"{pg} = {get}({h}, {pno}, sequential=True)")
             self.line(f"{rows} = {pg}.rows")
             self.line(f"{n} = len({rows})")
             with self.block(f"if not {n}:"):
@@ -789,10 +840,7 @@ class _Compiler:
                     self._emit_start(ref[0])
                     self.line(f"{it} = iter({rows})")
                 elif monitored:
-                    self.line(
-                        f"{self._tr_input}"
-                        f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
-                    )
+                    self._call("trin", ref[0], ref[1], n, f"{pg}.bytes_used")
                 if per_row:  # this page iteration has run the start test
                     self._started.add(ref[0])
                 with self.block(f"for {r} in {it if per_row else rows}:"):
@@ -836,6 +884,7 @@ class _Compiler:
         slot = self.fresh("slot")
         pg = self.fresh("pg")
         r = self.fresh("r")
+        self._arity[r] = len(node.table.schema)  # a heap row
         self.line(f"{seen} = 0")
         with self.block(f"for {k}, {rid} in {search}:"):
             with self.block(f"if {seen} % {index.fanout} == 0:"):
@@ -844,7 +893,7 @@ class _Compiler:
                     self._emit_pulse()
             self.line(f"{seen} += 1")
             self.line(f"{pno}, {slot} = {rid}")
-            self.line(f"{pg} = {get}({hh}, {pno}, sequential=False)")
+            self._foreign(f"{pg} = {get}({hh}, {pno}, sequential=False)")
             self.line(f"{pin}({hh}, {pno})")
             with self.block("try:"):
                 self.line(f"{r} = {pg}.rows[{slot}]")
@@ -874,11 +923,11 @@ class _Compiler:
 
         opv = self.local(bind, "mj")
         it = self.fresh("it")
-        with self.block(f"for {it} in {opv}.rows():"):
+        with self._foreign_loop(f"for {it} in {opv}.rows():"):
             with self.block(f"if {it} is PULSE:"):
                 self._emit_pulse()
-                self.line("continue")
-            consume(it)
+            with self.block("else:"), self.block("for _sk in _ONE:"):
+                consume(it)
 
     # ------------------------------------------------------------------
     # streaming stages
@@ -1073,13 +1122,10 @@ class _Compiler:
 
         self._node(node.build, build_sink)
         if mon_build:
-            self.line(f"{self._tr_segfin}({build_segment})")
+            self._call("segfin", build_segment)
         if self.monitored and hash_ref is not None:
             # The probe segment "handles" the hash table once as it starts.
-            self.line(
-                f"{self._tr_input}"
-                f"({hash_ref[0]}, {hash_ref[1]}, {trows}, {tbytes})"
-            )
+            self._call("trin", hash_ref[0], hash_ref[1], trows, tbytes)
 
         def probe_stage(rowvar: str) -> None:
             self._emit_advance(cost.cpu_hash, "_CPU")
@@ -1106,7 +1152,7 @@ class _Compiler:
             pages = self.fresh("pages")
             # The file name is id()-derived: made per query, never formatted.
             namev = self.node_local(node, lambda n: f"hj_{side}_{id(n)}", "nm")
-            self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {namev})")
+            self._foreign(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {namev})")
             self.line(f"{pages} = [p.page for p in {parts}]")
 
             def sink(rowvar: str) -> None:
@@ -1123,7 +1169,7 @@ class _Compiler:
                 self.line(f"{pg} = {pages}[{b}]")
                 full = f"{pg}.bytes_used + {w} > {self.config.page_size}"
                 with self.block(f"if {full} and {pg}.rows:"):
-                    self.line(f"{pg} = {pages}[{b}] = {parts}[{b}].roll()")
+                    self._foreign(f"{pg} = {pages}[{b}] = {parts}[{b}].roll()")
                 self.line(f"{pg}.rows.append({self._whole(rowvar)})")
                 self.line(f"{pg}.bytes_used += {w}")
                 if monitored:
@@ -1132,9 +1178,9 @@ class _Compiler:
             self._node(child, sink)
             p = self.fresh("p")
             with self.block(f"for {p} in {parts}:"):
-                self.line(f"{p}.flush()")
+                self._foreign(f"{p}.flush()")
             if monitored:
-                self.line(f"{self._tr_segfin}({segment})")
+                self._call("segfin", segment)
             return parts
 
         build_parts = partition(
@@ -1166,7 +1212,7 @@ class _Compiler:
             r = self.fresh("r")
             self.line(f"{h} = {handle_expr}")
             with self.block(f"for {pno} in range({h}.num_pages):"):
-                self.line(f"{pg} = {dread}({h}, {pno}, sequential=True)")
+                self._foreign(f"{pg} = {dread}({h}, {pno}, sequential=True)")
                 self.line(f"{n} = len({pg}.rows)")
                 if cost.cpu_tuple:
                     with self.block(f"if {n}:"):
@@ -1176,10 +1222,7 @@ class _Compiler:
                             maybe_zero=False,
                         )
                 if self.monitored and ref is not None:
-                    self.line(
-                        f"{self._tr_input}"
-                        f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
-                    )
+                    self._call("trin", ref[0], ref[1], n, f"{pg}.bytes_used")
                 with self.block(f"for {r} in {pg}.rows:"):
                     per_row(r)
                 self._emit_pulse()
@@ -1236,10 +1279,7 @@ class _Compiler:
 
         self._node(node.inner, inner_sink)
         if self.monitored and inner_ref is not None:
-            self.line(
-                f"{self._tr_input}({inner_ref[0]}, {inner_ref[1]}, "
-                f"len({inner}), {ibytes})"
-            )
+            self._call("trin", inner_ref[0], inner_ref[1], f"len({inner})", ibytes)
         # A consumer that wants string lengths of inner rows gets them from a
         # list built here, parallel to ``inner``: once per row, not per pair.
         lens_at = self.hole()
@@ -1332,7 +1372,7 @@ class _Compiler:
             self.line(f"{wapp}({w})")
             self.line(f"{bbytes} += {w}")
             with self.block(f"if {bbytes} > {_lit(self.work_mem_bytes)}:"):
-                self.line(f"yield from {hv}.spill({buf}, {wds})")  # empties both
+                self._foreign(f"yield from {hv}.spill({buf}, {wds})")  # empties both
                 self.line(f"{bbytes} = 0.0")
 
         self._node(node.child, absorb)
@@ -1341,13 +1381,13 @@ class _Compiler:
         self.line(f"{mem} = None")
         with self.block(f"if {hv}.runs:"):
             with self.block(f"if {buf}:"):
-                self.line(f"yield from {hv}.spill({buf}, {wds})")
-            self.line(f"yield from {hv}.collapse()")
+                self._foreign(f"yield from {hv}.spill({buf}, {wds})")
+            self._foreign(f"yield from {hv}.collapse()")
         with self.block("else:"):
-            self.line(f"yield from {hv}.sort_buffer({buf})")
+            self._foreign(f"yield from {hv}.sort_buffer({buf})")
             self.line(f"{mem} = {buf}")
         if mon_out:
-            self.line(f"{self._tr_segfin}({segment})")
+            self._call("segfin", segment)
 
         r = self.fresh("r")
         st = self.fresh("st")
@@ -1373,7 +1413,7 @@ class _Compiler:
                 f" * max(1, len({hv}.runs)).bit_length()"
             )
             self.line(f"{merged} = 0")
-            with self.block(
+            with self._foreign_loop(
                 f"for {r} in heapq.merge("
                 f"*({hv}.read_run(rr) for rr in {hv}.runs), key={keyv}):"
             ):
@@ -1517,7 +1557,7 @@ class _Compiler:
                 self._emit_count(segment, None, f"{wfv}({o})")
             self.line(f"{oapp}({o})")
         if mon_seg:
-            self.line(f"{self._tr_segfin}({segment})")
+            self._call("segfin", segment)
 
         def stream() -> None:
             with self.block(f"for {o} in {output}:"):
@@ -1606,7 +1646,8 @@ def _node_key(node: PhysicalNode, nodes: list, exprs: list) -> tuple:
     elif cls is NestLoopNode or cls is FilterNode:
         own = node.predicates
     elif cls is ProjectNode:
-        facts = tuple([e.type for e in node.exprs])
+        types = [e.type for e in node.exprs]
+        facts = tuple([(type(t), getattr(t, "max_length", 0)) for t in types])
         own = node.exprs
     elif cls is HashAggregateNode:
         facts = tuple(node.group_keys)
@@ -1615,7 +1656,10 @@ def _node_key(node: PhysicalNode, nodes: list, exprs: list) -> tuple:
         facts = node.limit > 0
     return (
         cls,
-        tuple([(c.coordinate, c.type) for c in node.columns]),
+        tuple([
+            (c.coordinate, type(c.type), getattr(c.type, "max_length", 0))
+            for c in node.columns
+        ]),
         (node.segment_id, *[getattr(node, a, None) for a in _SHAPES[cls][1]]),
         facts,
         tuple([_expr_key(e, exprs) for e in own]),
@@ -1626,14 +1670,16 @@ def _node_key(node: PhysicalNode, nodes: list, exprs: list) -> tuple:
 def _plan_key(root: PhysicalNode, ctx: ExecContext, nodes: list, exprs: list) -> tuple:
     """What a program is specialized on: the frozen config, monitored or
     plain, and the plan's shape.  Values only — no estimate, literal,
-    ``id()`` or object of a database — so an entry pins nothing."""
-    return (ctx.config, ctx.tracker is not None, _node_key(root, nodes, exprs))
+    ``id()`` or object of a database — so an entry pins nothing; and only
+    values hashed in C (a type is its class and length), so a lookup runs
+    no Python ``__hash__``."""
+    return (ctx.config.values, ctx.tracker is not None, _node_key(root, nodes, exprs))
 
 
 class _Program:
     """One cached shape: text, code object, and how a query binds to it."""
 
-    __slots__ = ("source", "code", "bindings", "layouts")
+    __slots__ = ("source", "code", "bindings", "layouts", "used")
 
     def __init__(self, compiler: _Compiler, root: PhysicalNode):
         self.source = compiler.compile(root)
@@ -1642,6 +1688,8 @@ class _Program:
         #: Tracker layouts (inputs per segment) ``check_tracker_alignment``
         #: passed: the annotations are in the key, so the verdict holds.
         self.layouts: set[tuple[int, ...]] = set()
+        #: When it was last bound (the cache drops the least recent).
+        self.used = 0
 
 
 class CacheInfo(NamedTuple):
@@ -1652,9 +1700,10 @@ class CacheInfo(NamedTuple):
 
 
 _CACHE_SIZE = 256
-#: Plan-shape key -> program, least recently used first.
-_programs: "OrderedDict[tuple, _Program]" = OrderedDict()
+#: Plan-shape key -> program (a hit hashes its key once: no reordering).
+_programs: dict[tuple, _Program] = {}
 _counts = [0, 0]  # hits, misses
+_uses = itertools.count(1)
 
 
 def code_cache_info() -> CacheInfo:
@@ -1710,18 +1759,19 @@ class FusedQuery:
             # An expression object in two places has one place in the walk
             # for two binding sites: right for this plan only, so not kept.
             if len(compiler._expr_at) == len(self.exprs):
+                if len(_programs) >= _CACHE_SIZE:
+                    lru = min(_programs.items(), key=lambda kv: kv[1].used)
+                    del _programs[lru[0]]
                 _programs[key] = program
-                if len(_programs) > _CACHE_SIZE:
-                    _programs.popitem(last=False)
         else:
             _counts[0] += 1
-            _programs.move_to_end(key)
             if resolve_verify_mode(ctx.config) == "strict":
                 if self._compiler().compile(root) != program.source:
                     raise ExecutionError(
                         "fused program cache: this plan's text differs from "
                         "the program cached under its shape key"
                     )
+        program.used = next(_uses)
         if tracker is not None:
             layout = tuple([len(s.input_rows) for s in tracker.segments])
             if layout not in program.layouts:

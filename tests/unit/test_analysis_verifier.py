@@ -376,6 +376,49 @@ class TestEachGeneratedCheckRejects:
             "    x = sf2(p4[0]) if like3(p4[1]) else 0\n"
         ) == []
 
+    #: A charge on the registers and the store / reload around other code.
+    STORE = "clk1.now, cch2[_rcpu], now = now, ccpu, None\n"
+    RELOAD = "now, nev, ccpu = clk1.now, clk1._next_event, cch2[_rcpu]\n"
+
+    def registers(self, body: str) -> str:
+        """``body`` in a program that keeps the clock in registers."""
+        return (
+            "clk1 = _g_clk1\ncch2 = _g_cch2\n_rcpu = _CPU\n" + self.RELOAD
+            + "try:\n" + textwrap.indent(body, "    ")
+            + "finally:\n    if now is not None:\n        " + self.STORE
+        )
+
+    def test_clock_locals_row_loop_reads_the_clock(self):
+        """(a): a row loop charges through the clock object itself."""
+        charge = "    ccpu += 0.1\n    _end = now + 0.1\n    if _end < nev:\n        now = _end\n"
+        assert generated_rules(self.registers("for r in rows:\n" + charge)) == []
+        for read in ("    _end = clk1.now + 0.1\n", "    cch2[_rcpu] += 0.1\n"):
+            body = self.registers("for r in rows:\n" + read)
+            assert generated_rules(body) == ["clock-locals"], read
+
+    def test_clock_locals_other_code_runs_without_the_store(self):
+        """(b): a yield, a charging call or a charging iterator outside the
+        store / reload bracket, or no store on the way out."""
+        flush = self.STORE + "yield _B(out)\n" + self.RELOAD
+        assert generated_rules(self.registers(flush)) == []
+        assert generated_rules(self.registers("yield _B(out)\n" + self.RELOAD)) == [
+            "clock-locals"
+        ]
+        fetch = "get3 = _g_get3\npg = get3(h, 0)\n" + self.RELOAD
+        assert generated_rules(self.registers(fetch)) == ["clock-locals"]
+        # Silent callees need no store: pins, probes, scalar functions.
+        silent = "pin3 = tget4 = sf5 = _g_pin3\npin3(h, 0)\nb = tget4(sf5(1))\n"
+        assert generated_rules(self.registers(silent)) == []
+        merge = (
+            self.STORE + "for r in heapq.merge(rows):\n    " + self.RELOAD
+            + "    out_append(r)\n    " + self.STORE + self.RELOAD
+        )
+        assert generated_rules(self.registers(merge)) == []
+        unstored = merge.replace("    " + self.STORE, "")
+        assert generated_rules(self.registers(unstored)) == ["clock-locals"]
+        no_finally = "clk1 = _g_clk1\ncch2 = _g_cch2\n_rcpu = _CPU\n" + self.RELOAD
+        assert generated_rules(no_finally) == ["clock-locals"]
+
     def test_closed_vocabulary_accepts_the_compilers_names(self):
         body = (
             "sh1 = _g_sh1\nrows = [(1,)]\n"
@@ -392,7 +435,8 @@ class TestEachGeneratedCheckRejects:
 def test_every_generated_check_has_a_rejection_test():
     tests = [n for n in dir(TestEachGeneratedCheckRejects) if n.startswith("test_")]
     for rule in ("pulse-flush", "page-loop-pulse", "row-loop-counts",
-                 "row-built-once", "row-loop-closures", "closed-vocabulary"):
+                 "row-built-once", "row-loop-closures", "clock-locals",
+                 "closed-vocabulary"):
         assert any(t.startswith("test_" + rule.replace("-", "_")) for t in tests)
 
 
@@ -486,6 +530,21 @@ class TestMutantsOfTheCompiler:
 
     def test_pulse_without_the_batch_flush(self, monkeypatch):
         monkeypatch.setattr(
-            _Compiler, "_emit_pulse", lambda self: self.line("yield PULSE")
+            _Compiler, "_emit_pulse", lambda self: self._foreign("yield PULSE")
         )
         assert {v.rule for v in self.violations()} == {"pulse-flush"}
+
+    def test_pulse_without_the_store_before_it(self, monkeypatch):
+        """fused.py ``_emit_pulse``: ``self._foreign("yield PULSE")`` without
+        the store before it (the reload after it kept)."""
+
+        def emit_pulse(self):
+            with self.block("if nout:"):
+                self._flush()
+            self._foreign("yield PULSE")
+            del self._syncs[-2]  # the store's hole
+
+        monkeypatch.setattr(_Compiler, "_emit_pulse", emit_pulse)
+        found = self.violations()
+        assert {v.rule for v in found} == {"clock-locals"}
+        assert all("`yield PULSE` runs other code" in v.message for v in found)

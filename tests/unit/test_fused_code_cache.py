@@ -12,6 +12,7 @@ here that a named test kills.
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 from fractions import Fraction
 
@@ -503,6 +504,52 @@ class TestBound:
         assert run(db, first)[2]  # now ``second`` is the oldest
         assert not run(db, third)[2]
         assert run(db, first)[2] and not run(db, second)[2]
+
+    def test_a_hit_runs_no_python_hash(self, db, monkeypatch):
+        """The key holds only values hashed in C (a type as its class and
+        length, the config as ``config.values``), and a hit hashes it once:
+        the LRU order is a use stamp, not a reordering."""
+        sql = "select c.custkey, c.name from customer c where c.custkey = 17"
+        planned = db.prepare(sql)
+        for monitored in (False, True):
+            run(db, planned, monitored)  # the shape is cached
+            hashes, calls = [], []
+            ctx, indicator = context(db, planned, monitored)
+            key_hash = hash(fused._plan_key(planned.root, ctx, [], []))
+            monkeypatch.setattr(fused, "_plan_key", lambda *a: _Key(a, hashes))
+
+            def profile(frame, event, _arg):
+                if event == "call" and frame.f_code.co_name == "__hash__":
+                    calls.append(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                query = fused.FusedQuery(planned.root, ctx)
+            finally:
+                sys.setprofile(None)
+                monkeypatch.undo()
+            query.close()
+            if indicator is not None:
+                indicator.abort()
+            assert calls == [_Key.__hash__.__code__]  # the probe's own frame
+            assert hashes == [key_hash]
+
+
+class _Key(tuple):
+    """A plan key that records each hash of it (``dict`` hashes a key
+    through ``__hash__`` exactly once per lookup or insert)."""
+
+    def __new__(cls, args, hashes):
+        key = tuple.__new__(cls, _real_plan_key(*args))
+        key.hashes = hashes
+        return key
+
+    def __hash__(self):
+        self.hashes.append(tuple.__hash__(self))
+        return self.hashes[-1]
+
+
+_real_plan_key = fused._plan_key
 
 
 class TestAnEntryPinsNothing:

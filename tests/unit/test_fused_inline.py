@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from repro.analysis.generated import is_row_loop
+from repro.analysis.generated import is_row_loop, row_sources
 from repro.analysis.invariants import verify_plan
 from repro.config import SystemConfig
 from repro.database import Database
@@ -100,13 +100,18 @@ def sources(db: Database, sql: str) -> dict[bool, str]:
 
 
 def built_rows(tree: ast.AST) -> list[tuple[ast.For, ast.Assign]]:
-    """Every ``oN = (...)`` with the innermost row loop it runs in."""
+    """Every ``oN = (...)`` or ``oN = a + b`` with the innermost row loop
+    it runs in."""
     found = []
     for loop in filter(is_row_loop, ast.walk(tree)):
         stack = list(loop.body)
         while stack:
             node = stack.pop()
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            if (
+                isinstance(node, ast.Assign)
+                and re.fullmatch(r"o\d+", ast.unparse(node.targets[0]))
+                and row_sources(node.value) is not None
+            ):
                 found.append((loop, node))
             if not isinstance(node, ast.For):
                 stack.extend(ast.iter_child_nodes(node))
@@ -232,12 +237,34 @@ class TestRowsBuiltOnce:
             (row,) = {ast.unparse(a) for a in inner}
             assert row.split(" = ")[0] == ast.unparse(driver.args[0])
             # ...straight from scanned / partition rows, never another tuple.
-            bases = {e.value.id for a in inner for e in a.value.elts}
+            bases = {
+                ast.unparse(e.value if isinstance(e, ast.Subscript) else e)
+                for a in inner for e in row_sources(a.value)
+            }
             assert all(re.fullmatch(r"(br|ir|r)\d+", b) for b in bases), bases
             # Every row any loop builds is read whole somewhere.
             for _, assign in built:
                 target = assign.targets[0].id
                 assert re.search(rf"[(\[]{target}[)\],]", text), target
+
+    def test_whole_rows_are_added_not_repicked(self):
+        """A row of whole source rows in order is their sum (Q5's output
+        row), a run of slots of one row a slice; a row with a one-slot run
+        stays a display.  Every form gives the row engine's rows."""
+        db = tpcr.build_database(scale=0.002, subset_rows=60)
+        for text in sources(db, queries.Q5).values():
+            (row,) = [ast.unparse(a) for _, a in built_rows(ast.parse(text))]
+            assert re.fullmatch(r"o\d+ = ir\d+ \+ r\d+", row), row
+        cases = {
+            "select r.*, t.* from r, t where r.a = t.a": r"br\d+ \+ r\d+|r\d+ \+ br\d+",
+            "select a, b, f from r where a < 40 order by s": r"r\d+\[:3\]",
+            "select b, a from r order by s": r"\(r\d+\[1\], r\d+\[0\]\)",
+        }
+        for sql, form in cases.items():
+            assert assert_engines_agree(sql)
+            text = sources(make_db("batch"), sql)[False]
+            rows = [ast.unparse(a.value) for _, a in built_rows(ast.parse(text))]
+            assert any(re.fullmatch(form, r) for r in rows), (sql, rows)
 
     def test_a_computed_slot_is_evaluated_where_the_row_engine_does(self):
         """The projection's division runs for every join row even though
